@@ -23,11 +23,9 @@ from .kernels import (
 )
 from .system import (
     DescriptorSystem,
-    FrequencyResponse,
     TimeDomain,
     apply_similarity,
     eval_tfm,
-    frequency_response,
     make_system,
     random_system,
 )
@@ -87,7 +85,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DescriptorSystem",
-    "FrequencyResponse",
     "TimeDomain",
     "GschurResult",
     "KroneckerStructure",
@@ -101,7 +98,6 @@ __all__ = [
     "RationalMatrixData",
     "make_system",
     "eval_tfm",
-    "frequency_response",
     "apply_similarity",
     "random_system",
     "rank_tol",

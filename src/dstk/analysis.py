@@ -19,8 +19,17 @@ from .exceptions import (
     SingularPencil,
     UnstableSystem,
 )
-from .kernels import EPS, glyap, gsylv_separation, null_basis, probe_rng, rank_tol
-from .ops import _diag2
+from .kernels import (
+    _diag2,
+    _row_compress,
+    _svd_rank,
+    default_tol,
+    glyap,
+    gsylv_separation,
+    null_basis,
+    probe_rng,
+    rank_tol,
+)
 from .pencil import klf
 from .system import DescriptorSystem, TimeDomain, _trusted_system, probe_points
 
@@ -224,7 +233,7 @@ def _ctrb_reduce(A, B, C, tol_abs):
     k0 = 0
     W = B
     while k0 < n:
-        U, r = _svd_row_compress(W, tol_abs)
+        U, r = _row_compress(W, tol_abs)
         if r == 0:
             break
         A[k0:, :] = U.T @ A[k0:, :]
@@ -236,15 +245,6 @@ def _ctrb_reduce(A, B, C, tol_abs):
         W = A[k0:, prev:k0]
     nc = k0
     return A[:nc, :nc], B[:nc, :], C[:, :nc]
-
-
-def _svd_row_compress(M, tol_abs):
-    m = M.shape[0]
-    if M.size == 0:
-        return np.eye(m), 0
-    U, s, _ = np.linalg.svd(M, full_matrices=True)
-    r = int(np.count_nonzero(s > tol_abs))
-    return U, r
 
 
 def _standard_minreal(A, B, C, tol_abs):
@@ -269,11 +269,10 @@ def _drop_simple_chains(W, B, C):
     if K.shape[1] == 0:
         return W, B, C, zero, False
     U, s, _ = np.linalg.svd(W)
-    r = int(np.count_nonzero(s > max(n, 1) * EPS * (s[0] if s.size else 0.0)))
-    R = U[:, :r]
+    R = U[:, : _svd_rank(s, W.shape)]
     G = K - R @ (R.T @ K)
     Ug, sg, Vgh = np.linalg.svd(G, full_matrices=False)
-    q = int(np.count_nonzero(sg > 1e-8 * max(1.0, sg[0] if sg.size else 0.0)))
+    q = _svd_rank(sg, G.shape, 1e-8 * max(1.0, sg[0] if sg.size else 0.0))
     if q == 0:
         return W, B, C, zero, False
     S = K @ Vgh[:q].T
@@ -325,7 +324,7 @@ def minreal(sys: DescriptorSystem, tol=None, rng=None) -> DescriptorSystem:
         Cf = Ci @ R + Cf
 
     scale = max(np.linalg.norm(X) for X in (sys.A, sys.E, sys.B, sys.C)) + 1.0
-    tol_abs = tol if tol is not None else 100.0 * max(n, sys.m, sys.p) * EPS * scale
+    tol_abs = tol if tol is not None else default_tol(max(n, sys.m, sys.p), scale)
 
     D_new = sys.D.copy()
 

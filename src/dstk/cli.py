@@ -504,7 +504,7 @@ def run(argv=None) -> int:
             except ValueError:
                 print("error: DSTK_SEED must be an integer", file=_sys.stderr)
                 return 1
-    kernels.set_probe_seed(seed)
+    token = kernels.set_probe_seed(seed)
     try:
         try:
             inputs, results = args.fn(args, args.tol, None)
@@ -524,7 +524,7 @@ def run(argv=None) -> int:
         _emit(report, args.out)
         return 0
     finally:
-        kernels.set_probe_seed(None)
+        kernels._probe_seed.reset(token)
 
 
 def main() -> None:

@@ -26,6 +26,7 @@ from .exceptions import (
 )
 from .analysis import StabilityRegion, minreal, normal_rank, stability_region, zeros
 from .kernels import (
+    _diag2,
     finite_beta_threshold,
     glyap,
     gschur_ordered,
@@ -34,7 +35,7 @@ from .kernels import (
     probe_rng,
     rank_tol,
 )
-from .ops import _diag2, _static, concat_row, transpose_dual
+from .ops import _static, concat_row, transpose_dual
 from .pencil import weierstrass_structure
 from .system import DescriptorSystem, TimeDomain, _trusted_system
 
@@ -252,8 +253,7 @@ def _dislocating_feedback(g, region, pole_set, tol, rng):
                 raise RegionInvalid(f"need {len(bad)} target poles, got {len(targets)}")
         else:
             targets = [region.reflect(z) for z in bad]
-        rngl = probe_rng(rng) if rng is not None else probe_rng()
-        Fb = _place_poles(Abs, Bbs, targets, region, rngl)
+        Fb = _place_poles(Abs, Bbs, targets, region, probe_rng(rng))
         F = F + np.hstack([np.zeros((m, k)), Fb]) @ res.Z.T
     return F
 

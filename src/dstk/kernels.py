@@ -8,6 +8,7 @@ primitives.
 
 from __future__ import annotations
 
+import contextvars
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,8 +36,10 @@ EPS = float(np.finfo(float).eps)
 
 # Default seed for probe-point generators; reseedable through
 # :func:`dstk.set_probe_seed` so that command-line runs are reproducible.
+# The seed lives in a context variable, so each thread and each asyncio task
+# sees its own value.
 _DEFAULT_PROBE_SEED = 1905
-_probe_seed = _DEFAULT_PROBE_SEED
+_probe_seed = contextvars.ContextVar("dstk_probe_seed", default=_DEFAULT_PROBE_SEED)
 
 
 def set_probe_seed(seed=None):
@@ -44,20 +47,21 @@ def set_probe_seed(seed=None):
 
     ``None`` restores the built-in fixed seed.  Probe-based routines create a
     fresh generator per call, so results stay reproducible and independent of
-    call order.
+    call order.  The setting holds for the current thread or asyncio task
+    only; the returned :class:`contextvars.Token` can restore the previous
+    value.
     """
-    global _probe_seed
-    _probe_seed = _DEFAULT_PROBE_SEED if seed is None else int(seed)
+    return _probe_seed.set(_DEFAULT_PROBE_SEED if seed is None else int(seed))
 
 
 def get_probe_seed() -> int:
-    return _probe_seed
+    return _probe_seed.get()
 
 
 def probe_rng(rng=None) -> np.random.Generator:
     """Return ``rng`` if given, else a generator seeded with the probe seed."""
     if rng is None:
-        return np.random.default_rng(_probe_seed)
+        return np.random.default_rng(_probe_seed.get())
     if isinstance(rng, (int, np.integer)):
         return np.random.default_rng(int(rng))
     return rng
@@ -73,6 +77,26 @@ def as_matrix(M, name="matrix") -> np.ndarray:
     return M
 
 
+def default_tol(dim, scale) -> float:
+    """Default absolute tolerance ``100 * max(dim, 1) * eps * scale``.
+
+    The safety factor absorbs roundoff accumulated over repeated orthogonal
+    updates, which can sit well above ``eps * scale``.
+    """
+    return 100.0 * max(dim, 1) * EPS * scale
+
+
+def _svd_rank(s, shape, tol=None) -> int:
+    """Number of singular values ``s`` (descending) above ``tol``.
+
+    The default tolerance is ``max(shape) * eps * s[0]`` for a matrix of the
+    given shape.
+    """
+    if tol is None:
+        tol = max(shape) * EPS * (s[0] if s.size else 0.0)
+    return int(np.count_nonzero(s > tol))
+
+
 def rank_tol(M, tol=None) -> int:
     """Numerical rank: number of singular values above the tolerance.
 
@@ -82,10 +106,7 @@ def rank_tol(M, tol=None) -> int:
     M = np.asarray(M)
     if M.size == 0:
         return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    if tol is None:
-        tol = max(M.shape) * EPS * s[0]
-    return int(np.count_nonzero(s > tol))
+    return _svd_rank(np.linalg.svd(M, compute_uv=False), M.shape, tol)
 
 
 def null_basis(M, tol=None) -> np.ndarray:
@@ -102,33 +123,44 @@ def null_basis(M, tol=None) -> np.ndarray:
     if m == 0 or not M.any():
         return np.eye(n)
     U, s, Vh = np.linalg.svd(M, full_matrices=True)
-    if tol is None:
-        tol = max(m, n) * EPS * (s[0] if s.size else 0.0)
-    r = int(np.count_nonzero(s > tol))
-    return Vh[r:].conj().T
+    return Vh[_svd_rank(s, M.shape, tol) :].conj().T
 
 
-def _row_compress(M, tol_abs):
-    """Orthogonal U with ``U.T @ M = [full-row-rank; 0]``; returns (U, rank)."""
+def _row_compress(M, tol_abs, rank=None):
+    """Orthogonal U with ``U.T @ M = [full-row-rank; 0]``; returns (U, rank).
+
+    A given ``rank`` prescribes the split instead of deciding it against
+    ``tol_abs``.
+    """
     m = M.shape[0]
     if M.size == 0:
         return np.eye(m), 0
     U, s, _ = np.linalg.svd(M, full_matrices=True)
-    r = int(np.count_nonzero(s > tol_abs))
-    return U, r
+    return U, _svd_rank(s, M.shape, tol_abs) if rank is None else rank
 
 
-def _col_compress_null_first(M, tol_abs):
-    """Orthogonal V with ``M @ V = [~0 | full-column-rank]``; returns (V, nullity)."""
+def _col_compress_null_first(M, tol_abs, nullity=None):
+    """Orthogonal V with ``M @ V = [~0 | full-column-rank]``; returns (V, nullity).
+
+    A given ``nullity`` prescribes the split instead of deciding it against
+    ``tol_abs``.
+    """
     m, n = M.shape
     if n == 0:
         return np.eye(0), 0
     if m == 0 or not M.any():
-        return np.eye(n), n
+        return np.eye(n), n if nullity is None else nullity
     _, s, Vh = np.linalg.svd(M, full_matrices=True)
-    r = int(np.count_nonzero(s > tol_abs))
+    r = _svd_rank(s, M.shape, tol_abs) if nullity is None else n - nullity
     V = np.hstack([Vh[r:].T, Vh[:r].T])
     return V, n - r
+
+
+def _diag2(X, Y):
+    out = np.zeros((X.shape[0] + Y.shape[0], X.shape[1] + Y.shape[1]))
+    out[: X.shape[0], : X.shape[1]] = X
+    out[X.shape[0] :, X.shape[1] :] = Y
+    return out
 
 
 @dataclass
@@ -179,9 +211,12 @@ def _block_eigenvalues(S, T, blocks):
     return eigs
 
 
-def _ring_points(scale, rng, count=3):
-    """Random complex probe points on a circle, off the real axis."""
-    radius = 1.0 + scale
+def _ring_points(A, B, rng, count):
+    """Random complex probe points for the pencil ``A - lam*B``, off the real
+    axis on a circle of radius ``1 + min(||A||_F / ||B||_F, 1e6)`` (radius 2
+    when ``B = 0``)."""
+    nb = np.linalg.norm(B)
+    radius = 1.0 + (min(np.linalg.norm(A) / max(nb, 1e-12), 1e6) if nb > 0 else 1.0)
     pts = []
     for _ in range(count):
         theta = rng.uniform(0.15, np.pi - 0.15)
@@ -196,10 +231,7 @@ def pencil_regular_probe(A, B, rng=None) -> bool:
     n = A.shape[0]
     if n == 0:
         return True
-    rng = probe_rng(rng)
-    na, nb = np.linalg.norm(A), np.linalg.norm(B)
-    scale = min(na / max(nb, 1e-12), 1e6) if nb > 0 else 1.0
-    for lam in _ring_points(scale, rng, count=3):
+    for lam in _ring_points(A, B, probe_rng(rng), 3):
         if rank_tol(A - lam * B) == n:
             return True
     return False
@@ -336,17 +368,11 @@ def _domain_kind(domain) -> str:
     return kind
 
 
-def finite_beta_threshold(E, n=None) -> float:
+def finite_beta_threshold(E) -> float:
     """Threshold under which a QZ beta is treated as an infinite eigenvalue."""
     E = np.asarray(E, dtype=float)
-    n = E.shape[0] if n is None else n
     scale = np.linalg.norm(E, 2) if E.size else 0.0
-    return 100.0 * max(n, 1) * EPS * (scale + 1e-300)
-
-
-def pencil_eigenvalues(A, E, rng=None):
-    """(alpha, beta) pairs of the regular pencil ``A - lam*E``."""
-    return gschur_ordered(A, E, rng=rng).eigenvalues
+    return default_tol(E.shape[0], scale + 1e-300)
 
 
 def glyap(A, E, W, domain) -> np.ndarray:
@@ -372,8 +398,8 @@ def glyap(A, E, W, domain) -> np.ndarray:
         raise ValueError("W must be symmetric")
     W = 0.5 * (W + W.T)
 
-    beta_tol = finite_beta_threshold(E, n)
-    for alpha, beta in pencil_eigenvalues(A, E):
+    beta_tol = finite_beta_threshold(E)
+    for alpha, beta in gschur_ordered(A, E).eigenvalues:
         if beta <= beta_tol:
             raise UnstablePair("pencil has an infinite eigenvalue")
         lam = alpha / beta

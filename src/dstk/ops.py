@@ -16,17 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import normal_rank
 from .exceptions import (
     DimensionMismatch,
     DomainMismatch,
-    EvalAtPole,
     NotInvertibleTFM,
     NotSquare,
     SingularD,
     ZeroDenominator,
 )
-from .kernels import EPS, probe_rng, rank_tol
-from .system import DescriptorSystem, TimeDomain, _trusted_system, eval_tfm, probe_points
+from .kernels import _diag2, _svd_rank, rank_tol
+from .system import DescriptorSystem, TimeDomain, _trusted_system
 
 __all__ = [
     "RationalMatrixData",
@@ -40,13 +40,6 @@ __all__ = [
     "diag_stack",
     "realize_rational",
 ]
-
-
-def _diag2(X, Y):
-    out = np.zeros((X.shape[0] + Y.shape[0], X.shape[1] + Y.shape[1]))
-    out[: X.shape[0], : X.shape[1]] = X
-    out[X.shape[0] :, X.shape[1] :] = Y
-    return out
 
 
 def _same_domain(s1, s2):
@@ -125,18 +118,6 @@ def diag_stack(sys1: DescriptorSystem, sys2: DescriptorSystem) -> DescriptorSyst
     return _trusted_system(A, E, B, C, D, domain)
 
 
-def _tfm_rank_probe(sys, rng=None):
-    """Normal rank of the TFM by maximum rank over random frequency probes."""
-    rng = probe_rng(rng)
-    best = 0
-    for lam in probe_points(sys, count=3, rng=rng):
-        try:
-            best = max(best, rank_tol(eval_tfm(sys, lam)))
-        except EvalAtPole:
-            continue
-    return best
-
-
 def inverse(sys: DescriptorSystem, mode: str = "general", rng=None) -> DescriptorSystem:
     """Realization of the inverse TFM.
 
@@ -148,7 +129,7 @@ def inverse(sys: DescriptorSystem, mode: str = "general", rng=None) -> Descripto
     if sys.p != sys.m:
         raise NotSquare(f"inverse needs a square TFM, got {sys.p}x{sys.m}")
     m, n = sys.m, sys.n
-    if _tfm_rank_probe(sys, rng) < m:
+    if normal_rank(sys, rng) < m:
         raise NotInvertibleTFM("TFM is rank deficient at the probe frequencies")
     if mode == "d-inverse":
         if rank_tol(sys.D) < m:
@@ -273,9 +254,7 @@ def _markov_realization(markov, p, m, tol=None):
             H1[i * p : (i + 1) * p, j * m : (j + 1) * m] = h(i + j)
             H2[i * p : (i + 1) * p, j * m : (j + 1) * m] = h(i + j + 1)
     U, s, Vh = np.linalg.svd(H1)
-    if tol is None:
-        tol = max(H1.shape) * EPS * (s[0] if s.size else 0.0)
-    r = int(np.count_nonzero(s > tol))
+    r = _svd_rank(s, H1.shape, tol)
     if r == 0:
         return np.zeros((0, 0)), np.zeros((0, m)), np.zeros((p, 0))
     sq = np.sqrt(s[:r])

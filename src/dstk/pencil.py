@@ -18,10 +18,11 @@ import numpy as np
 
 from .exceptions import DimensionMismatch, IterationFailure, SingularPencil
 from .kernels import (
-    EPS,
     _col_compress_null_first,
+    _ring_points,
     _row_compress,
     as_matrix,
+    default_tol,
     gschur_ordered,
     probe_rng,
     rank_tol,
@@ -85,15 +86,13 @@ class WeierstrassStructure:
 
 
 def _staircase_tol(M, N, tol):
-    # the safety factor absorbs roundoff accumulated over the repeated
-    # orthogonal updates, which can sit well above eps * scale
     if tol is not None:
         return tol
     scale = 0.0
     for X in (M, N):
         if X.size:
             scale = max(scale, np.linalg.norm(X, 2))
-    return 100.0 * max(M.shape[0], M.shape[1], 1) * EPS * (scale + 1e-300)
+    return default_tol(max(M.shape), scale + 1e-300)
 
 
 def _deflate(M, N, tol_abs, forced=None):
@@ -120,27 +119,21 @@ def _deflate(M, N, tol_abs, forced=None):
     mus, nus = [], []
     step = 0
     while n - co > 0:
+        mu_f = nu_f = None
         if forced is not None:
             if step >= len(forced):
                 break
             mu_f, nu_f = forced[step]
             if mu_f > n - co or nu_f > m - ro:
                 raise IterationFailure("prescribed staircase sizes exceed the active block")
-            V1 = _col_split_null_first(N[ro:, co:], mu_f)
-            mu = mu_f
-        else:
-            V1, mu = _col_compress_null_first(N[ro:, co:], tol_abs)
+        V1, mu = _col_compress_null_first(N[ro:, co:], tol_abs, mu_f)
         if mu == 0:
             break
         M[:, co:] = M[:, co:] @ V1
         N[:, co:] = N[:, co:] @ V1
         R[:, co:] = R[:, co:] @ V1
         N[ro:, co : co + mu] = 0.0
-        if forced is not None:
-            U1 = _row_split(M[ro:, co : co + mu])
-            nu = forced[step][1]
-        else:
-            U1, nu = _row_compress(M[ro:, co : co + mu], tol_abs)
+        U1, nu = _row_compress(M[ro:, co : co + mu], tol_abs, nu_f)
         M[ro:, :] = U1.T @ M[ro:, :]
         N[ro:, :] = U1.T @ N[ro:, :]
         L[ro:, :] = U1.T @ L[ro:, :]
@@ -151,27 +144,6 @@ def _deflate(M, N, tol_abs, forced=None):
         co += mu
         step += 1
     return M, N, L, R, mus, nus
-
-
-def _col_split_null_first(X, mu):
-    """Orthogonal V putting the ``mu`` weakest right-singular directions of X
-    first (prescribed-rank variant of the null-first column compression)."""
-    m, n = X.shape
-    if n == 0:
-        return np.eye(0)
-    if m == 0 or not X.any():
-        return np.eye(n)
-    _, _, Vh = np.linalg.svd(X, full_matrices=True)
-    r = n - mu
-    return np.hstack([Vh[r:].T, Vh[:r].T])
-
-
-def _row_split(X):
-    m = X.shape[0]
-    if X.size == 0:
-        return np.eye(m)
-    U, _, _ = np.linalg.svd(X, full_matrices=True)
-    return U
 
 
 def _stair_counts(mus, nus):
@@ -307,15 +279,7 @@ def pencil_normal_rank(M, N, rng=None) -> int:
         raise DimensionMismatch("M and N must have equal shapes")
     if M.size == 0:
         return 0
-    rng = probe_rng(rng)
-    nm = np.linalg.norm(M)
-    nn = np.linalg.norm(N)
-    scale = (nm + 1.0) / (nn + 1.0)
     best = 0
-    for _ in range(3):
-        theta = rng.uniform(0.15, np.pi - 0.15)
-        if rng.uniform() < 0.5:
-            theta = -theta
-        lam = scale * rng.uniform(0.5, 2.0) * np.exp(1j * theta)
+    for lam in _ring_points(M, N, probe_rng(rng), 3):
         best = max(best, rank_tol(M - lam * N))
     return best

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import kernels
 from .exceptions import (
@@ -29,10 +28,8 @@ from .kernels import EPS, as_matrix, probe_rng, rank_tol
 __all__ = [
     "TimeDomain",
     "DescriptorSystem",
-    "FrequencyResponse",
     "make_system",
     "eval_tfm",
-    "frequency_response",
     "apply_similarity",
     "random_system",
 ]
@@ -88,14 +85,6 @@ class DescriptorSystem:
 
     def __repr__(self) -> str:
         return f"DescriptorSystem(n={self.n}, m={self.m}, p={self.p}, {self.domain.value})"
-
-
-@dataclass(frozen=True)
-class FrequencyResponse:
-    """A single frequency-response sample ``value = G(lam)``."""
-
-    lam: complex
-    value: np.ndarray
 
 
 def _freeze(M: np.ndarray) -> np.ndarray:
@@ -163,10 +152,6 @@ def eval_tfm(sys: DescriptorSystem, lam) -> np.ndarray:
     return sys.C @ X + sys.D
 
 
-def frequency_response(sys: DescriptorSystem, lam) -> FrequencyResponse:
-    return FrequencyResponse(complex(lam), eval_tfm(sys, lam))
-
-
 def apply_similarity(sys: DescriptorSystem, U, V) -> DescriptorSystem:
     """Transform to ``(U(A - lambda E)V, UB, CV, D)``; the TFM is unchanged."""
     U = as_matrix(U, "U")
@@ -179,43 +164,23 @@ def apply_similarity(sys: DescriptorSystem, U, V) -> DescriptorSystem:
     return _trusted_system(U @ sys.A @ V, U @ sys.E @ V, U @ sys.B, sys.C @ V, sys.D, sys.domain)
 
 
-def spectral_scale(sys: DescriptorSystem) -> float:
-    """Magnitude estimate of the finite spectrum, used to size probe circles."""
-    if sys.n == 0:
-        return 0.0
-    try:
-        vals = sla.eigvals(sys.A, sys.E)
-        vals = vals[np.isfinite(vals)]
-        if vals.size:
-            return float(np.max(np.abs(vals)))
-    except (np.linalg.LinAlgError, ValueError):
-        pass
-    ne = np.linalg.norm(sys.E)
-    return float(min(np.linalg.norm(sys.A) / max(ne, 1e-12), 1e6))
-
-
 def probe_points(sys: DescriptorSystem, count=5, rng=None):
     """Random complex probe points off the real axis, clear of the spectrum.
 
-    Drawn uniformly in angle on a circle of radius one plus the spectral
-    magnitude estimate; pole-adjacent draws are rejected and retried.
+    Drawn uniformly in angle on the probe circle of the pencil
+    ``A - lambda*E``; pole-adjacent draws are rejected and redrawn.
     """
     rng = probe_rng(rng)
-    radius = 1.0 + spectral_scale(sys)
     pts = []
-    guard = 0
-    while len(pts) < count and guard < 20 * count + 20:
-        guard += 1
-        theta = rng.uniform(0.15, np.pi - 0.15)
-        if rng.uniform() < 0.5:
-            theta = -theta
-        lam = radius * np.exp(1j * theta)
-        if sys.n:
-            M = sys.A - lam * sys.E
-            sv = np.linalg.svd(M, compute_uv=False)
-            if sv[-1] <= 1e-8 * max(sv[0], 1.0):
-                continue
-        pts.append(lam)
+    for _ in range(20):
+        for lam in kernels._ring_points(sys.A, sys.E, rng, count - len(pts)):
+            if sys.n:
+                sv = np.linalg.svd(sys.A - lam * sys.E, compute_uv=False)
+                if sv[-1] <= 1e-8 * max(sv[0], 1.0):
+                    continue
+            pts.append(lam)
+        if len(pts) == count:
+            break
     return pts
 
 

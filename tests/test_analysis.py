@@ -81,6 +81,15 @@ class TestNormalRank:
             g = random_system(int(rng.integers(0, 5)), 2, 3, "continuous", rng=rng)
             assert normal_rank(g) == normal_rank(transpose_dual(g))
 
+    # the rounded infinite eigenvalues of an improper pencil must not size the
+    # probe circle, or every probe point sits next to a "pole" and is rejected
+    @pytest.mark.parametrize(
+        "seed, domain, n", [(0, "continuous", 8), (0, "continuous", 16), (4, "discrete", 8), (2, "discrete", 16)]
+    )
+    def test_improper_random(self, seed, domain, n):
+        g = random_system(n, 2, 2, domain, proper=False, rng=np.random.default_rng(seed))
+        assert normal_rank(g) == 2
+
 
 class TestPoles:
     def test_lag(self):

@@ -6,6 +6,7 @@ import pytest
 from dstk.analysis import mcmillan_degree, normal_rank, poles
 from dstk.cli import format_system, parse_system, run, write_system
 from dstk.exceptions import ParseError
+from dstk.kernels import get_probe_seed, set_probe_seed
 from dstk.system import eval_tfm, make_system, random_system
 
 
@@ -60,6 +61,11 @@ class TestCommands:
         assert [complex(z["re"], z["im"]) for z in res["poles"]["finite"]] == pytest.approx(info.finite)
         assert res["stable"] is True
         assert report["seed"] == 11
+
+    def test_info_improper_normal_rank(self, tmp_path, capsys):
+        g = random_system(8, 2, 2, "continuous", proper=False, rng=np.random.default_rng(0))
+        assert run(["info", _write(tmp_path, g), "--out", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["normal_rank"] == 2
 
     def test_eval(self, tmp_path, capsys):
         _, path = lag_file(tmp_path)
@@ -144,6 +150,16 @@ class TestCommands:
         capsys.readouterr()
         assert run(["nosuchcommand"]) == 1
         capsys.readouterr()
+
+    def test_run_restores_caller_seed(self, tmp_path, capsys):
+        _, path = lag_file(tmp_path)
+        set_probe_seed(7)
+        try:
+            assert run(["info", path, "--seed", "11", "--out", "json"]) == 0
+            assert json.loads(capsys.readouterr().out)["seed"] == 11
+            assert get_probe_seed() == 7
+        finally:
+            set_probe_seed(None)
 
     def test_env_seed_fallback(self, tmp_path, capsys, monkeypatch):
         _, path = lag_file(tmp_path)

@@ -189,6 +189,11 @@ class TestInverse:
             prod = a @ eval_tfm(g, lam)
             assert np.linalg.norm(prod - np.eye(2)) < 1e-8
 
+    @pytest.mark.parametrize("seed, domain", [(0, "continuous"), (2, "continuous"), (4, "discrete")])
+    def test_improper_product_is_identity(self, seed, domain, rng):
+        g = random_system(8, 2, 2, domain, proper=False, rng=np.random.default_rng(seed))
+        assert_tfm_match(series(g, inverse(g)), lambda lam: np.eye(2), rng)
+
     def test_not_square(self, rng):
         with pytest.raises(NotSquare):
             inverse(random_system(2, 1, 2, "continuous", rng=rng))

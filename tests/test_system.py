@@ -9,7 +9,6 @@ from dstk.system import (
     TimeDomain,
     apply_similarity,
     eval_tfm,
-    frequency_response,
     make_system,
     random_system,
 )
@@ -71,11 +70,6 @@ class TestEval:
         g = make_system(np.zeros((0, 0)), None, np.zeros((0, 3)), np.zeros((2, 0)), D, "continuous")
         for lam in oracle_points(rng, 4):
             assert np.array_equal(eval_tfm(g, lam), D.astype(complex))
-
-    def test_frequency_response_record(self):
-        fr = frequency_response(first_order_lag(), 1.0)
-        assert fr.lam == 1.0 + 0j
-        assert abs(fr.value[0, 0] - 0.5) < 1e-14
 
 
 class TestSimilarity:
