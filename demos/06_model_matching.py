@@ -29,7 +29,7 @@ G = realize_rational(RationalMatrixData(2, 1, [[([1.0], [1.0])], [([0.0, 1.0], [
 nl = left_nullspace(G)
 print("left nullspace of [1; s] is", nl.p, "x", nl.m, "of order", nl.n)
 v = eval_tfm(nl, 1.0).ravel()
-print("basis row at s=1 (proportional to [-s/(s+1), 1/(s+1)]):", np.round(v.real, 6))
+print("basis row at s=1 (proportional to [-s, 1]):", np.round(v.real, 6))
 print("annihilation check:", abs(eval_tfm(nl, 0.7 + 1.2j) @ eval_tfm(G, 0.7 + 1.2j)).max())
 
 # --- solve G X = F exactly: G = 1/(s+1), F = 1/((s+1)(s+2)) gives X = 1/(s+2)

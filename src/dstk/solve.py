@@ -2,13 +2,14 @@
 L2-optimal model-matching solver.
 
 Nullspace bases come from the staircase form of the system matrix pencil:
-the polynomial kernel of the leading right-singular block is computed
-through convolution (resultant) matrices, rotated back with the accumulated
-orthogonal transforms, and made proper by assigning each basis column a
-fixed set of stable poles.  The model-matching pipeline compresses the
-problem with an inner-outer factorization, splits the transformed target
-into stable and antistable parts, and back-substitutes through a stable
-inverse of the outer factor.
+its leading right-singular block, compressed to ``[B1 | A1 - lam E1]`` with
+``E1`` invertible, is a descriptor realization of the kernel once a
+stabilizing LQR feedback on ``(A1, E1, B1)`` fixes its poles; the
+accumulated orthogonal transforms map it back to the input coordinates.
+No polynomial arithmetic is involved.  The model-matching pipeline
+compresses the problem with an inner-outer factorization, splits the
+transformed target into stable and antistable parts, and back-substitutes
+through a stable inverse of the outer factor.
 """
 
 from __future__ import annotations
@@ -37,18 +38,9 @@ from .analysis import (
     stability_region,
     zeros,
 )
-from .factor import additive_decompose, inner_outer
-from .kernels import null_basis, probe_rng, rank_tol
-from .ops import (
-    RationalMatrixData,
-    _static,
-    concat_row,
-    conjugate,
-    inverse,
-    realize_rational,
-    series,
-    transpose_dual,
-)
+from .factor import _riccati_schur, additive_decompose, inner_outer
+from .kernels import _col_compress_null_first, probe_rng, rank_tol
+from .ops import _static, concat_row, conjugate, inverse, series, transpose_dual
 from .pencil import klf
 from .system import DescriptorSystem, TimeDomain, _trusted_system, eval_tfm, probe_points
 
@@ -93,89 +85,39 @@ class LdpParts:
 # nullspace bases
 
 
-def _default_pole(i, domain):
-    if domain is TimeDomain.CONTINUOUS:
-        return -float(i + 1)
-    ladder = [0.0, 0.3, -0.3, 0.6, -0.6]
-    return ladder[i % len(ladder)]
-
-
-def _poly_kernel(PM, PN, want, rng):
-    """Polynomial kernel basis of the full-row-normal-rank pencil PM - lam*PN.
-
-    Returns a list of (cols, degree+1) coefficient arrays, ascending degree,
-    rationally independent.
-    """
-    rows, cols = PM.shape
-    z1, z2 = (complex(z) for z in (rng.uniform(0.5, 1.5) + 1j * rng.uniform(0.5, 1.5),
-                                   -rng.uniform(0.5, 1.5) + 1j * rng.uniform(0.2, 1.0)))
-    found = []
-    evals = np.zeros((2 * cols, 0), dtype=complex)
-
-    def value_stack(coefs):
-        w1 = sum(coefs[:, k] * z1**k for k in range(coefs.shape[1]))
-        w2 = sum(coefs[:, k] * z2**k for k in range(coefs.shape[1]))
-        return np.concatenate([w1, w2]).reshape(-1, 1)
-
-    for d in range(rows + cols + 2):
-        R = np.zeros(((d + 2) * rows, (d + 1) * cols))
-        for j in range(d + 1):
-            R[j * rows : (j + 1) * rows, j * cols : (j + 1) * cols] = PM
-            R[(j + 1) * rows : (j + 2) * rows, j * cols : (j + 1) * cols] = -PN
-        K = null_basis(R)
-        for k in range(K.shape[1]):
-            coefs = K[:, k].reshape(d + 1, cols).T
-            cand = value_stack(coefs)
-            trial = np.hstack([evals, cand])
-            if rank_tol(trial) > rank_tol(evals):
-                found.append(coefs)
-                evals = trial
-                if len(found) == want:
-                    return found
-    raise IterationFailure("polynomial kernel search did not terminate")
-
-
 def right_nullspace(sys: DescriptorSystem, tol=None, rng=None) -> DescriptorSystem:
-    """Proper rational basis of the right nullspace of the TFM.
+    """Proper stable rational basis of the right nullspace of the TFM.
 
     The result has shape ``m x (m - r)`` (``r`` the normal rank), full column
-    normal rank, and poles at a fixed stable default set.  Full-column-rank
-    inputs yield an empty ``m x 0`` basis.
+    normal rank, and order equal to the sum of the right minimal indices.
+    It is read off the leading right-singular block of the staircase form
+    of the system pencil; its poles are placed by a stabilizing LQR gain.
+    Full-column-rank inputs yield an empty ``m x 0`` basis.
     """
     rng = probe_rng(rng)
     g = minreal(sys, tol=tol, rng=rng)
-    n, m = g.n, g.m
-    M, N = _system_pencil(g)
-    Mk, Nk, _, V, ks = klf(M, N, tol=tol, rng=rng)
-    nu = len(ks.right_indices)
+    Mk, Nk, _, V, ks = klf(*_system_pencil(g), tol=tol, rng=rng)
+    nr, nu = ks.nr, len(ks.right_indices)
     if nu == 0:
-        return _static(np.zeros((m, 0)), g.domain)
-    r_rows = ks.nr
-    r_cols = ks.nr + nu
-    coef_list = _poly_kernel(Mk[:r_rows, :r_cols], Nk[:r_rows, :r_cols], nu, rng)
-
-    # rotate back and keep the input components
-    columns = []
-    for coefs in coef_list:
-        deg = coefs.shape[1] - 1
-        padded = np.zeros((n + m, deg + 1))
-        padded[:r_cols, :] = coefs
-        full = V @ padded
-        columns.append(full[n:, :])
-
-    entries = [[None] * nu for _ in range(m)]
-    for j, ucoef in enumerate(columns):
-        cmax = np.abs(ucoef).max() if ucoef.size else 1.0
-        clean = np.where(np.abs(ucoef) > 1e-11 * max(cmax, 1.0), ucoef, 0.0)
-        degs = [k for k in range(clean.shape[1]) if np.any(clean[:, k])]
-        dj = max(degs) if degs else 0
-        den = np.array([1.0])
-        for i in range(dj):
-            den = np.convolve(den, np.array([-_default_pole(i, g.domain), 1.0]))
-        for i in range(m):
-            entries[i][j] = (list(clean[i, : dj + 1]), list(den))
-    basis = realize_rational(RationalMatrixData(m, nu, entries), g.domain)
-    return minreal(basis, tol=tol, rng=rng)
+        return _static(np.zeros((g.m, 0)), g.domain)
+    # the leading block has only right Kronecker structure, so its N part
+    # has full row rank nr: compress it to [0 | E1] with E1 invertible
+    Nr = Nk[:nr, : nr + nu]
+    W, _ = _col_compress_null_first(Nr, None, nu)
+    MW = Mk[:nr, : nr + nu] @ W
+    B1, A1, E1 = MW[:, :nu], MW[:, nu:], (Nr @ W)[:, nu:]
+    # kernel: (A1 - lam E1) x + B1 v = 0; the feedback v = F x + w moves its
+    # poles into the stability region
+    F = np.zeros((nu, nr))
+    if nr:
+        As, Bs = np.linalg.solve(E1, A1), np.linalg.solve(E1, B1)
+        X = _riccati_schur(As, Bs, np.eye(nr), np.zeros((nr, nu)), np.eye(nu), g.domain, rng=rng)
+        if g.domain is TimeDomain.CONTINUOUS:
+            F = -Bs.T @ X
+        else:
+            F = -np.linalg.solve(np.eye(nu) + Bs.T @ X @ Bs, Bs.T @ X @ As)
+    Vu = V[g.n :, : nr + nu] @ W
+    return _trusted_system(A1 + B1 @ F, E1, -B1, Vu[:, nu:] + Vu[:, :nu] @ F, Vu[:, :nu], g.domain)
 
 
 def left_nullspace(sys: DescriptorSystem, tol=None, rng=None) -> DescriptorSystem:

@@ -87,6 +87,46 @@ class TestNullspaces:
                 assert np.abs(gv @ rv).max() <= 1e-8 * scale * (1 + np.abs(rv).max())
 
 
+    @staticmethod
+    def assert_basis(N, G, n, rng, left=False):
+        """Order at most n, annihilates G at oracle probes, full rank there,
+        proper and stable."""
+        assert N.n <= n
+        for lam in oracle_points(rng, 4):
+            lam, nv = safe_eval(N, lam, rng)
+            gv = eval_tfm(G, lam)
+            res = nv @ gv if left else gv @ nv
+            scale = (1 + np.linalg.norm(gv)) * (1 + np.linalg.norm(nv))
+            assert np.linalg.norm(res) <= 1e-8 * scale
+            sv = np.linalg.svd(nv, compute_uv=False)
+            assert sv[-1] > 1e-8 * sv[0]
+        assert poles(N).infinite_count == 0
+        assert is_stable(N)
+
+    @pytest.mark.parametrize(
+        "domain,n",
+        [("continuous", 20), ("continuous", 30), ("continuous", 40), ("discrete", 40), ("discrete", 60)],
+    )
+    def test_high_order_right(self, rng, domain, n):
+        g = random_system(n, 4, 2, domain, rng=np.random.default_rng(n))
+        nr = right_nullspace(g)
+        assert (nr.p, nr.m) == (4, 2)
+        self.assert_basis(nr, g, n, rng)
+
+    def test_high_order_left(self, rng):
+        g = random_system(30, 2, 4, "continuous", rng=np.random.default_rng(30))
+        nl = left_nullspace(g)
+        assert (nl.p, nl.m) == (2, 4)
+        self.assert_basis(nl, g, 30, rng, left=True)
+
+    def test_solve_right_high_order_basis(self, rng):
+        G = series(random_system(10, 2, 3, "continuous", rng=rng), random_system(10, 4, 2, "continuous", rng=rng))
+        F = series(G, random_system(2, 1, 4, "continuous", rng=rng))
+        basis = solve_right(G, F).null_basis
+        assert (basis.p, basis.m) == (4, 2)
+        self.assert_basis(basis, G, G.n, rng)
+
+
 class TestSolve:
     def test_identity(self, rng):
         F = random_system(3, 2, 2, "continuous", rng=rng)
