@@ -109,16 +109,15 @@ class StabilityRegion:
         return self.alpha - 1.0 if self.kind == "half-plane" else 0.0
 
     def reflect(self, z) -> complex:
-        """Default dislocation target for a point outside the region."""
+        """Default dislocation target of a point outside the region: its
+        mirror image about ``Re z = alpha - 1/2`` (half-plane) or about
+        ``|z| = rho/sqrt(2)``, i.e. ``rho**2 / (2 conj(z))`` (disk)."""
         z = complex(z)
         if self.kind == "half-plane":
             return complex(self.alpha - abs(z.real - self.alpha) - 1.0, z.imag)
         if z == 0:
             return complex(0.5 * self.rho)
-        t = self.rho**2 / z.conjugate()
-        if abs(t) > 0.95 * self.rho:
-            t *= 0.5 * self.rho / abs(t)
-        return t
+        return 0.5 * self.rho**2 / z.conjugate()
 
     def boundary_points(self, count=20):
         """Sample points on the region boundary (for inner-factor checks)."""

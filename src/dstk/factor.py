@@ -4,7 +4,9 @@ Additive decomposition over a good/bad split of the complex plane, right and
 left coprime factorizations by eigenvalue dislocation with state feedback /
 output injection, and inner-outer (and co-outer--co-inner) factorizations of
 stable proper full-rank systems via an algebraic Riccati equation solved on
-an extended structured pencil.
+an extended structured pencil.  The same Riccati solver gives the
+dislocating feedback: with zero state weight its gain mirrors every bad
+eigenvalue into the region, so no random placement is involved.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .exceptions import (
     BoundaryZeros,
@@ -32,7 +33,6 @@ from .kernels import (
     gschur_ordered,
     gsylv_separation,
     null_basis,
-    probe_rng,
     rank_tol,
 )
 from .ops import _static, concat_row, transpose_dual
@@ -135,79 +135,6 @@ def additive_decompose(
 # coprime factorizations
 
 
-def _real_target_blocks(targets):
-    """Real block-diagonal matrix carrying the target spectrum."""
-    vals = sorted(targets, key=lambda z: (round(z.real, 12), round(abs(z.imag), 12), z.imag))
-    blocks = []
-    used = [False] * len(vals)
-    for i, z in enumerate(vals):
-        if used[i]:
-            continue
-        if abs(z.imag) <= 1e-12:
-            blocks.append(np.array([[z.real]]))
-            used[i] = True
-            continue
-        mate = None
-        for j in range(i + 1, len(vals)):
-            if not used[j] and abs(vals[j] - z.conjugate()) <= 1e-8 * (1.0 + abs(z)):
-                mate = j
-                break
-        if mate is None:
-            raise RegionInvalid("complex target poles must come in conjugate pairs")
-        a, b = z.real, abs(z.imag)
-        blocks.append(np.array([[a, b], [-b, a]]))
-        used[i] = True
-        used[mate] = True
-    out = np.zeros((len(vals), len(vals)))
-    pos = 0
-    for blk in blocks:
-        k = blk.shape[0]
-        out[pos : pos + k, pos : pos + k] = blk
-        pos += k
-    return out
-
-
-def _spread_targets(targets, region):
-    """Nudge repeated targets apart (keeps conjugate symmetry and containment)."""
-    out = []
-    for z in targets:
-        step = 0
-        zz = z
-        while any(abs(zz - w) <= 1e-8 * (1.0 + abs(zz)) for w in out):
-            step += 1
-            if region.is_half_plane:
-                zz = z - 0.1 * step
-            else:
-                zz = z * (1.0 - min(0.1 * step, 0.9))
-        out.append(zz)
-    return out
-
-
-def _place_poles(A, B, targets, region, rng):
-    """Feedback F with the eigenvalues of ``A + B F`` at the targets."""
-    nb = A.shape[0]
-    m = B.shape[1]
-    if nb == 0:
-        return np.zeros((m, 0))
-    if m == 0:
-        raise PlacementFailure("cannot relocate eigenvalues without inputs")
-    spread = _spread_targets([complex(t) for t in targets], region)
-    gamma = _real_target_blocks(spread)
-    for _ in range(8):
-        G = rng.normal(size=(m, nb))
-        try:
-            X = sla.solve_sylvester(A, -gamma, -B @ G)
-        except (np.linalg.LinAlgError, ValueError):
-            continue
-        sv = np.linalg.svd(X, compute_uv=False)
-        if sv.size == 0 or sv[-1] <= 1e-9 * max(sv[0], 1.0):
-            continue
-        F = G @ np.linalg.inv(X)
-        if all(region.contains(z) for z in np.linalg.eigvals(A + B @ F)):
-            return F
-    raise PlacementFailure("pole placement did not converge")
-
-
 def _dislocating_feedback(g, region, pole_set, tol, rng):
     """State feedback making all infinite eigenvalues of ``A + BF - lam E``
     simple and moving every finite eigenvalue outside ``region`` into it."""
@@ -239,21 +166,35 @@ def _dislocating_feedback(g, region, pole_set, tol, rng):
     )
     k = res.selected_count
     if k < n:
+        nb = n - k
         Ab, Eb = res.S[k:, k:], res.T[k:, k:]
         Bb = (res.Q.T @ B)[k:, :]
         Abs = np.linalg.solve(Eb, Ab)
         Bbs = np.linalg.solve(Eb, Bb)
-        bad = np.linalg.eigvals(Abs)
-        if pole_set is not None:
+        if pole_set is None:
+            # the zero-state-weight LQR gain mirrors every bad pole: about
+            # Re z = alpha - 1/2, or about |z| = rho/sqrt(2) after scaling
+            if region.is_half_plane:
+                As, Bs, kind = Abs - (region.alpha - 0.5) * np.eye(nb), Bbs, TimeDomain.CONTINUOUS
+            else:
+                r = region.rho / np.sqrt(2.0)
+                As, Bs, kind = Abs / r, Bbs / r, TimeDomain.DISCRETE
+            Fb = _riccati_schur(As, Bs, np.zeros((nb, nb)), np.zeros((nb, m)), np.eye(m), kind, rng=rng)[1]
+        else:
             targets = [complex(z) for z in pole_set]
             for z in targets:
                 if not region.contains(z):
                     raise RegionInvalid(f"target pole {z} is outside the region")
-            if len(targets) != len(bad):
-                raise RegionInvalid(f"need {len(bad)} target poles, got {len(targets)}")
-        else:
-            targets = [region.reflect(z) for z in bad]
-        Fb = _place_poles(Abs, Bbs, targets, region, probe_rng(rng))
+            if len(targets) != nb:
+                raise RegionInvalid(f"need {nb} target poles, got {len(targets)}")
+            from scipy.signal import place_poles  # slow import, so only on request
+
+            try:
+                Fb = -place_poles(Abs, Bbs, targets).gain_matrix
+            except ValueError as exc:
+                raise RegionInvalid(f"target poles cannot be placed: {exc}") from None
+        if not all(region.contains(z) for z in np.linalg.eigvals(Abs + Bbs @ Fb)):
+            raise PlacementFailure("closed-loop poles are not all in the region")
         F = F + np.hstack([np.zeros((m, k)), Fb]) @ res.Z.T
     return F
 
@@ -262,10 +203,21 @@ def rcf(sys: DescriptorSystem, region: StabilityRegion, pole_set=None, tol=None,
     """Right coprime factorization ``G = N M^{-1}`` over a good region.
 
     A state feedback built on the minimal realization dislocates every bad
-    finite eigenvalue into the region (by default onto its mirror image;
-    ``pole_set`` overrides the targets) and reduces the infinite structure so
+    finite eigenvalue into the region and reduces the infinite structure so
     that all infinite eigenvalues of the factor pencil are simple.  ``M`` is
     square ``m x m`` with ``M(inf) = I``.
+
+    By default the feedback is the zero-state-weight LQR gain of the bad
+    block, which puts each bad eigenvalue ``z`` at its mirror image
+    ``region.reflect(z)``: about ``Re z = alpha - 1/2`` for a half-plane,
+    about ``|z| = rho/sqrt(2)`` (at ``rho**2 / (2 conj(z))``) for a disk.
+    The result does not depend on the probe seed.  An explicit ``pole_set``
+    (one target per bad eigenvalue, in the region, closed under conjugation,
+    none repeated more than ``rank(B)`` times) is placed by
+    ``scipy.signal.place_poles``; other target sets raise
+    :class:`RegionInvalid`.  A Riccati solve that fails raises
+    :class:`IterationFailure`; a closed loop left with a pole outside the
+    region raises :class:`PlacementFailure`.
     """
     if not isinstance(region, StabilityRegion):
         raise RegionInvalid("region must be a StabilityRegion")
@@ -297,8 +249,9 @@ def _psd_sqrt(W, what):
 
 
 def _riccati_schur(A, B, Qc, Sc, Rc, domain, rng=None):
-    """Stabilizing Riccati solution via the ordered Schur form of the
-    extended structured pencil (size 2n + m)."""
+    """Stabilizing Riccati solution ``X`` and its gain ``F`` (closed loop
+    ``A + B F``) via the ordered Schur form of the extended structured
+    pencil (size 2n + m)."""
     n, m = B.shape
     Zn = np.zeros((n, n))
     Znm = np.zeros((n, m))
@@ -342,7 +295,7 @@ def _riccati_schur(A, B, Qc, Sc, Rc, domain, rng=None):
     scale = 1.0 + np.linalg.norm(Qc) + (1.0 + np.linalg.norm(A)) ** 2 * (1.0 + np.linalg.norm(X))
     if np.linalg.norm(resid) > 1e-6 * scale:
         raise IterationFailure("Riccati residual too large")
-    return X
+    return X, -gain
 
 
 def _standard_stable_data(sys, tol, rng):
@@ -388,20 +341,11 @@ def inner_outer(sys: DescriptorSystem, tol=None, rng=None) -> FactorPair:
     Rc = D.T @ D
     if g.domain is TimeDomain.CONTINUOUS:
         _psd_sqrt(Rc, "D^T D")  # zeros at infinity are out of scope
-        if n:
-            X = _riccati_schur(As, Bs, Qc, Sc, Rc, g.domain, rng=rng)
-            F = -np.linalg.solve(Rc, Bs.T @ X + Sc.T)
-        else:
-            F = np.zeros((m, 0))
-        W = Rc
+    if n:
+        X, F = _riccati_schur(As, Bs, Qc, Sc, Rc, g.domain, rng=rng)
     else:
-        if n:
-            X = _riccati_schur(As, Bs, Qc, Sc, Rc, g.domain, rng=rng)
-            F = -np.linalg.solve(Rc + Bs.T @ X @ Bs, Bs.T @ X @ As + Sc.T)
-            W = Rc + Bs.T @ X @ Bs
-        else:
-            F = np.zeros((m, 0))
-            W = Rc
+        X, F = np.zeros((0, 0)), np.zeros((m, 0))
+    W = Rc if g.domain is TimeDomain.CONTINUOUS else Rc + Bs.T @ X @ Bs
     W12, W12i = _psd_sqrt(W, "spectral-factor weight")
 
     R = _trusted_system(As, np.eye(n), Bs, W12 @ F, W12, g.domain)

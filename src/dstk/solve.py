@@ -111,11 +111,7 @@ def right_nullspace(sys: DescriptorSystem, tol=None, rng=None) -> DescriptorSyst
     F = np.zeros((nu, nr))
     if nr:
         As, Bs = np.linalg.solve(E1, A1), np.linalg.solve(E1, B1)
-        X = _riccati_schur(As, Bs, np.eye(nr), np.zeros((nr, nu)), np.eye(nu), g.domain, rng=rng)
-        if g.domain is TimeDomain.CONTINUOUS:
-            F = -Bs.T @ X
-        else:
-            F = -np.linalg.solve(np.eye(nu) + Bs.T @ X @ Bs, Bs.T @ X @ As)
+        F = _riccati_schur(As, Bs, np.eye(nr), np.zeros((nr, nu)), np.eye(nu), g.domain, rng=rng)[1]
     Vu = V[g.n :, : nr + nu] @ W
     return _trusted_system(A1 + B1 @ F, E1, -B1, Vu[:, nu:] + Vu[:, :nu] @ F, Vu[:, :nu], g.domain)
 

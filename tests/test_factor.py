@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -191,6 +196,76 @@ class TestCoprime:
         with pytest.raises(RegionInvalid):
             rcf(unstable_lag(), LHP, pole_set=[2.0])
 
+    @pytest.mark.parametrize("fn", [rcf, lcf], ids=["rcf", "lcf"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_continuous_order_40(self, fn, seed):
+        g = random_system(40, 2, 2, "continuous", rng=np.random.default_rng(1000 * seed + 40))
+        pair = fn(g, LHP)
+        for fac in (pair.first, pair.second):
+            info = poles(fac)
+            assert info.infinite_count == 0 and all(LHP.contains(z) for z in info.finite)
+        # probes in the right half-plane, away from every factor pole: the
+        # mirrored closed loops reach state-matrix norms near 5e6, and
+        # eval_tfm's conditioning guard refuses some left half-plane points
+        for lam in (1.5 + 1.0j, 0.5 + 2.0j):
+            nv, mv, gv = eval_tfm(pair.first, lam), eval_tfm(pair.second, lam), eval_tfm(g, lam)
+            q = nv @ np.linalg.inv(mv) if fn is rcf else np.linalg.solve(mv, nv)
+            assert np.linalg.norm(q - gv) <= 1e-8 * np.linalg.norm(gv)
+
+    def test_independent_of_probe_seed(self):
+        g = random_system(12, 2, 2, "continuous", rng=np.random.default_rng(5))
+        a, b = rcf(g, LHP, rng=1), rcf(g, LHP, rng=2)
+        for x, y in ((a.first, b.first), (a.second, b.second)):
+            for name in "AEBCD":
+                assert np.array_equal(getattr(x, name), getattr(y, name))
+
+    @pytest.mark.parametrize(
+        "region, domain, good, bad",
+        [
+            (LHP, "continuous", [-1.0], [2.0, 0.5 + 1.0j, 0.5 - 1.0j]),
+            (StabilityRegion.half_plane(-2.0), "continuous", [-3.0], [-1.0, 1.0 + 2.0j, 1.0 - 2.0j]),
+            (DISK, "discrete", [0.5], [2.0, -3.0, 1.0 + 1.0j, 1.0 - 1.0j]),
+            (StabilityRegion.disk(0.5), "discrete", [0.2], [0.8, -1.0, 0.3 + 0.6j, 0.3 - 0.6j]),
+        ],
+        ids=["lhp", "half-plane", "unit-disk", "disk"],
+    )
+    def test_default_targets_are_reflections(self, rng, region, domain, good, bad):
+        blocks = []
+        for z in good + [z for z in bad if z.imag >= 0]:
+            z = complex(z)
+            blocks.append([[z.real]] if z.imag == 0 else [[z.real, z.imag], [-z.imag, z.real]])
+        A = sla.block_diag(*blocks)
+        n = A.shape[0]
+        g = make_system(A, None, rng.normal(size=(n, 2)), rng.normal(size=(2, n)), np.zeros((2, 2)), domain)
+        got = list(poles(rcf(g, region).second).finite)
+        assert len(got) == len(bad)
+        for z in bad:
+            want = region.reflect(z)
+            i = int(np.argmin([abs(w - want) for w in got]))
+            assert abs(got.pop(i) - want) <= 1e-8
+
+    def test_conjugate_pole_set(self):
+        g = make_system([[1.0, 2.0], [0.0, 3.0]], None, [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]], "continuous")
+        pair = rcf(g, LHP, pole_set=[-1.0 + 1.0j, -1.0 - 1.0j])
+        got = sorted(poles(pair.second).finite, key=lambda z: z.imag)
+        assert np.allclose(got, [-1.0 - 1.0j, -1.0 + 1.0j], rtol=0.0, atol=1e-8)
+
+    def test_unplaceable_pole_sets(self):
+        g = make_system([[1.0, 2.0], [0.0, 3.0]], None, [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]], "continuous")
+        with pytest.raises(RegionInvalid):
+            rcf(g, LHP, pole_set=[-1.0 + 1.0j, -2.0])  # unpaired complex target
+        with pytest.raises(RegionInvalid):
+            rcf(g, LHP, pole_set=[-1.0, -1.0])  # repeated more than rank(B) = 1 times
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # rcf imports scipy.signal only for an explicit pole_set
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    code = "import sys, dstk; assert 'scipy.signal' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
 
 def inner_grid_error(Q, region, count=20):
     err = 0.0
@@ -278,12 +353,15 @@ class TestInnerOuter:
             C = rng.normal(size=(3, n))
             D = rng.normal(size=(3, m))
             Qc, Sc, Rc = C.T @ C, C.T @ D, D.T @ D + np.eye(m)
-            X = _riccati_schur(A, B, Qc, Sc, Rc, domain)
+            X, F = _riccati_schur(A, B, Qc, Sc, Rc, domain)
             if domain is TimeDomain.CONTINUOUS:
                 Xs = sla.solve_continuous_are(A, B, Qc, Rc, s=Sc)
+                Fs = -np.linalg.solve(Rc, B.T @ Xs + Sc.T)
             else:
                 Xs = sla.solve_discrete_are(A, B, Qc, Rc, s=Sc)
+                Fs = -np.linalg.solve(Rc + B.T @ Xs @ B, B.T @ Xs @ A + Sc.T)
             assert np.linalg.norm(X - Xs) <= 1e-7 * (1 + np.linalg.norm(Xs))
+            assert np.linalg.norm(F - Fs) <= 1e-7 * (1 + np.linalg.norm(Fs))
 
     def test_errors(self, rng):
         gs = make_system(np.eye(2), [[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]], "continuous")
