@@ -2,9 +2,11 @@
 
 Single-system operations (dual, inverse, conjugate), two-system couplings
 (series, parallel, concatenations, diagonal stacking), and construction of
-a realization from raw rational-matrix data.  Every formula here is written
-for the evaluation convention ``G = C (A - lambda E)^{-1} B + D`` and is
-checked against the frequency-response oracle in the test suite.
+a realization from raw rational-matrix data, entry by entry and without
+polynomial division (improper entries get a shift pencil with singular
+``E``).  Every formula here is written for the evaluation convention
+``G = C (A - lambda E)^{-1} B + D`` and is checked against the
+frequency-response oracle in the test suite.
 
 None of the constructors reduce their results; callers run ``minreal`` when
 a minimal realization is wanted.
@@ -25,7 +27,7 @@ from .exceptions import (
     SingularD,
     ZeroDenominator,
 )
-from .kernels import _diag2, _svd_rank, rank_tol
+from .kernels import _diag2, rank_tol
 from .system import DescriptorSystem, TimeDomain, _trusted_system
 
 __all__ = [
@@ -197,27 +199,6 @@ class RationalMatrixData:
     entries: list
 
 
-def _trim(coeffs, tol=0.0):
-    c = list(np.asarray(coeffs, dtype=float))
-    while c and abs(c[-1]) <= tol:
-        c.pop()
-    return c
-
-
-def _poly_divmod(num, den):
-    """Split num/den into (polynomial part, strictly proper remainder num)."""
-    scale = max([abs(x) for x in num] + [abs(x) for x in den] + [1.0])
-    tol = 1e-12 * scale
-    num = _trim(num, tol)
-    den = _trim(den, 0.0)
-    if not num:
-        return [], []
-    if len(num) < len(den):
-        return [], num
-    q, r = np.polydiv(num[::-1], den[::-1])
-    return _trim(q[::-1], tol), _trim(r[::-1], tol)
-
-
 def _companion_realization(num, den):
     """Strictly proper scalar num/den as (A, b, c) with c (A - lam I)^{-1} b."""
     den = np.asarray(den, dtype=float)
@@ -234,51 +215,55 @@ def _companion_realization(num, den):
     return A, b, -c.reshape(1, d)
 
 
-def _markov_realization(markov, p, m, tol=None):
-    """Minimal (A, B, C) with ``C A^(j-1) B = markov[j-1]``; A is nilpotent
-    when the sequence is finite."""
-    markov = [np.zeros((p, m)) if h is None else np.asarray(h, dtype=float) for h in markov]
-    while markov and not markov[-1].any():
-        markov.pop()
-    K = len(markov)
-    if K == 0 or p == 0 or m == 0:
-        return np.zeros((0, 0)), np.zeros((0, m)), np.zeros((p, 0))
-
-    def h(j):
-        return markov[j] if j < K else np.zeros((p, m))
-
-    H1 = np.zeros((K * p, K * m))
-    H2 = np.zeros((K * p, K * m))
-    for i in range(K):
-        for j in range(K):
-            H1[i * p : (i + 1) * p, j * m : (j + 1) * m] = h(i + j)
-            H2[i * p : (i + 1) * p, j * m : (j + 1) * m] = h(i + j + 1)
-    U, s, Vh = np.linalg.svd(H1)
-    r = _svd_rank(s, H1.shape, tol)
-    if r == 0:
-        return np.zeros((0, 0)), np.zeros((0, m)), np.zeros((p, 0))
-    sq = np.sqrt(s[:r])
-    Ur = U[:, :r]
-    Vr = Vh[:r, :].T
-    A = (Ur / sq).T @ H2 @ (Vr / sq)
-    B = (sq[:, None] * Vr.T)[:, :m]
-    C = (Ur * sq)[:p, :]
-    return A, B, C
-
-
 def _static(D, domain):
     D = np.asarray(D, dtype=float)
     p, m = D.shape
     return _trusted_system(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, m)), np.zeros((p, 0)), D, domain)
 
 
+def _entry_realization(num, den, domain):
+    """Realization of the scalar ``num/den`` (ascending coefficients, ``den``
+    free of trailing zeros), built without polynomial division."""
+    num = np.asarray(num, dtype=float)
+    tol = 1e-12 * max(np.abs(num).max(initial=1.0), np.abs(den).max())
+
+    def trimmed(c):
+        big = np.flatnonzero(np.abs(c) > tol)
+        return c[: big[-1] + 1] if big.size else c[:0]
+
+    num = trimmed(num)
+    k, d = len(num) - 1, len(den) - 1
+    if k > d:
+        # shift pencil: rows x_{i+1} - lam x_i = 0 and den . x = u give
+        # x = (1, lam, ..., lam^k) u / den(lam), read out through C = num
+        A = np.eye(k + 1, k=1)
+        A[k, : d + 1] = den
+        E = np.diag(np.r_[np.ones(k), 0.0])
+        B = np.zeros((k + 1, 1))
+        B[k, 0] = 1.0
+        return _trusted_system(A, E, B, num.reshape(1, k + 1), np.zeros((1, 1)), domain)
+    D = 0.0
+    if k == d:
+        # the top coefficient of num - D den cancels up to rounding: drop it
+        D = (1.0 / den[-1]) * num[-1]
+        num = trimmed(num[:-1] - D * den[:-1])
+    if not num.size:
+        return _static(np.array([[D]]), domain)
+    A, b, c = _companion_realization(num, den)
+    return _trusted_system(A, np.eye(d), b, c, np.array([[D]]), domain)
+
+
 def realize_rational(data: RationalMatrixData, domain) -> DescriptorSystem:
     """Build a descriptor realization of an entry-wise rational matrix.
 
-    Each entry is split into a strictly proper part (realized as a companion
-    block) and a polynomial part; the strict-polynomial remainder of the whole
-    matrix is realized through a nilpotent-E block.  No minimality is claimed;
-    run ``minreal`` on the result when needed.
+    Each entry ``n/d`` is realized on its own and the blocks are assembled
+    with :func:`concat_row` / :func:`concat_col`; no polynomial arithmetic is
+    done.  A proper entry becomes a companion block of ``d`` with ``E = I``
+    and feedthrough ``n_k / d_k`` (0 when ``deg n < deg d``).  An improper
+    entry of numerator degree ``k`` becomes the shift pencil of order
+    ``k + 1`` whose state is ``(1, lam, ..., lam^k) u / d(lam)``, with a
+    singular ``E`` (Verghese, Van Dooren & Kailath, 1979).  No minimality is
+    claimed; run ``minreal`` on the result when needed.
     """
     p, m = data.p, data.m
     if len(data.entries) != p or any(len(row) != m for row in data.entries):
@@ -286,46 +271,20 @@ def realize_rational(data: RationalMatrixData, domain) -> DescriptorSystem:
     if p == 0 or m == 0:
         return _static(np.zeros((p, m)), domain)
 
-    poly_parts = {}
     rows = []
-    max_deg = 0
     for i in range(p):
         cells = []
         for j in range(m):
             num, den = data.entries[i][j]
-            den_t = _trim(den, 0.0)
-            if not den_t:
+            den = np.trim_zeros(np.asarray(den, dtype=float), "b")
+            if not den.size:
                 raise ZeroDenominator(f"entry ({i}, {j}) has an identically zero denominator")
-            q, r = _poly_divmod(num, den_t)
-            d0 = q[0] if q else 0.0
-            if len(q) > 1:
-                poly_parts[(i, j)] = q[1:]
-                max_deg = max(max_deg, len(q) - 1)
-            if r:
-                A, b, c = _companion_realization(r, den_t)
-                cell = _trusted_system(A, np.eye(A.shape[0]), b, c, np.array([[d0]]), domain)
-            else:
-                cell = _static(np.array([[d0]]), domain)
-            cells.append(cell)
+            cells.append(_entry_realization(num, den, domain))
         row = cells[0]
         for cell in cells[1:]:
             row = concat_row(row, cell)
         rows.append(row)
-    proper = rows[0]
+    out = rows[0]
     for row in rows[1:]:
-        proper = concat_col(proper, row)
-
-    if not poly_parts:
-        return proper
-
-    markov = [np.zeros((p, m))]
-    for k in range(1, max_deg + 1):
-        P = np.zeros((p, m))
-        for (i, j), q in poly_parts.items():
-            if k <= len(q):
-                P[i, j] = q[k - 1]
-        markov.append(P)
-    Ah, Bh, Ch = _markov_realization(markov, p, m)
-    r = Ah.shape[0]
-    pol = _trusted_system(np.eye(r), Ah, Bh, Ch, np.zeros((p, m)), domain)
-    return parallel(proper, pol)
+        out = concat_col(out, row)
+    return out

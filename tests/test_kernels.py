@@ -1,7 +1,10 @@
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from scipy.optimize import linear_sum_assignment
 
 from dstk.exceptions import SingularPencil, SpectraNotDisjoint, UnstablePair
 from dstk.kernels import (
@@ -113,6 +116,26 @@ class TestGschur:
             else:
                 assert not inside or i < res.selected_count
 
+    def test_complex_pairs_match_scipy(self, rng):
+        n = 60
+        A = rng.normal(size=(n, n))
+        B = np.eye(n) + 0.1 / np.sqrt(n) * rng.normal(size=(n, n))
+        res = gschur_ordered(A, B)
+        got = np.array([a / b for a, b in res.eigenvalues])
+        assert np.count_nonzero(got.imag > 0) >= 20
+        # each 2x2 block reports its pair positive imaginary part first
+        pos = 0
+        while pos < n:
+            if pos + 1 < n and res.S[pos + 1, pos] != 0.0:
+                assert got[pos].imag > 0 and abs(got[pos + 1] - np.conj(got[pos])) <= 1e-12 * abs(got[pos])
+                pos += 2
+            else:
+                pos += 1
+        want = sla.eigvals(A, B)
+        err = np.abs(got[:, None] - want[None, :]) / np.abs(want)[None, :]
+        rows, cols = linear_sum_assignment(err)
+        assert err[rows, cols].max() <= 1e-9
+
     def test_singular_pencil_rejected(self):
         with pytest.raises(SingularPencil):
             gschur_ordered(np.zeros((1, 1)), np.zeros((1, 1)))
@@ -130,17 +153,38 @@ class TestGsylv:
         L, R = gsylv_separation([[1.0]], [[2.0]], [[-1.0]], [[1.0]], [[0.0]], [[1.0]])
         assert abs(L[0, 0] + 1.0) < 1e-12 and abs(R[0, 0] + 1.0) < 1e-12
 
-    def test_random_residual(self, rng):
-        A11 = rng.normal(size=(2, 2)) - 3 * np.eye(2)
-        A22 = rng.normal(size=(2, 2)) + 3 * np.eye(2)
-        E11 = np.eye(2) + 0.1 * rng.normal(size=(2, 2))
-        E22 = np.eye(2) + 0.1 * rng.normal(size=(2, 2))
-        A12 = rng.normal(size=(2, 2))
-        E12 = rng.normal(size=(2, 2))
+    @pytest.mark.parametrize("n1, n2, nilpotent", [(2, 2, False), (12, 30, True), (40, 40, False)])
+    def test_random_residual(self, rng, n1, n2, nilpotent):
+        # random parts scaled by sqrt(2 / n) keep the spectra of the two
+        # pencils around -3 and +3 at every size
+        s1, s2 = np.sqrt(2.0 / n1), np.sqrt(2.0 / n2)
+        A11 = s1 * rng.normal(size=(n1, n1)) - 3 * np.eye(n1)
+        A22 = s2 * rng.normal(size=(n2, n2)) + 3 * np.eye(n2)
+        if nilpotent:
+            E11 = np.triu(rng.normal(size=(n1, n1)), 1)  # all eigenvalues of (A11, E11) infinite
+        else:
+            E11 = np.eye(n1) + 0.1 * s1 * rng.normal(size=(n1, n1))
+        E22 = np.eye(n2) + 0.1 * s2 * rng.normal(size=(n2, n2))
+        A12 = rng.normal(size=(n1, n2))
+        E12 = rng.normal(size=(n1, n2))
         L, R = gsylv_separation(A11, A12, A22, E11, E12, E22)
         scale = max(np.linalg.norm(X) for X in (A11, A12, A22, E11, E12, E22))
         assert np.linalg.norm(A11 @ R - L @ A22 + A12) < 1e-10 * scale * (1 + np.linalg.norm(R) + np.linalg.norm(L))
         assert np.linalg.norm(E11 @ R - L @ E22 + E12) < 1e-10 * scale * (1 + np.linalg.norm(R) + np.linalg.norm(L))
+
+    def test_memory_is_not_kronecker_sized(self, rng):
+        # a Kronecker system at n1 = n2 = 40 is 3200 x 3200 doubles, 82 MB
+        n = 40
+        A11 = rng.normal(size=(n, n)) - 10 * np.eye(n)
+        A22 = rng.normal(size=(n, n)) + 10 * np.eye(n)
+        args = (A11, rng.normal(size=(n, n)), A22, np.eye(n), rng.normal(size=(n, n)), np.eye(n))
+        tracemalloc.start()
+        try:
+            gsylv_separation(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
     def test_shared_spectra_rejected(self):
         with pytest.raises(SpectraNotDisjoint):

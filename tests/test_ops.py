@@ -1,8 +1,12 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import assert_same_tfm, assert_tfm_match, oracle_points, ratval, safe_eval
 
+from dstk.analysis import mcmillan_degree, minreal
 from dstk.exceptions import (
     DimensionMismatch,
     DomainMismatch,
@@ -283,3 +287,41 @@ class TestRealizeRational:
     def test_zero_denominator(self):
         with pytest.raises(ZeroDenominator):
             realize_rational(RationalMatrixData(1, 1, [[([1.0], [0.0, 0.0])]]), "continuous")
+
+    @pytest.mark.parametrize("domain", ["continuous", "discrete"])
+    def test_mixed_improper_grid(self, rng, domain):
+        # finite poles -2, -1, -3, -1/2, -4, each simple and in one entry only:
+        # 5 states.  The polynomial part is P1 lam + P2 lam^2 with
+        # P1 = [[-1, 0, 0], [0, -9/4, 0]] and P2 = [[1/2, 1, 0], [0, 1/2, 0]],
+        # so the degree at infinity is rank [[P1, P2], [P2, 0]] = 4 (McMillan
+        # degree 9) and the minimal infinite part has order
+        # rank [[0, P1, P2], [P1, P2, 0], [P2, 0, 0]] = 6 (minimal order 11).
+        entries = [
+            [([1.0, 0.0, 0.0, 1.0], [4.0, 2.0]), ([0.0, 0.0, 1.0], [1.0]), ([1.0], [1.0, 1.0])],
+            [([1.0, 3.0], [6.0, 2.0]), ([2.0, 1.0, 0.0, 0.0, 1.0], [4.0, 9.0, 2.0]), ([1.0], [2.0])],
+        ]
+        g = realize_rational(RationalMatrixData(2, 3, entries), domain)
+        for lam in oracle_points(rng, 7):
+            want = np.array([[ratval(*entries[i][j], lam) for j in range(3)] for i in range(2)])
+            assert np.linalg.norm(eval_tfm(g, lam) - want) <= 1e-10 * (1 + np.linalg.norm(want))
+        assert minreal(g).n == 11
+        assert mcmillan_degree(g) == 9
+
+    def test_negligible_top_coefficient_trimmed(self):
+        g = realize_rational(RationalMatrixData(1, 1, [[([1.0, 1e-17], [1.0, 1.0])]]), "continuous")
+        assert g.n == 1
+        assert abs(eval_tfm(g, 0.0)[0, 0] - 1.0) < 1e-12
+
+
+def test_library_does_no_polynomial_arithmetic():
+    # rational data is realized through pencils; coefficient-level polynomial
+    # division, products and root expansion have no place in the library
+    banned = re.compile(r"polydiv|polymul|polyfromroots|np\.convolve|poly1d")
+    src = Path(realize_rational.__code__.co_filename).parent
+    hits = [
+        f"{path.name}:{k}"
+        for path in sorted(src.glob("*.py"))
+        for k, line in enumerate(path.read_text().splitlines(), 1)
+        if banned.search(line)
+    ]
+    assert not hits, hits
