@@ -16,7 +16,6 @@ from .exceptions import (
     IterationFailure,
     NonstrictlyProperContinuous,
     RegionInvalid,
-    SingularPencil,
     UnstableSystem,
 )
 from .kernels import (
@@ -30,7 +29,7 @@ from .kernels import (
     probe_rng,
     rank_tol,
 )
-from .pencil import klf
+from .pencil import _regular_deflate, klf, weierstrass_structure
 from .system import DescriptorSystem, TimeDomain, _trusted_system, probe_points
 
 __all__ = [
@@ -143,12 +142,13 @@ def stability_region(domain) -> StabilityRegion:
 @dataclass
 class PoleZeroInfo:
     """Finite values, infinite multiplicity count, and their total, together
-    with the Kronecker rank defects (nr, nl) of the system matrix pencil."""
+    with the Kronecker rank defects (nr, nl) of the system matrix pencil,
+    which :func:`zeros` fills and :func:`poles` leaves ``None``."""
 
     finite: list
     infinite_count: int
     total: int
-    kronecker_ranks: tuple
+    kronecker_ranks: tuple | None = None
 
 
 @dataclass
@@ -176,15 +176,17 @@ class MinimalityReport:
         return self.irreducible and self.no_nondynamic_modes
 
 
-def _clean_conjugates(vals, tol_ratio=1e-10):
-    """Zero out QZ rounding in imaginary parts and enforce conjugate pairing."""
-    out = []
+def _value_info(vals, divisors, kronecker_ranks=None) -> PoleZeroInfo:
+    """Poles or zeros from finite values and infinite divisor degrees; QZ
+    rounding is zeroed out of the imaginary parts of nearly real values."""
+    finite = []
     for v in vals:
         v = complex(v)
-        if abs(v.imag) <= tol_ratio * max(1.0, abs(v)):
+        if abs(v.imag) <= 1e-10 * max(1.0, abs(v)):
             v = complex(v.real)
-        out.append(v)
-    return out
+        finite.append(v)
+    inf_count = int(sum(d - 1 for d in divisors))
+    return PoleZeroInfo(finite, inf_count, len(finite) + inf_count, kronecker_ranks)
 
 
 def _system_pencil(sys):
@@ -289,12 +291,12 @@ def _drop_simple_chains(W, B, C):
     return Wt[:keep, :keep], Bt[:keep, :], Ct[:, :keep], D_extra, True
 
 
-def minreal(sys: DescriptorSystem, tol=None, rng=None) -> DescriptorSystem:
+def minreal(sys: DescriptorSystem, tol=None) -> DescriptorSystem:
     """Minimal descriptor realization with the same TFM.
 
     The pencil is first split orthogonally into its infinite and finite
-    parts (staircase deflation plus a Sylvester-based decoupling).  The
-    finite part is reduced by the standard controllability/observability
+    parts (one staircase deflation pass plus a Sylvester-based decoupling).
+    The finite part is reduced by the standard controllability/observability
     staircases; the infinite part is rebuilt as a minimal nilpotent-E block
     from the coefficients of the polynomial action, with any constant part
     absorbed into ``D``.  The result satisfies all five minimality
@@ -302,10 +304,8 @@ def minreal(sys: DescriptorSystem, tol=None, rng=None) -> DescriptorSystem:
     """
     if sys.n == 0:
         return sys
-    Mk, Nk, U, V, ks = klf(sys.A, sys.E, tol=tol, rng=rng)
-    if ks.right_indices or ks.left_indices:
-        raise SingularPencil("pole pencil is singular")
-    ninf = int(sum(ks.infinite_divisor_degrees))
+    Mk, Nk, U, V, divisors = _regular_deflate(sys.A, sys.E, tol)
+    ninf = int(sum(divisors))
     n = sys.n
     nf = n - ninf
     B1 = U @ sys.B
@@ -367,68 +367,53 @@ def minreal(sys: DescriptorSystem, tol=None, rng=None) -> DescriptorSystem:
 # poles, zeros, predicates
 
 
-def poles(sys: DescriptorSystem, tol=None, rng=None) -> PoleZeroInfo:
-    """Pole structure of the TFM (computed on an internally reduced
-    realization): finite poles, the infinite pole count
-    ``sum(divisor degree - 1)``, and their total, the McMillan degree."""
-    g = minreal(sys, tol=tol, rng=rng)
-    Mk, Nk, _, _, ks_p = klf(g.A, g.E, tol=tol, rng=rng)
-    finite = _clean_conjugates(ks_p.finite_eigenvalues)
-    inf_count = int(sum(d - 1 for d in ks_p.infinite_divisor_degrees))
-    Ms, Ns = _system_pencil(g)
-    _, _, _, _, ks_s = klf(Ms, Ns, tol=tol, rng=rng)
-    return PoleZeroInfo(
-        finite=finite,
-        infinite_count=inf_count,
-        total=len(finite) + inf_count,
-        kronecker_ranks=(ks_s.nr, ks_s.nl),
-    )
+def poles(sys: DescriptorSystem, tol=None) -> PoleZeroInfo:
+    """Pole structure of the TFM from the Weierstrass structure of
+    ``minreal(sys)``: finite poles, the infinite pole count
+    ``sum(divisor degree - 1)`` and their total, the McMillan degree.
+    ``kronecker_ranks`` is ``None``."""
+    g = minreal(sys, tol=tol)
+    ws = weierstrass_structure(g.A, g.E, tol=tol)
+    return _value_info(ws.finite_eigenvalues, ws.infinite_divisor_degrees)
 
 
-def zeros(sys: DescriptorSystem, tol=None, rng=None) -> PoleZeroInfo:
+def zeros(sys: DescriptorSystem, tol=None) -> PoleZeroInfo:
     """Zero structure of the TFM: finite eigenvalues of the regular part of
     the system matrix pencil, infinite zero count, and (nr, nl) defects."""
-    g = minreal(sys, tol=tol, rng=rng)
+    g = minreal(sys, tol=tol)
     Ms, Ns = _system_pencil(g)
-    _, _, _, _, ks = klf(Ms, Ns, tol=tol, rng=rng)
-    finite = _clean_conjugates(ks.finite_eigenvalues)
-    inf_count = int(sum(d - 1 for d in ks.infinite_divisor_degrees))
-    return PoleZeroInfo(
-        finite=finite,
-        infinite_count=inf_count,
-        total=len(finite) + inf_count,
-        kronecker_ranks=(ks.nr, ks.nl),
-    )
+    _, _, _, _, ks = klf(Ms, Ns, tol=tol)
+    return _value_info(ks.finite_eigenvalues, ks.infinite_divisor_degrees, (ks.nr, ks.nl))
 
 
-def mcmillan_degree(sys: DescriptorSystem, tol=None, rng=None) -> int:
+def mcmillan_degree(sys: DescriptorSystem, tol=None) -> int:
     """Total pole count (finite plus infinite) of the TFM."""
-    return poles(sys, tol=tol, rng=rng).total
+    return poles(sys, tol=tol).total
 
 
-def is_stable(sys: DescriptorSystem, tol=None, rng=None) -> bool:
+def _all_stable(finite, infinite, domain) -> bool:
+    """No infinite values, and every finite one in the stable region."""
+    region = stability_region(domain)
+    return not infinite and all(region.contains(z) for z in finite)
+
+
+def is_stable(sys: DescriptorSystem, tol=None) -> bool:
     """True when every pole lies in the stable region of the time domain.
 
     An improper system has an infinite pole outside any stable region and is
     therefore never stable.
     """
-    info = poles(sys, tol=tol, rng=rng)
-    if info.infinite_count:
-        return False
-    region = stability_region(sys.domain)
-    return all(region.contains(p) for p in info.finite)
+    info = poles(sys, tol=tol)
+    return _all_stable(info.finite, info.infinite_count, sys.domain)
 
 
-def is_minimum_phase(sys: DescriptorSystem, tol=None, rng=None) -> bool:
+def is_minimum_phase(sys: DescriptorSystem, tol=None) -> bool:
     """True when all zeros are finite and lie in the stable region."""
-    info = zeros(sys, tol=tol, rng=rng)
-    if info.infinite_count:
-        return False
-    region = stability_region(sys.domain)
-    return all(region.contains(z) for z in info.finite)
+    info = zeros(sys, tol=tol)
+    return _all_stable(info.finite, info.infinite_count, sys.domain)
 
 
-def minimality_report(sys: DescriptorSystem, tol=None, rng=None) -> MinimalityReport:
+def minimality_report(sys: DescriptorSystem, tol=None) -> MinimalityReport:
     """Evaluate the five minimality conditions on the given realization."""
     n = sys.n
     if n == 0:
@@ -436,7 +421,7 @@ def minimality_report(sys: DescriptorSystem, tol=None, rng=None) -> MinimalityRe
     A, E, B, C = sys.A, sys.E, sys.B, sys.C
 
     def _no_finite_eigs(M, N):
-        _, _, _, _, ks = klf(M, N, tol=tol, rng=rng)
+        _, _, _, _, ks = klf(M, N, tol=tol)
         return len(ks.finite_eigenvalues) == 0
 
     fc = _no_finite_eigs(np.hstack([A, B]), np.hstack([E, np.zeros_like(B)]))
@@ -452,16 +437,15 @@ def minimality_report(sys: DescriptorSystem, tol=None, rng=None) -> MinimalityRe
 # system norm
 
 
-def h2_norm(sys: DescriptorSystem, tol=None, rng=None) -> float:
+def h2_norm(sys: DescriptorSystem, tol=None) -> float:
     """H2 norm of a stable system via the controllability Gramian.
 
     Continuous time requires a strictly proper TFM (``D = 0`` after
     reduction); in discrete time the feedthrough contributes ``trace(D D^T)``.
     """
-    g = minreal(sys, tol=tol, rng=rng)
-    info = poles(g, tol=tol, rng=rng)
-    region = stability_region(g.domain)
-    if info.infinite_count or not all(region.contains(p) for p in info.finite):
+    g = minreal(sys, tol=tol)
+    ws = weierstrass_structure(g.A, g.E, tol=tol)
+    if not _all_stable(ws.finite_eigenvalues, ws.infinite_divisor_degrees, g.domain):
         raise UnstableSystem("H2 norm requires all poles in the stable region")
     dscale = np.linalg.norm(g.D)
     if g.domain is TimeDomain.CONTINUOUS and dscale > 1e-10 * (1.0 + np.linalg.norm(g.B) * np.linalg.norm(g.C)):

@@ -3,7 +3,10 @@
 Reads and writes descriptor systems in a versioned text format, dispatches
 analysis / factorization / solver subcommands, and emits human-readable or
 JSON reports.  Exit codes: 0 success, 1 usage or input-format error,
-2 numerical failure.
+2 numerical failure.  A failure prints ``error [<code>]: <message>`` to
+stderr; under ``--out json`` it prints
+``{"command": ..., "error": {"code": ..., "message": ...}}`` to stdout
+instead, with the same exit code.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from . import analysis, factor, kernels, ops, pencil, solve
 from .analysis import StabilityRegion
-from .exceptions import DstkError, ParseError
+from .exceptions import DstkError, ParseError, RegionInvalid
 from .system import DescriptorSystem, TimeDomain, make_system
 
 __all__ = ["parse_system", "format_system", "run", "main"]
@@ -33,6 +36,13 @@ def _fmt(x: float) -> str:
     # 17 significant digits render every float64 exactly; round trips are
     # bit exact
     return format(float(x), ".17g")
+
+
+def _finite_float(text: str) -> float:
+    x = float(text)
+    if not np.isfinite(x):
+        raise ValueError(f"non-finite number {text!r}")
+    return x
 
 
 def format_system(sys: DescriptorSystem) -> str:
@@ -113,9 +123,9 @@ def parse_system(text: str) -> DescriptorSystem:
             if len(vals) != cols:
                 fail(f"matrix {name} row {i + 1}: expected {cols} entries, got {len(vals)}", ln)
             try:
-                M[i] = [float(v) for v in vals]
+                M[i] = [_finite_float(v) for v in vals]
             except ValueError:
-                fail(f"matrix {name} row {i + 1}: invalid number", ln)
+                fail(f"matrix {name} row {i + 1}: invalid or non-finite number", ln)
         return M, None, ln
 
     A, pending, ln = read_block("A", n, n)
@@ -163,9 +173,9 @@ def _read_matrix(path: str) -> np.ndarray:
                 if not s or s.startswith("#"):
                     continue
                 try:
-                    rows.append([float(v) for v in s.split()])
+                    rows.append([_finite_float(v) for v in s.split()])
                 except ValueError:
-                    raise ParseError(f"{path} line {lineno}: invalid number") from None
+                    raise ParseError(f"{path} line {lineno}: invalid or non-finite number") from None
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
     if not rows:
@@ -249,10 +259,13 @@ def _parse_region(spec: str | None, domain) -> StabilityRegion:
         return StabilityRegion.left_half_plane()
     if spec == "disk":
         return StabilityRegion.unit_disk()
-    if spec.startswith("half-plane:"):
-        return StabilityRegion.half_plane(float(spec.split(":", 1)[1]))
-    if spec.startswith("disk:"):
-        return StabilityRegion.disk(float(spec.split(":", 1)[1]))
+    try:
+        if spec.startswith("half-plane:"):
+            return StabilityRegion.half_plane(_finite_float(spec.split(":", 1)[1]))
+        if spec.startswith("disk:"):
+            return StabilityRegion.disk(_finite_float(spec.split(":", 1)[1]))
+    except (ValueError, RegionInvalid) as exc:
+        raise ParseError(f"bad region {spec!r}: {exc}") from None
     raise ParseError(f"bad region {spec!r} (use lhp, disk, half-plane:<a>, disk:<r>, stable)")
 
 
@@ -283,15 +296,18 @@ def _cmd_info(args, tol, rng):
             "no_nondynamic_modes": rep.no_nondynamic_modes,
             "minimal": rep.minimal,
         },
-        "stable": analysis.is_stable(g, tol=tol),
-        "minimum_phase": analysis.is_minimum_phase(g, tol=tol),
+        "stable": analysis._all_stable(pz.finite, pz.infinite_count, g.domain),
+        "minimum_phase": analysis._all_stable(zz.finite, zz.infinite_count, g.domain),
     }
 
 
 def _cmd_eval(args, tol, rng):
     g = read_system(args.system)
     re_s, im_s = (args.at.split(",") + ["0"])[:2]
-    lam = complex(float(re_s), float(im_s))
+    try:
+        lam = complex(_finite_float(re_s), _finite_float(im_s))
+    except ValueError:
+        raise ParseError(f"bad --at value {args.at!r} (use RE,IM)") from None
     from .system import eval_tfm
 
     val = eval_tfm(g, lam)
@@ -495,36 +511,35 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
 
-    seed = args.seed
-    if seed is None:
+    try:
+        seed = args.seed
         env = os.environ.get("DSTK_SEED")
-        if env is not None:
+        if seed is None and env is not None:
             try:
                 seed = int(env)
             except ValueError:
-                print("error: DSTK_SEED must be an integer", file=_sys.stderr)
-                return 1
-    token = kernels.set_probe_seed(seed)
-    try:
+                raise ParseError("DSTK_SEED must be an integer") from None
+        token = kernels.set_probe_seed(seed)
         try:
             inputs, results = args.fn(args, args.tol, None)
-        except ParseError as exc:
+            seed = kernels.get_probe_seed()
+        finally:
+            kernels._probe_seed.reset(token)
+    except DstkError as exc:
+        if args.out == "json":
+            _emit({"command": args.command, "error": {"code": exc.code, "message": str(exc)}}, "json")
+        else:
             print(f"error [{exc.code}]: {exc}", file=_sys.stderr)
-            return 1
-        except DstkError as exc:
-            print(f"error [{exc.code}]: {exc}", file=_sys.stderr)
-            return 2
-        report = {
-            "command": args.command,
-            "inputs": inputs,
-            "results": results,
-            "tolerances": {"tol": args.tol},
-            "seed": kernels.get_probe_seed(),
-        }
-        _emit(report, args.out)
-        return 0
-    finally:
-        kernels._probe_seed.reset(token)
+        return 1 if isinstance(exc, ParseError) else 2
+    report = {
+        "command": args.command,
+        "inputs": inputs,
+        "results": results,
+        "tolerances": {"tol": args.tol},
+        "seed": seed,
+    }
+    _emit(report, args.out)
+    return 0
 
 
 def main() -> None:

@@ -88,15 +88,13 @@ def additive_decompose(
     """
     if not isinstance(region, StabilityRegion):
         raise RegionInvalid("region must be a StabilityRegion")
-    g = minreal(sys, tol=tol, rng=rng)
+    g = minreal(sys, tol=tol)
     p, m = g.p, g.m
-    ws = weierstrass_structure(g.A, g.E, tol=tol, rng=rng) if g.n else None
-    finite = ws.finite_eigenvalues if ws else []
-    divisors = ws.infinite_divisor_degrees if ws else []
-    for lam in finite:
+    ws = weierstrass_structure(g.A, g.E, tol=tol)
+    for lam in ws.finite_eigenvalues:
         if region.on_boundary(lam, 1e-8):
             raise PoleOnBoundary(f"pole {lam} lies on the region boundary")
-    if divisors and region.is_half_plane and not improper_to_bad:
+    if ws.infinite_divisor_degrees and region.is_half_plane and not improper_to_bad:
         raise PoleOnBoundary(
             "improper system: infinite poles straddle a half-plane boundary "
             "(pass improper_to_bad=True to force them into the bad part)"
@@ -221,7 +219,7 @@ def rcf(sys: DescriptorSystem, region: StabilityRegion, pole_set=None, tol=None,
     """
     if not isinstance(region, StabilityRegion):
         raise RegionInvalid("region must be a StabilityRegion")
-    g = minreal(sys, tol=tol, rng=rng)
+    g = minreal(sys, tol=tol)
     F = _dislocating_feedback(g, region, pole_set, tol, rng)
     Af = g.A + g.B @ F
     N = _trusted_system(Af, g.E, g.B, g.C - g.D @ F, g.D, g.domain)
@@ -298,25 +296,21 @@ def _riccati_schur(A, B, Qc, Sc, Rc, domain, rng=None):
     return X, -gain
 
 
-def _standard_stable_data(sys, tol, rng):
-    """Validated (A, B, C, D) with E = I for the inner-outer restricted scope."""
-    g = minreal(sys, tol=tol, rng=rng)
-    ws = weierstrass_structure(g.A, g.E, tol=tol, rng=rng) if g.n else None
+def _standard_stable_data(sys, tol):
+    """Minimal realization, validated for the inner-outer restricted scope.
+    A proper minimal realization has ``E = I`` exactly, so its
+    ``(A, B, C, D)`` is a standard state-space model."""
+    g = minreal(sys, tol=tol)
+    ws = weierstrass_structure(g.A, g.E, tol=tol)
     region = stability_region(g.domain)
-    if ws is not None:
-        if ws.infinite_divisor_degrees:
-            raise ImproperInput("inner-outer factorization needs a proper system")
-        if not all(region.contains(z) for z in ws.finite_eigenvalues):
-            raise UnstableInput("inner-outer factorization needs a stable system")
-    for z in zeros(g, tol=tol, rng=rng).finite:
+    if ws.infinite_divisor_degrees:
+        raise ImproperInput("inner-outer factorization needs a proper system")
+    if not all(region.contains(z) for z in ws.finite_eigenvalues):
+        raise UnstableInput("inner-outer factorization needs a stable system")
+    for z in zeros(g, tol=tol).finite:
         if region.on_boundary(z, 1e-8):
             raise BoundaryZeros(f"zero {z} lies on the stability boundary")
-    if g.n:
-        As = np.linalg.solve(g.E, g.A)
-        Bs = np.linalg.solve(g.E, g.B)
-    else:
-        As, Bs = g.A, g.B
-    return g, As, Bs, g.C, g.D, region
+    return g
 
 
 def inner_outer(sys: DescriptorSystem, tol=None, rng=None) -> FactorPair:
@@ -329,7 +323,8 @@ def inner_outer(sys: DescriptorSystem, tol=None, rng=None) -> FactorPair:
     infinity) fall outside the restricted scope and raise
     :class:`RankDeficiencyUnsupported`.
     """
-    g, As, Bs, C, D, region = _standard_stable_data(sys, tol, rng)
+    g = _standard_stable_data(sys, tol)
+    As, Bs, C, D = g.A, g.B, g.C, g.D
     n, m, p = g.n, g.m, g.p
     if m == 0:
         return FactorPair(_static(np.eye(p), g.domain), _static(np.zeros((0, 0)), g.domain), "inner-outer", 0)
@@ -350,7 +345,7 @@ def inner_outer(sys: DescriptorSystem, tol=None, rng=None) -> FactorPair:
 
     R = _trusted_system(As, np.eye(n), Bs, W12 @ F, W12, g.domain)
     Q1 = _trusted_system(As + Bs @ F, np.eye(n), Bs @ W12i, C - D @ F, D @ W12i, g.domain)
-    q1 = minreal(Q1, tol=tol, rng=rng)
+    q1 = minreal(Q1, tol=tol)
 
     if p > m:
         Q2 = _inner_complement(q1, g.domain)

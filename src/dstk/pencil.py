@@ -5,7 +5,8 @@ orthogonal ``U, V`` with ``U (M - lambda N) V`` block upper triangular:
 a leading full-row-rank block carrying the right singular (minimal index)
 structure, a middle regular block carrying the infinite and finite
 eigenvalue structure, and a trailing full-column-rank block carrying the
-left singular structure.  Only structural counts are extracted; canonical
+left singular structure.  A regular pencil needs one deflation pass, and
+finite eigenvalues come from a QZ without Schur vectors.  Canonical
 (Weierstrass/Kronecker) transformation matrices are never formed, since
 they would require ill-conditioned non-orthogonal transformations.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 
 from .exceptions import DimensionMismatch, IterationFailure, SingularPencil
 from .kernels import (
@@ -23,7 +25,6 @@ from .kernels import (
     _row_compress,
     as_matrix,
     default_tol,
-    gschur_ordered,
     probe_rng,
     rank_tol,
 )
@@ -158,15 +159,41 @@ def _stair_counts(mus, nus):
     return right, divisors
 
 
-def klf(M, N, tol=None, rng=None):
+def _finite_eigenvalues(M, N):
+    """Eigenvalues of a deflated block ``M - lambda*N`` with invertible ``N``."""
+    try:
+        alpha, beta = sla.eigvals(M, N, homogeneous_eigvals=True)
+    except np.linalg.LinAlgError as exc:
+        raise IterationFailure(f"QZ iteration failed: {exc}") from None
+    if np.any(beta == 0.0):
+        raise IterationFailure("infinite eigenvalue leaked into the finite block")
+    z = alpha / beta
+    # the two members of a complex pair get separate betas: pair them exactly
+    lead = np.flatnonzero(alpha.imag > 0.0)
+    z[lead + 1] = z[lead].conj()
+    return [complex(v) for v in z]
+
+
+def _regular_deflate(M, N, tol):
+    """One deflation pass on a square pencil: ``(Mk, Nk, U, V, divisors)``,
+    infinite structure leading, trailing ``Nk`` invertible.  A square pencil
+    without right minimal indices has no left ones either."""
+    Mk, Nk, U, V, mus, nus = _deflate(M, N, _staircase_tol(M, N, tol))
+    right, divisors = _stair_counts(mus, nus)
+    if right:
+        raise SingularPencil("pencil is singular: it has minimal indices")
+    return Mk, Nk, U, V, divisors
+
+
+def klf(M, N, tol=None):
     """Kronecker-like staircase form of the pencil ``M - lambda*N``.
 
     Returns ``(Mk, Nk, U, V, ks)`` with orthogonal ``U, V`` such that
     ``U @ (M - lambda N) @ V = Mk - lambda Nk`` is block upper triangular:
     leading right-singular stairs, then the regular part (infinite structure
-    followed by the finite block, whose eigenvalues are computed by the
-    ordered generalized Schur decomposition), then trailing left-singular
-    stairs.  ``ks`` collects the structural counts.
+    followed by the finite block, whose eigenvalues come from a QZ without
+    Schur vectors), then trailing left-singular stairs.  ``ks`` collects the
+    structural counts.
 
     Regular pencils simply yield empty index lists.
     """
@@ -235,15 +262,8 @@ def klf(M, N, tol=None, rng=None):
     if n_fin != nf_ - nl:
         raise IterationFailure("staircase dimension bookkeeping failed")
 
-    finite = []
-    if n_fin:
-        sl = slice(ro1, ro1 + n_fin)
-        cl = slice(co1, co1 + n_fin)
-        res = gschur_ordered(Mk[sl, cl], Nk[sl, cl], rng=rng)
-        for alpha, beta in res.eigenvalues:
-            if beta == 0.0:
-                raise IterationFailure("infinite eigenvalue leaked into the finite block")
-            finite.append(alpha / beta)
+    sl, cl = slice(ro1, ro1 + n_fin), slice(co1, co1 + n_fin)
+    finite = _finite_eigenvalues(Mk[sl, cl], Nk[sl, cl])
 
     ks = KroneckerStructure(
         right_indices=sorted(right),
@@ -254,21 +274,20 @@ def klf(M, N, tol=None, rng=None):
     return Mk, Nk, L, R, ks
 
 
-def weierstrass_structure(A, E, tol=None, rng=None) -> WeierstrassStructure:
+def weierstrass_structure(A, E, tol=None) -> WeierstrassStructure:
     """Finite eigenvalues and infinite divisor degrees of a regular pencil.
 
-    The infinite structure comes from the rank-deflation staircase; the
-    finite eigenvalues from the deflated trailing block, so no eigenvalue
-    ever has to be classified by the size of a QZ beta.
+    One rank-deflation pass gives the infinite structure; the finite
+    eigenvalues come from the deflated trailing block, so no eigenvalue ever
+    has to be classified by the size of a QZ beta.
     """
     A = as_matrix(A, "A")
     E = as_matrix(E, "E")
     if A.shape != E.shape or A.shape[0] != A.shape[1]:
         raise DimensionMismatch("regular pencil blocks must be square and equal-sized")
-    _, _, _, _, ks = klf(A, E, tol=tol, rng=rng)
-    if ks.right_indices or ks.left_indices:
-        raise SingularPencil("pencil is singular: it has minimal indices")
-    return WeierstrassStructure(ks.finite_eigenvalues, ks.infinite_divisor_degrees)
+    Mk, Nk, _, _, divisors = _regular_deflate(A, E, tol)
+    k = int(sum(divisors))
+    return WeierstrassStructure(_finite_eigenvalues(Mk[k:, k:], Nk[k:, k:]), divisors)
 
 
 def pencil_normal_rank(M, N, rng=None) -> int:

@@ -34,7 +34,6 @@ from .analysis import (
     is_stable,
     minreal,
     normal_rank,
-    poles,
     stability_region,
     zeros,
 )
@@ -94,9 +93,8 @@ def right_nullspace(sys: DescriptorSystem, tol=None, rng=None) -> DescriptorSyst
     of the system pencil; its poles are placed by a stabilizing LQR gain.
     Full-column-rank inputs yield an empty ``m x 0`` basis.
     """
-    rng = probe_rng(rng)
-    g = minreal(sys, tol=tol, rng=rng)
-    Mk, Nk, _, V, ks = klf(*_system_pencil(g), tol=tol, rng=rng)
+    g = minreal(sys, tol=tol)
+    Mk, Nk, _, V, ks = klf(*_system_pencil(g), tol=tol)
     nr, nu = ks.nr, len(ks.right_indices)
     if nu == 0:
         return _static(np.zeros((g.m, 0)), g.domain)
@@ -180,8 +178,8 @@ def solve_right(G: DescriptorSystem, F: DescriptorSystem, tol=None, rng=None) ->
     if G.p != F.p:
         raise DimensionMismatch(f"G and F must have equal output counts, got {G.p} and {F.p}")
     rng = probe_rng(rng)
-    g = minreal(G, tol=tol, rng=rng)
-    f = minreal(F, tol=tol, rng=rng)
+    g = minreal(G, tol=tol)
+    f = minreal(F, tol=tol)
 
     # shared-state pencils for the compatibility test
     gf = concat_row(g, f)
@@ -217,7 +215,7 @@ def solve_right(G: DescriptorSystem, F: DescriptorSystem, tol=None, rng=None) ->
         else:
             Xh = _shared_solver_pencil(g2, f2)
             X0 = Xh if T is None else series(_static(T, g.domain), Xh)
-        X0 = minreal(X0, tol=tol, rng=rng)
+        X0 = minreal(X0, tol=tol)
         ok = True
         for lam in probe_points(gf, count=3, rng=rng):
             lhs = eval_tfm(g, lam) @ eval_tfm(X0, lam)
@@ -261,15 +259,15 @@ def _causal_split(g, tol=None, rng=None):
 
 def _l2_norm_sq(sys, tol=None, rng=None) -> float:
     """Squared L2 norm of a possibly two-sided (stable/antistable) system."""
-    g = minreal(sys, tol=tol, rng=rng)
+    g = minreal(sys, tol=tol)
     if g.p == 0 or g.m == 0:
         return 0.0
     gs, gu = _causal_split(g, tol=tol, rng=rng)
     total = 0.0
     if gs.n or np.any(gs.D):
-        total += h2_norm(gs, tol=tol, rng=rng) ** 2
+        total += h2_norm(gs, tol=tol) ** 2
     if gu.n or np.any(gu.D):
-        total += h2_norm(minreal(conjugate(gu), tol=tol, rng=rng), tol=tol, rng=rng) ** 2
+        total += h2_norm(conjugate(gu), tol=tol) ** 2
     return total
 
 
@@ -287,18 +285,18 @@ def l2_model_match(G: DescriptorSystem, F: DescriptorSystem, tol=None, rng=None)
     if G.p != F.p:
         raise DimensionMismatch(f"G and F must have equal output counts, got {G.p} and {F.p}")
     rng = probe_rng(rng)
-    g = minreal(G, tol=tol, rng=rng)
-    f = minreal(F, tol=tol, rng=rng)
-    if not is_stable(g, tol=tol, rng=rng):
+    g = minreal(G, tol=tol)
+    f = minreal(F, tol=tol)
+    if not is_stable(g, tol=tol):
         raise UnstableInput("G must be stable and proper")
-    if not is_stable(f, tol=tol, rng=rng):
+    if not is_stable(f, tol=tol):
         raise UnstableInput("F must be stable and proper")
     if g.domain is TimeDomain.CONTINUOUS and np.linalg.norm(f.D) > 1e-10 * (1.0 + np.linalg.norm(f.B) * np.linalg.norm(f.C)):
         raise NonstrictlyProperF("continuous-time model matching needs a strictly proper F")
     if normal_rank(g, rng=rng) < g.m:
         raise UnsupportedShape("G must have full column normal rank")
     region = stability_region(g.domain)
-    for z in zeros(g, tol=tol, rng=rng).finite:
+    for z in zeros(g, tol=tol).finite:
         if region.on_boundary(z, 1e-8):
             raise BoundaryZeros(f"zero {z} lies on the stability boundary")
     if g.domain is TimeDomain.CONTINUOUS and rank_tol(g.D.T @ g.D) < g.m:
@@ -307,7 +305,7 @@ def l2_model_match(G: DescriptorSystem, F: DescriptorSystem, tol=None, rng=None)
         # (take the identity as the inner factor and G itself as the outer)
         if g.p == g.m:
             X0 = solve_right(g, f, tol=tol, rng=rng).particular
-            if is_stable(X0, tol=tol, rng=rng):
+            if is_stable(X0, tol=tol):
                 zero_sys = _static(np.zeros((g.m, f.m)), g.domain)
                 parts = LdpParts(
                     in_range=f,
@@ -324,8 +322,8 @@ def l2_model_match(G: DescriptorSystem, F: DescriptorSystem, tol=None, rng=None)
     r = io.inner_columns
     q1 = _row_col_select(Qfull, T=np.eye(Qfull.m)[:, :r])
     q2 = _row_col_select(Qfull, T=np.eye(Qfull.m)[:, r:])
-    f1t = minreal(series(conjugate(q1), f), tol=tol, rng=rng)
-    f2t = minreal(series(conjugate(q2), f), tol=tol, rng=rng)
+    f1t = minreal(series(conjugate(q1), f), tol=tol)
+    f2t = minreal(series(conjugate(q2), f), tol=tol)
 
     # the optimal stable correction is the causal projection of the
     # compressed target (in discrete time that includes the zeroth Fourier
@@ -333,7 +331,7 @@ def l2_model_match(G: DescriptorSystem, F: DescriptorSystem, tol=None, rng=None)
     Ls, Lu = _causal_split(f1t, tol=tol, rng=rng)
 
     if Ls.n or np.any(Ls.D):
-        X = minreal(series(inverse(R, mode="d-inverse"), Ls), tol=tol, rng=rng)
+        X = minreal(series(inverse(R, mode="d-inverse"), Ls), tol=tol)
     else:
         X = _static(np.zeros((g.m, f.m)), g.domain)
 

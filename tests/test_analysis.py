@@ -96,6 +96,7 @@ class TestPoles:
         info = poles(lag(2.0))
         assert np.allclose(info.finite, [-2.0])
         assert info.infinite_count == 0 and info.total == 1
+        assert info.kronecker_ranks is None
 
     def test_derivative(self):
         info = poles(derivative_sys())

@@ -185,3 +185,63 @@ def _write(tmp_path, g):
     p = str(tmp_path / "g_in.dss")
     write_system(p, g)
     return p
+
+
+def _nonfinite_system(tmp_path):
+    text = format_system(lag_file(tmp_path)[0]).replace("\nA\n-1\n", "\nA\nnan\n")
+    path = tmp_path / "nan.dss"
+    path.write_text(text)
+    return ["info", str(path)]
+
+
+def _nonfinite_matrix(tmp_path):
+    pm, pn = tmp_path / "m.mat", tmp_path / "n.mat"
+    pm.write_text("0 1\n")
+    pn.write_text("1 inf\n")
+    return ["klf", str(pm), str(pn)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _nonfinite_system,
+        _nonfinite_matrix,
+        lambda tmp_path: ["eval", lag_file(tmp_path)[1], "--at", "1,x"],
+        lambda tmp_path: ["decompose", lag_file(tmp_path)[1], "--region", "half-plane:abc",
+                          "--out-good", str(tmp_path / "a"), "--out-bad", str(tmp_path / "b")],
+        lambda tmp_path: ["decompose", lag_file(tmp_path)[1], "--region", "disk:-1",
+                          "--out-good", str(tmp_path / "a"), "--out-bad", str(tmp_path / "b")],
+        lambda tmp_path: ["eval", lag_file(tmp_path)[1], "--at", "nan,0"],
+        lambda tmp_path: ["decompose", lag_file(tmp_path)[1], "--region", "half-plane:nan",
+                          "--out-good", str(tmp_path / "a"), "--out-bad", str(tmp_path / "b")],
+    ],
+    ids=["nan-in-system", "inf-in-matrix", "bad-at", "bad-half-plane", "negative-disk",
+         "nan-at", "nan-half-plane"],
+)
+def test_malformed_input_is_a_parse_error(tmp_path, capsys, argv):
+    assert run(argv(tmp_path)) == 1
+    assert "error [parse-error]" in capsys.readouterr().err
+
+
+class TestJsonFailures:
+    def test_numerical_failure(self, tmp_path, capsys):
+        g = make_system([[1.0]], [[1.0]], [[1.0]], [[1.0]], [[1.0]], "continuous")
+        path = _write(tmp_path, g)
+        argv = ["iofac", path, "--out-inner", str(tmp_path / "q"), "--out-outer", str(tmp_path / "r")]
+        assert run(argv + ["--out", "json"]) == 2
+        out = capsys.readouterr()
+        report = json.loads(out.out)
+        assert report["command"] == "iofac"
+        assert report["error"]["code"] == "unstable-input"
+        assert report["error"]["message"]
+        assert out.err == ""
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("error [unstable-input]")
+
+    def test_parse_failure(self, tmp_path, capsys):
+        bad = tmp_path / "bad.dss"
+        bad.write_text("not a system\n")
+        assert run(["info", str(bad), "--out", "json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report == {"command": "info", "error": {"code": "parse-error", "message": report["error"]["message"]}}
+        assert "header" in report["error"]["message"]

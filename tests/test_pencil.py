@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from dstk.exceptions import SingularPencil
 from dstk.pencil import klf, pencil_normal_rank, weierstrass_structure
@@ -175,6 +176,26 @@ class TestWeierstrass:
     def test_singular_rejected(self):
         with pytest.raises(SingularPencil):
             weierstrass_structure([[0.0]], [[0.0]])
+
+    def test_planted_order_48(self, rng):
+        pairs = rng.uniform(-3.0, 3.0, 12) + 1j * rng.uniform(0.1, 3.0, 12)
+        planted = np.concatenate([pairs, pairs.conj(), rng.uniform(-3.0, 3.0, 16)])
+        chains = [2, 3, 3]
+        M, N = assemble([finite_block(planted)] + [infinite_block(d) for d in chains], rng)
+        assert M.shape == (48, 48)
+        ks = klf(M, N)[4]
+        ws = weierstrass_structure(M, N)
+        assert ks.right_indices == [] and ks.left_indices == []
+        for finite, divisors in [(ks.finite_eigenvalues, ks.infinite_divisor_degrees),
+                                 (ws.finite_eigenvalues, ws.infinite_divisor_degrees)]:
+            assert sorted(divisors) == chains
+            got = np.array(finite)
+            assert got.shape == planted.shape
+            # pair by assignment: sorting mispairs near-equal real parts
+            cost = np.abs(got[:, None] - planted[None, :])
+            rows, cols = linear_sum_assignment(cost)
+            assert cost[rows, cols].max() <= 1e-10 * (1.0 + np.abs(planted).max())
+            assert {z.conjugate() for z in finite} == set(finite)
 
 
 class TestNormalRank:
