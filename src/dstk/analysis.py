@@ -3,7 +3,9 @@
 Normal rank, pole/zero structure (finite values plus infinite
 multiplicities), McMillan degree, stability and minimum-phase predicates,
 the five-condition minimality report, minimal realization, and the H2/L2
-system norm.
+system norm.  The report decides its finite conditions on the split that
+:func:`minreal` reduces, observability as the transposed dual's
+controllability.
 """
 
 from __future__ import annotations
@@ -26,11 +28,10 @@ from .kernels import (
     glyap,
     gsylv_separation,
     null_basis,
-    probe_rng,
     rank_tol,
 )
-from .pencil import _regular_deflate, klf, weierstrass_structure
-from .system import DescriptorSystem, TimeDomain, _trusted_system, probe_points
+from .pencil import _regular_deflate, klf, pencil_normal_rank, weierstrass_structure
+from .system import DescriptorSystem, TimeDomain, _trusted_system
 
 __all__ = [
     "PoleZeroInfo",
@@ -209,16 +210,9 @@ def _system_pencil(sys):
 
 
 def normal_rank(sys: DescriptorSystem, rng=None) -> int:
-    """Normal rank of the TFM: max over random probes of
-    ``rank [[A - lam E, B], [C, D]] - n``."""
-    rng = probe_rng(rng)
-    M, N = _system_pencil(sys)
-    if M.size == 0:
-        return 0
-    best = 0
-    for lam in probe_points(sys, count=3, rng=rng):
-        best = max(best, rank_tol(M - lam * N) - sys.n)
-    return best
+    """Normal rank of the TFM: the normal rank of the system matrix pencil
+    ``[[A - lam E, B], [C, D]]`` minus ``n``."""
+    return pencil_normal_rank(*_system_pencil(sys), rng) - sys.n
 
 
 # ---------------------------------------------------------------------------
@@ -291,23 +285,12 @@ def _drop_simple_chains(W, B, C):
     return Wt[:keep, :keep], Bt[:keep, :], Ct[:, :keep], D_extra, True
 
 
-def minreal(sys: DescriptorSystem, tol=None) -> DescriptorSystem:
-    """Minimal descriptor realization with the same TFM.
-
-    The pencil is first split orthogonally into its infinite and finite
-    parts (one staircase deflation pass plus a Sylvester-based decoupling).
-    The finite part is reduced by the standard controllability/observability
-    staircases; the infinite part is rebuilt as a minimal nilpotent-E block
-    from the coefficients of the polynomial action, with any constant part
-    absorbed into ``D``.  The result satisfies all five minimality
-    conditions and its order never exceeds the input order.
-    """
-    if sys.n == 0:
-        return sys
+def _split(sys: DescriptorSystem, tol):
+    """One deflation pass plus a Sylvester-based decoupling: the finite part
+    ``(As - lam I, Bs, Cf)``, the nilpotent infinite part
+    ``(I - lam Ah, Bh, Ch)`` and the absolute staircase tolerance."""
     Mk, Nk, U, V, divisors = _regular_deflate(sys.A, sys.E, tol)
     ninf = int(sum(divisors))
-    n = sys.n
-    nf = n - ninf
     B1 = U @ sys.B
     C1 = sys.C @ V
 
@@ -317,47 +300,46 @@ def minreal(sys: DescriptorSystem, tol=None) -> DescriptorSystem:
     Ef = Nk[ninf:, ninf:]
     Bi, Bf = B1[:ninf, :], B1[ninf:, :]
     Ci, Cf = C1[:, :ninf], C1[:, ninf:]
-    if ninf and nf:
+    if ninf and ninf < sys.n:
         L, R = gsylv_separation(Ai, Mk[:ninf, ninf:], Af, Ei, Nk[:ninf, ninf:], Ef)
         Bi = Bi - L @ Bf
         Cf = Ci @ R + Cf
 
     scale = max(np.linalg.norm(X) for X in (sys.A, sys.E, sys.B, sys.C)) + 1.0
-    tol_abs = tol if tol is not None else default_tol(max(n, sys.m, sys.p), scale)
+    tol_abs = tol if tol is not None else default_tol(max(sys.n, sys.m, sys.p), scale)
+    finite = (np.linalg.solve(Ef, Af), np.linalg.solve(Ef, Bf), Cf)
+    infinite = (np.linalg.solve(Ai, Ei), np.linalg.solve(Ai, Bi), Ci)
+    return finite, infinite, tol_abs
 
-    D_new = sys.D.copy()
 
-    # finite half: standardize and run the staircases
-    if nf:
-        As = np.linalg.solve(Ef, Af)
-        Bs = np.linalg.solve(Ef, Bf)
-        Am, Bm, Cm = _standard_minreal(As, Bs, Cf, tol_abs)
-    else:
-        Am = np.zeros((0, 0))
-        Bm = np.zeros((0, sys.m))
-        Cm = np.zeros((sys.p, 0))
+def minreal(sys: DescriptorSystem, tol=None) -> DescriptorSystem:
+    """Minimal descriptor realization with the same TFM.
+
+    The pencil is first split orthogonally into its infinite and finite
+    parts (:func:`_split`).  The finite part is reduced by the standard
+    controllability/observability staircases; the infinite part is rebuilt
+    as a minimal nilpotent-E block from the coefficients of the polynomial
+    action, with any constant part absorbed into ``D``.  The result
+    satisfies all five minimality conditions and its order never exceeds
+    the input order.
+    """
+    if sys.n == 0:
+        return sys
+    (As, Bs, Cf), (Ah, Bh, Ch), tol_abs = _split(sys, tol)
+    Am, Bm, Cm = _standard_minreal(As, Bs, Cf, tol_abs)
 
     # infinite half: reduce the nilpotent action, then strip the degree-one
     # chains (non-dynamic modes), absorbing their constant action into D
-    if ninf:
-        Ah = np.linalg.solve(Ai, Ei)
-        Bh = np.linalg.solve(Ai, Bi)
-        Ch = Ci
-        while True:
-            Ah, Bh, Ch = _standard_minreal(Ah, Bh, Ch, tol_abs)
-            Ah, Bh, Ch, Dx, dropped = _drop_simple_chains(Ah, Bh, Ch)
-            D_new = D_new + Dx
-            if not dropped:
-                break
-    else:
-        Ah = np.zeros((0, 0))
-        Bh = np.zeros((0, sys.m))
-        Ch = np.zeros((sys.p, 0))
+    D_new = sys.D
+    while True:
+        Ah, Bh, Ch = _standard_minreal(Ah, Bh, Ch, tol_abs)
+        Ah, Bh, Ch, Dx, dropped = _drop_simple_chains(Ah, Bh, Ch)
+        D_new = D_new + Dx
+        if not dropped:
+            break
 
-    npol = Ah.shape[0]
-    nfin = Am.shape[0]
-    A = _diag2(Am, np.eye(npol))
-    E = _diag2(np.eye(nfin), Ah)
+    A = _diag2(Am, np.eye(Ah.shape[0]))
+    E = _diag2(np.eye(Am.shape[0]), Ah)
     B = np.vstack([Bm, Bh])
     C = np.hstack([Cm, Ch])
     return _trusted_system(A, E, B, C, D_new, sys.domain)
@@ -414,23 +396,24 @@ def is_minimum_phase(sys: DescriptorSystem, tol=None) -> bool:
 
 
 def minimality_report(sys: DescriptorSystem, tol=None) -> MinimalityReport:
-    """Evaluate the five minimality conditions on the given realization."""
-    n = sys.n
-    if n == 0:
-        return MinimalityReport(True, True, True, True, True, 0)
+    """Evaluate the five minimality conditions on the given realization.
+
+    Finite controllability holds when the staircase on the finite part of
+    :func:`minreal`'s split removes no state; finite observability is the
+    same test on the transposed dual, so the report is dual-symmetric."""
     A, E, B, C = sys.A, sys.E, sys.B, sys.C
 
-    def _no_finite_eigs(M, N):
-        _, _, _, _, ks = klf(M, N, tol=tol)
-        return len(ks.finite_eigenvalues) == 0
+    def _finite_controllable(g):
+        (As, Bs, Cf), _, tol_abs = _split(g, tol)
+        return _ctrb_reduce(As, Bs, Cf, tol_abs)[0].shape == As.shape
 
-    fc = _no_finite_eigs(np.hstack([A, B]), np.hstack([E, np.zeros_like(B)]))
-    ic = rank_tol(np.hstack([E, B]), tol) == n
-    fo = _no_finite_eigs(np.vstack([A, C]), np.vstack([E, np.zeros_like(C)]))
-    io = rank_tol(np.vstack([E, C]), tol) == n
+    fc = _finite_controllable(sys)
+    ic = rank_tol(np.hstack([E, B]), tol) == sys.n
+    fo = _finite_controllable(_trusted_system(A.T, E.T, C.T, B.T, sys.D.T, sys.domain))
+    io = rank_tol(np.vstack([E, C]), tol) == sys.n
     Z = null_basis(E, tol)
     nd = rank_tol(np.hstack([E, A @ Z]), tol) == rank_tol(E, tol)
-    return MinimalityReport(fc, ic, fo, io, nd, n)
+    return MinimalityReport(fc, ic, fo, io, nd, sys.n)
 
 
 # ---------------------------------------------------------------------------

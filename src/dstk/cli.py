@@ -3,8 +3,8 @@
 Reads and writes descriptor systems in a versioned text format, dispatches
 analysis / factorization / solver subcommands, and emits human-readable or
 JSON reports.  Exit codes: 0 success, 1 usage or input-format error,
-2 numerical failure.  A failure prints ``error [<code>]: <message>`` to
-stderr; under ``--out json`` it prints
+2 numerical failure.  A failure prints ``error [<code>]: <message>`` (or
+the usage text) to stderr; under ``--out json`` it prints
 ``{"command": ..., "error": {"code": ..., "message": ...}}`` to stdout
 instead, with the same exit code.
 """
@@ -426,13 +426,18 @@ def _cmd_klf(args, tol, rng):
     }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # reported by run, in the requested format
+        raise ParseError(message, self)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--tol", type=float, default=None, help="rank tolerance (default: automatic)")
     common.add_argument("--seed", type=int, default=None, help="probe RNG seed (env DSTK_SEED as fallback)")
     common.add_argument("--out", choices=["text", "json"], default="text", help="report format")
 
-    ap = argparse.ArgumentParser(prog="dstk", description="descriptor-system toolkit")
+    ap = _Parser(prog="dstk", description="descriptor-system toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("info", parents=[common], help="poles/zeros/rank/degree/minimality report")
@@ -505,11 +510,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     """Execute one command; prints the report and returns the exit code."""
-    parser = _build_parser()
+    argv = _sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
+        args = _build_parser().parse_args(argv)
+    except SystemExit:  # --help
+        return 0
+    except ParseError as exc:
+        message, parser = exc.args
+        if "--out=json" in argv or any(a == "--out" and b == "json" for a, b in zip(argv, argv[1:])):
+            _emit({"command": parser.prog.partition(" ")[2] or None, "error": {"code": exc.code, "message": message}}, "json")
+        else:
+            parser.print_usage(_sys.stderr)
+            print(f"{parser.prog}: error: {message}", file=_sys.stderr)
+        return 1
 
     try:
         seed = args.seed

@@ -139,9 +139,12 @@ def eval_tfm(sys: DescriptorSystem, lam) -> np.ndarray:
     """Evaluate ``G(lam) = C (A - lam E)^{-1} B + D`` at a complex point.
 
     This is the oracle against which all realization formulas are verified.
-    Raises :class:`EvalAtPole` when ``A - lam E`` is numerically singular.
+    Raises :class:`EvalAtPole` when ``A - lam E`` is numerically singular
+    and ``ValueError`` when ``lam`` is not finite.
     """
     lam = complex(lam)
+    if not np.isfinite(lam):
+        raise ValueError(f"evaluation point {lam} is not finite")
     if sys.n == 0:
         return sys.D.astype(complex)
     M = sys.A - lam * sys.E

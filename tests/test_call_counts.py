@@ -51,9 +51,10 @@ def proper24():
         analysis.poles,
         analysis.mcmillan_degree,
         analysis.is_stable,
+        analysis.minimality_report,
         lambda g: weierstrass_structure(g.A, g.E),
     ],
-    ids=["minreal", "poles", "mcmillan_degree", "is_stable", "weierstrass_structure"],
+    ids=["minreal", "poles", "mcmillan_degree", "is_stable", "minimality_report", "weierstrass_structure"],
 )
 def test_regular_pencil_query_runs_no_klf_or_qz(calls, proper24, query):
     query(proper24)
@@ -67,5 +68,5 @@ def test_cli_info_reduces_once_per_structure(calls, proper24, tmp_path, capsys):
     assert cli.run(["info", path]) == 0
     capsys.readouterr()
     assert calls["minreal"] <= 2
-    assert calls["klf"] <= 3
+    assert calls["klf"] <= 1
     assert calls["qz"] == 0

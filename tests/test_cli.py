@@ -245,3 +245,19 @@ class TestJsonFailures:
         report = json.loads(capsys.readouterr().out)
         assert report == {"command": "info", "error": {"code": "parse-error", "message": report["error"]["message"]}}
         assert "header" in report["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "argv, command",
+        [(["info", "--out", "json"], "info"), (["info", "--out=json"], "info"), (["bogus", "--out", "json"], None)],
+    )
+    def test_usage_error(self, capsys, argv, command):
+        assert run(argv) == 1
+        out = capsys.readouterr()
+        report = json.loads(out.out)
+        assert report == {"command": command, "error": {"code": "parse-error", "message": report["error"]["message"]}}
+        assert report["error"]["message"]
+        assert out.err == ""
+        assert run(argv[:1]) == 1
+        assert capsys.readouterr().err.startswith("usage: dstk")
+        assert run(["info", "--out", "json", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: dstk")

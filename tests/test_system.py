@@ -59,6 +59,11 @@ class TestEval:
         with pytest.raises(EvalAtPole):
             eval_tfm(first_order_lag(), -1.0)
 
+    @pytest.mark.parametrize("lam", [complex("nan"), complex("inf"), complex(0.0, float("-inf"))])
+    def test_nonfinite_point_rejected(self, lam):
+        with pytest.raises(ValueError, match="not finite"):
+            eval_tfm(first_order_lag(), lam)
+
     def test_bitwise_determinism(self):
         g = first_order_lag()
         a = eval_tfm(g, 0.3 + 0.7j)
