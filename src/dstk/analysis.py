@@ -286,37 +286,21 @@ def _drop_simple_chains(W, B, C):
 
 
 def _split(sys: DescriptorSystem, tol):
-    """One deflation pass plus a Sylvester-based decoupling: the finite part
-    ``(As - lam I, Bs, Cf)``, the nilpotent infinite part
-    ``(I - lam Ah, Bh, Ch)`` and the absolute staircase tolerance."""
+    """One deflation pass: the pencil ``Mk - lam Nk`` with its ``ninf``
+    infinite eigenvalues leading, ``B`` and ``C`` in its coordinates, and the
+    absolute staircase tolerance."""
     Mk, Nk, U, V, divisors = _regular_deflate(sys.A, sys.E, tol)
-    ninf = int(sum(divisors))
-    B1 = U @ sys.B
-    C1 = sys.C @ V
-
-    Ai = Mk[:ninf, :ninf]
-    Ei = Nk[:ninf, :ninf]
-    Af = Mk[ninf:, ninf:]
-    Ef = Nk[ninf:, ninf:]
-    Bi, Bf = B1[:ninf, :], B1[ninf:, :]
-    Ci, Cf = C1[:, :ninf], C1[:, ninf:]
-    if ninf and ninf < sys.n:
-        L, R = gsylv_separation(Ai, Mk[:ninf, ninf:], Af, Ei, Nk[:ninf, ninf:], Ef)
-        Bi = Bi - L @ Bf
-        Cf = Ci @ R + Cf
-
     scale = max(np.linalg.norm(X) for X in (sys.A, sys.E, sys.B, sys.C)) + 1.0
     tol_abs = tol if tol is not None else default_tol(max(sys.n, sys.m, sys.p), scale)
-    finite = (np.linalg.solve(Ef, Af), np.linalg.solve(Ef, Bf), Cf)
-    infinite = (np.linalg.solve(Ai, Ei), np.linalg.solve(Ai, Bi), Ci)
-    return finite, infinite, tol_abs
+    return Mk, Nk, U @ sys.B, sys.C @ V, int(sum(divisors)), tol_abs
 
 
 def minreal(sys: DescriptorSystem, tol=None) -> DescriptorSystem:
     """Minimal descriptor realization with the same TFM.
 
     The pencil is first split orthogonally into its infinite and finite
-    parts (:func:`_split`).  The finite part is reduced by the standard
+    parts (:func:`_split`) and the two are decoupled by a generalized
+    Sylvester solve.  The finite part is reduced by the standard
     controllability/observability staircases; the infinite part is rebuilt
     as a minimal nilpotent-E block from the coefficients of the polynomial
     action, with any constant part absorbed into ``D``.  The result
@@ -325,7 +309,16 @@ def minreal(sys: DescriptorSystem, tol=None) -> DescriptorSystem:
     """
     if sys.n == 0:
         return sys
-    (As, Bs, Cf), (Ah, Bh, Ch), tol_abs = _split(sys, tol)
+    Mk, Nk, B1, C1, ninf, tol_abs = _split(sys, tol)
+    Ai, Ei, Af, Ef = Mk[:ninf, :ninf], Nk[:ninf, :ninf], Mk[ninf:, ninf:], Nk[ninf:, ninf:]
+    Bi, Bf = B1[:ninf, :], B1[ninf:, :]
+    Ci, Cf = C1[:, :ninf], C1[:, ninf:]
+    if ninf and ninf < sys.n:
+        L, R = gsylv_separation(Ai, Mk[:ninf, ninf:], Af, Ei, Nk[:ninf, ninf:], Ef)
+        Bi = Bi - L @ Bf
+        Cf = Ci @ R + Cf
+    As, Bs = np.linalg.solve(Ef, Af), np.linalg.solve(Ef, Bf)
+    Ah, Bh, Ch = np.linalg.solve(Ai, Ei), np.linalg.solve(Ai, Bi), Ci
     Am, Bm, Cm = _standard_minreal(As, Bs, Cf, tol_abs)
 
     # infinite half: reduce the nilpotent action, then strip the degree-one
@@ -399,13 +392,17 @@ def minimality_report(sys: DescriptorSystem, tol=None) -> MinimalityReport:
     """Evaluate the five minimality conditions on the given realization.
 
     Finite controllability holds when the staircase on the finite part of
-    :func:`minreal`'s split removes no state; finite observability is the
-    same test on the transposed dual, so the report is dual-symmetric."""
+    :func:`minreal`'s split removes no state (the decoupling from the
+    infinite part leaves ``(A, B)`` there unchanged, so it is skipped);
+    finite observability is the same test on the transposed dual, so the
+    report is dual-symmetric."""
     A, E, B, C = sys.A, sys.E, sys.B, sys.C
 
     def _finite_controllable(g):
-        (As, Bs, Cf), _, tol_abs = _split(g, tol)
-        return _ctrb_reduce(As, Bs, Cf, tol_abs)[0].shape == As.shape
+        Mk, Nk, B1, C1, ninf, tol_abs = _split(g, tol)
+        Ef = Nk[ninf:, ninf:]
+        As, Bs = np.linalg.solve(Ef, Mk[ninf:, ninf:]), np.linalg.solve(Ef, B1[ninf:, :])
+        return _ctrb_reduce(As, Bs, C1[:, ninf:], tol_abs)[0].shape == As.shape
 
     fc = _finite_controllable(sys)
     ic = rank_tol(np.hstack([E, B]), tol) == sys.n

@@ -29,7 +29,6 @@ from .analysis import StabilityRegion, minreal, normal_rank, stability_region, z
 from .kernels import (
     _diag2,
     finite_beta_threshold,
-    glyap,
     gschur_ordered,
     gsylv_separation,
     null_basis,
@@ -324,20 +323,29 @@ def inner_outer(sys: DescriptorSystem, tol=None, rng=None) -> FactorPair:
     :class:`RankDeficiencyUnsupported`.
     """
     g = _standard_stable_data(sys, tol)
-    As, Bs, C, D = g.A, g.B, g.C, g.D
-    n, m, p = g.n, g.m, g.p
+    p, m = g.p, g.m
     if m == 0:
         return FactorPair(_static(np.eye(p), g.domain), _static(np.zeros((0, 0)), g.domain), "inner-outer", 0)
     if normal_rank(g, rng=rng) < m:
         raise RankDeficiencyUnsupported("TFM must have full column normal rank")
+    q1, R = _inner_outer_thin(g, tol)
+    Q = concat_row(q1, _inner_complement(q1, g.domain)) if p > m else q1
+    return FactorPair(Q, R, "inner-outer", inner_columns=m)
 
+
+def _inner_outer_thin(g, tol):
+    """Thin factors ``(Q1, R)`` of ``G = Q1 R`` for a minimal, validated
+    ``g`` (stable, proper, ``E = I``) of full column normal rank ``m``:
+    ``Q1`` is ``p x m`` inner and minimal, ``R`` square outer."""
+    As, Bs, C, D = g.A, g.B, g.C, g.D
+    n, m = g.n, g.m
     Qc = C.T @ C
     Sc = -C.T @ D
     Rc = D.T @ D
     if g.domain is TimeDomain.CONTINUOUS:
         _psd_sqrt(Rc, "D^T D")  # zeros at infinity are out of scope
     if n:
-        X, F = _riccati_schur(As, Bs, Qc, Sc, Rc, g.domain, rng=rng)
+        X, F = _riccati_schur(As, Bs, Qc, Sc, Rc, g.domain)
     else:
         X, F = np.zeros((0, 0)), np.zeros((m, 0))
     W = Rc if g.domain is TimeDomain.CONTINUOUS else Rc + Bs.T @ X @ Bs
@@ -345,14 +353,7 @@ def inner_outer(sys: DescriptorSystem, tol=None, rng=None) -> FactorPair:
 
     R = _trusted_system(As, np.eye(n), Bs, W12 @ F, W12, g.domain)
     Q1 = _trusted_system(As + Bs @ F, np.eye(n), Bs @ W12i, C - D @ F, D @ W12i, g.domain)
-    q1 = minreal(Q1, tol=tol)
-
-    if p > m:
-        Q2 = _inner_complement(q1, g.domain)
-        Qfull = concat_row(q1, Q2)
-    else:
-        Qfull = q1
-    return FactorPair(Qfull, R, "inner-outer", inner_columns=m)
+    return minreal(Q1, tol=tol), R
 
 
 def _inner_complement(q1, domain):
@@ -362,7 +363,16 @@ def _inner_complement(q1, domain):
     if n == 0:
         Dp = null_basis(D.T)
         return _static(Dp, domain)
-    X1 = glyap(A.T, np.eye(n), C.T @ C, domain)
+    # observability Gramian X1 of Q1 by an O(n^6) Kronecker solve: X1 is as
+    # ill-conditioned as Q1's Hankel singular values decay, and the X1^-1
+    # below keeps its digits with this solve but not with glyap's
+    At, I = A.T, np.eye(n)
+    if domain is TimeDomain.CONTINUOUS:
+        K = np.kron(At, I) + np.kron(I, At)
+    else:
+        K = np.kron(At, At) - np.kron(I, I)
+    X1 = np.linalg.solve(K, -(C.T @ C).ravel()).reshape(n, n)
+    X1 = 0.5 * (X1 + X1.T)
     if domain is TimeDomain.CONTINUOUS:
         Dp = null_basis(D.T)
         B2 = np.linalg.solve(X1, C.T @ Dp)

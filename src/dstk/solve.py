@@ -7,9 +7,11 @@ its leading right-singular block, compressed to ``[B1 | A1 - lam E1]`` with
 stabilizing LQR feedback on ``(A1, E1, B1)`` fixes its poles; the
 accumulated orthogonal transforms map it back to the input coordinates.
 No polynomial arithmetic is involved.  The model-matching pipeline
-compresses the problem with an inner-outer factorization, splits the
-transformed target into stable and antistable parts, and back-substitutes
-through a stable inverse of the outer factor.
+compresses the problem with the thin inner-outer factors ``G = Q1 R``,
+splits the transformed target ``Q1~ F`` into its causal part ``Ls`` and
+the rest, back-substitutes ``R X = Ls`` through a stable inverse of the
+outer factor, and reports the H2 norm of the stable residual
+``F - G X = F - Q1 Ls``.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ from .analysis import (
     stability_region,
     zeros,
 )
-from .factor import _riccati_schur, additive_decompose, inner_outer
+from .factor import _inner_outer_thin, _riccati_schur, additive_decompose
 from .kernels import _col_compress_null_first, probe_rng, rank_tol
-from .ops import _static, concat_row, conjugate, inverse, series, transpose_dual
+from .ops import _static, concat_row, conjugate, inverse, parallel, series, transpose_dual
 from .pencil import klf
 from .system import DescriptorSystem, TimeDomain, _trusted_system, eval_tfm, probe_points
 
@@ -68,13 +70,14 @@ class SolveResult:
 class LdpParts:
     """Intermediate quantities of the least-distance step of model matching.
 
-    ``in_range`` / ``out_of_range`` are the targets seen through the inner
-    image basis and its complement; ``stable_part`` is the optimal stable
-    correction, ``antistable_part`` the irreducible residual in that channel.
+    ``in_range`` is the target seen through the inner factor, ``Q1~ F``;
+    ``stable_part`` is its causal part ``Ls``, the optimal stable correction
+    (``R X = Ls``), and ``antistable_part`` the irreducible remainder.
+    ``error_norm`` is ``||F - G X||_2``, the H2 norm of the stable residual
+    ``F - Q1 Ls``.
     """
 
     in_range: DescriptorSystem
-    out_of_range: DescriptorSystem
     stable_part: DescriptorSystem
     antistable_part: DescriptorSystem
     error_norm: float
@@ -257,20 +260,6 @@ def _causal_split(g, tol=None, rng=None):
     return gs, gu
 
 
-def _l2_norm_sq(sys, tol=None, rng=None) -> float:
-    """Squared L2 norm of a possibly two-sided (stable/antistable) system."""
-    g = minreal(sys, tol=tol)
-    if g.p == 0 or g.m == 0:
-        return 0.0
-    gs, gu = _causal_split(g, tol=tol, rng=rng)
-    total = 0.0
-    if gs.n or np.any(gs.D):
-        total += h2_norm(gs, tol=tol) ** 2
-    if gu.n or np.any(gu.D):
-        total += h2_norm(conjugate(gu), tol=tol) ** 2
-    return total
-
-
 def l2_model_match(G: DescriptorSystem, F: DescriptorSystem, tol=None, rng=None):
     """L2-optimal stable solution of ``min ||F - G X||`` and its certificate.
 
@@ -278,7 +267,8 @@ def l2_model_match(G: DescriptorSystem, F: DescriptorSystem, tol=None, rng=None)
     normal rank with no zeros on the stability boundary; in continuous time
     ``F`` must additionally be strictly proper for the error norm to be
     finite.  Returns ``(X, parts)`` where ``parts`` collects the compressed
-    targets, the stable/antistable split, and the achieved error norm.
+    target, its stable/antistable split, and the achieved error
+    ``||F - G X||_2``, the H2 norm of the residual ``F - Q1 Ls``.
     """
     if G.domain is not F.domain:
         raise DomainMismatch("G and F must share a time domain")
@@ -309,7 +299,6 @@ def l2_model_match(G: DescriptorSystem, F: DescriptorSystem, tol=None, rng=None)
                 zero_sys = _static(np.zeros((g.m, f.m)), g.domain)
                 parts = LdpParts(
                     in_range=f,
-                    out_of_range=_static(np.zeros((0, f.m)), g.domain),
                     stable_part=f,
                     antistable_part=zero_sys,
                     error_norm=0.0,
@@ -317,13 +306,8 @@ def l2_model_match(G: DescriptorSystem, F: DescriptorSystem, tol=None, rng=None)
                 return X0, parts
         raise BoundaryZeros("G has zeros at infinity on the stability boundary")
 
-    io = inner_outer(g, tol=tol, rng=rng)
-    Qfull, R = io.first, io.second
-    r = io.inner_columns
-    q1 = _row_col_select(Qfull, T=np.eye(Qfull.m)[:, :r])
-    q2 = _row_col_select(Qfull, T=np.eye(Qfull.m)[:, r:])
+    q1, R = _inner_outer_thin(g, tol)
     f1t = minreal(series(conjugate(q1), f), tol=tol)
-    f2t = minreal(series(conjugate(q2), f), tol=tol)
 
     # the optimal stable correction is the causal projection of the
     # compressed target (in discrete time that includes the zeroth Fourier
@@ -335,12 +319,14 @@ def l2_model_match(G: DescriptorSystem, F: DescriptorSystem, tol=None, rng=None)
     else:
         X = _static(np.zeros((g.m, f.m)), g.domain)
 
-    err_sq = _l2_norm_sq(Lu, tol=tol, rng=rng) + _l2_norm_sq(f2t, tol=tol, rng=rng)
+    # G X = Q1 Ls, so the residual F - Q1 Ls is stable and its H2 norm is
+    # the achieved error
+    QL = series(q1, Ls)
+    resid = parallel(f, _trusted_system(QL.A, QL.E, QL.B, -QL.C, -QL.D, g.domain))
     parts = LdpParts(
         in_range=f1t,
-        out_of_range=f2t,
         stable_part=Ls,
         antistable_part=Lu,
-        error_norm=float(np.sqrt(max(err_sq, 0.0))),
+        error_norm=h2_norm(resid, tol=tol),
     )
     return X, parts

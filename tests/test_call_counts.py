@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dstk import analysis, cli, pencil
+from dstk import analysis, cli, factor, pencil, solve
 from dstk.cli import write_system
 from dstk.pencil import weierstrass_structure
-from dstk.system import random_system
+from dstk.system import make_system, random_system
 
 
 @pytest.fixture
@@ -70,3 +70,40 @@ def test_cli_info_reduces_once_per_structure(calls, proper24, tmp_path, capsys):
     assert calls["minreal"] <= 2
     assert calls["klf"] <= 1
     assert calls["qz"] == 0
+
+
+def test_improper_minimality_report_runs_no_qz(calls):
+    # the report reads only the finite (A, B) of the split, which the
+    # Sylvester decoupling from the infinite part leaves unchanged
+    g = random_system(24, 2, 2, "continuous", proper=False, rng=np.random.default_rng(24))
+    analysis.minimality_report(g)
+    assert calls["klf"] == 0
+    assert calls["qz"] == 0
+
+
+@pytest.fixture
+def pipeline_calls(calls, monkeypatch):
+    """``calls`` plus ``minreal`` where ``factor`` and ``solve`` bind it, and
+    the square inner completion."""
+    for mod, attr, name in [
+        (factor, "minreal", "minreal"),
+        (solve, "minreal", "minreal"),
+        (factor, "_inner_complement", "inner_complement"),
+    ]:
+        fn = getattr(mod, attr)
+
+        def wrapper(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(mod, attr, wrapper)
+    return calls
+
+
+def test_model_match_skips_inner_completion(pipeline_calls):
+    G = random_system(20, 2, 4, "continuous", stable=True, rng=np.random.default_rng(20))
+    F = random_system(10, 1, 4, "continuous", stable=True, rng=np.random.default_rng(27))
+    F = make_system(F.A, F.E, F.B, F.C, np.zeros_like(F.D), "continuous")
+    solve.l2_model_match(G, F)
+    assert pipeline_calls["inner_complement"] == 0
+    assert pipeline_calls["minreal"] <= 10

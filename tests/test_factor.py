@@ -331,6 +331,18 @@ class TestInnerOuter:
                 rv = eval_tfm(R, lam)
                 assert np.linalg.norm(qv[:, :m] @ rv - gv) <= 1e-8 * (1 + np.linalg.norm(gv))
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_square_inner_order_16(self, seed):
+        # the completion Q2 inverts an observability Gramian of condition up
+        # to ~1e20 here; it keeps |Q*Q - I| at 1e-7 to 2e-5 only with an
+        # exact Kronecker solve for that Gramian
+        g = random_system(16, 2, 3, "continuous", stable=True, rng=np.random.default_rng(1000 * seed + 16))
+        Q = inner_outer(g).first
+        assert Q.p == Q.m == 3
+        for z in LHP.boundary_points(5):
+            q = eval_tfm(Q, z)
+            assert np.abs(q.conj().T @ q - np.eye(3)).max() <= 1e-4
+
     def test_co_variant_random(self, rng):
         g = transpose_dual(stable_clean_system(rng, "continuous", 3, 1, 2))
         pair = co_outer_co_inner(g)

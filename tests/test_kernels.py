@@ -225,6 +225,47 @@ class TestGlyap:
         assert np.linalg.norm(res) < 1e-10 * scale
         assert np.allclose(X, X.T)
 
+    @pytest.mark.parametrize("domain", ["continuous", "discrete"])
+    @pytest.mark.parametrize("general_E", [True, False], ids=["general-E", "identity-E"])
+    def test_order_40(self, domain, general_E):
+        rng = np.random.default_rng(40)
+        n = 40
+        A = rng.normal(size=(n, n)) / np.sqrt(n)
+        E = np.eye(n) + (0.3 * rng.normal(size=(n, n)) / np.sqrt(n) if general_E else 0.0)
+        lam = np.linalg.eigvals(np.linalg.solve(E, A))
+        if domain == "continuous":
+            A = A - (lam.real.max() + 0.5) * E
+        else:
+            A = A * (0.9 / np.abs(lam).max())
+        B = rng.normal(size=(n, 3))
+        W = B @ B.T
+        X = glyap(A, E, W, domain)
+        if domain == "continuous":
+            res = A @ X @ E.T + E @ X @ A.T + W
+        else:
+            res = A @ X @ A.T - E @ X @ E.T + W
+        scale = (np.linalg.norm(A) + np.linalg.norm(E)) ** 2 * np.linalg.norm(X) + np.linalg.norm(W)
+        assert np.linalg.norm(res) < 1e-12 * scale
+        assert np.array_equal(X, X.T)
+        if not general_E:
+            if domain == "continuous":
+                Xs = sla.solve_continuous_lyapunov(A, -W)
+            else:
+                Xs = sla.solve_discrete_lyapunov(A, W)
+            assert np.linalg.norm(X - Xs) <= 1e-10 * np.linalg.norm(Xs)
+
+    def test_memory_is_not_kronecker_sized(self):
+        # a Kronecker system at n = 40 is 1600 x 1600 doubles, 20 MB
+        n = 40
+        A = np.random.default_rng(1).normal(size=(n, n)) - 10 * np.eye(n)
+        tracemalloc.start()
+        try:
+            glyap(A, np.eye(n), np.eye(n), "continuous")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+
     def test_unstable_rejected(self):
         with pytest.raises(UnstablePair):
             glyap([[1.0]], [[1.0]], [[1.0]], "continuous")

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import oracle_points, safe_eval
 
-from dstk.analysis import is_stable, normal_rank, poles, stability_region
+from dstk.analysis import h2_norm, is_stable, normal_rank, poles, stability_region
 from dstk.exceptions import Incompatible, NonstrictlyProperF, UnstableInput, UnsupportedShape
 from dstk.ops import RationalMatrixData, concat_col, conjugate, realize_rational, series, transpose_dual
 from dstk.solve import l2_model_match, left_nullspace, right_nullspace, solve_left, solve_right
@@ -22,6 +23,33 @@ def static(D, domain="continuous"):
 
 def rational(entries, p, m, domain="continuous"):
     return realize_rational(RationalMatrixData(p, m, entries), domain)
+
+
+def match_error(G, F, X):
+    """``||F - G X||_2`` of stable proper systems, from a standard realization
+    assembled here and a scipy Lyapunov solve."""
+
+    def standard(s):
+        return np.linalg.solve(s.E, s.A), np.linalg.solve(s.E, s.B), s.C, s.D
+
+    (Af, Bf, Cf, Df), (Ag, Bg, Cg, Dg), (Ax, Bx, Cx, Dx) = standard(F), standard(G), standard(X)
+    nf, ng, nx = Af.shape[0], Ag.shape[0], Ax.shape[0]
+    # states (xF, xG, xX); with the convention C (A - lam E)^-1 B + D the
+    # series coupling enters A with a minus sign
+    A = np.zeros((nf + ng + nx, nf + ng + nx))
+    A[:nf, :nf] = Af
+    A[nf : nf + ng, nf : nf + ng] = Ag
+    A[nf : nf + ng, nf + ng :] = -Bg @ Cx
+    A[nf + ng :, nf + ng :] = Ax
+    B = np.vstack([Bf, Bg @ Dx, Bx])
+    C = np.hstack([Cf, -Cg, -Dg @ Cx])
+    D = Df - Dg @ Dx
+    if F.domain.value == "continuous":
+        assert np.linalg.norm(D) <= 1e-9 * (1.0 + np.linalg.norm(F.D))
+        P = scipy.linalg.solve_continuous_lyapunov(A, -B @ B.T)
+        return float(np.sqrt(np.trace(C @ P @ C.T)))
+    P = scipy.linalg.solve_discrete_lyapunov(A, B @ B.T)
+    return float(np.sqrt(np.trace(C @ P @ C.T) + np.sum(D * D)))
 
 
 def rank_deficient_system(rng, p, m, r, domain="continuous"):
@@ -235,22 +263,20 @@ class TestModelMatch:
             assert np.linalg.norm(lhs - rhs) <= 1e-7 * (1 + np.linalg.norm(rhs))
 
     def test_error_norm_monotonicity(self, rng):
-        from dstk.solve import _l2_norm_sq
-
         g = make_system([[-2.0]], [[1.0]], [[1.0]], [[3.0]], [[1.0]], "continuous")
         f = series(lag(1.0), lag(3.0))
         X, parts = l2_model_match(g, f)
-        f_norm = np.sqrt(_l2_norm_sq(f))
+        f_norm = h2_norm(f)
         assert parts.error_norm <= f_norm + 1e-12
 
     def test_wide_target(self, rng):
-        # p > m: the out-of-range channel contributes to the error
+        # p > m: the part of F outside the range of G contributes to the error
         A = np.array([[-1.0, 0.3], [0.0, -2.0]])
         g = make_system(A, np.eye(2), [[1.0], [0.5]], [[1.0, 0.0], [0.2, 1.0]], [[1.0], [0.4]], "continuous")
         f = concat_col(lag(1.0), lag(3.0))
         X, parts = l2_model_match(g, f)
         assert is_stable(X)
-        assert parts.out_of_range.p == 1
+        assert abs(parts.error_norm - match_error(g, f, X)) <= 1e-8 * parts.error_norm
         assert parts.error_norm > 0
 
     def test_discrete_error_norm_against_quadrature(self, rng):
@@ -275,6 +301,26 @@ class TestModelMatch:
             )
             quad = np.sqrt(tot / len(th))
             assert abs(parts.error_norm - quad) <= 2e-3 * (1.0 + quad)
+
+    @pytest.mark.parametrize(
+        "n, m, p, domain, g_seed, f_seed",
+        [
+            # tall G of order 20 and a 4 x 1 target of order 10
+            (20, 2, 4, "discrete", 20, 10),
+            # the item-10 corpus of ROADMAP.md at n = 32, s = 3
+            (32, 2, 4, "continuous", 3032, 3039),
+        ],
+        ids=["discrete-20", "continuous-32"],
+    )
+    def test_error_norm_is_the_residual_norm(self, n, m, p, domain, g_seed, f_seed):
+        G = random_system(n, m, p, domain, stable=True, rng=np.random.default_rng(g_seed))
+        F = random_system(n // 2, 1, p, domain, stable=True, rng=np.random.default_rng(f_seed))
+        if domain == "continuous":
+            F = make_system(F.A, F.E, F.B, F.C, np.zeros_like(F.D), domain)
+        X, parts = l2_model_match(G, F)
+        assert is_stable(X)
+        want = match_error(G, F, X)
+        assert abs(parts.error_norm - want) <= 1e-8 * want
 
     def test_errors(self, rng):
         g = make_system([[-1.0]], [[1.0]], [[1.0]], [[2.0]], [[1.0]], "continuous")
