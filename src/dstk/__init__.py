@@ -19,7 +19,6 @@ from .kernels import (
     gsylv_separation,
     null_basis,
     rank_tol,
-    set_probe_seed,
 )
 from .system import (
     DescriptorSystem,
@@ -105,7 +104,6 @@ __all__ = [
     "gschur_ordered",
     "gsylv_separation",
     "glyap",
-    "set_probe_seed",
     "transpose_dual",
     "inverse",
     "conjugate",

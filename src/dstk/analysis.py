@@ -209,10 +209,10 @@ def _system_pencil(sys):
     return M, N
 
 
-def normal_rank(sys: DescriptorSystem, rng=None) -> int:
+def normal_rank(sys: DescriptorSystem) -> int:
     """Normal rank of the TFM: the normal rank of the system matrix pencil
     ``[[A - lam E, B], [C, D]]`` minus ``n``."""
-    return pencil_normal_rank(*_system_pencil(sys), rng) - sys.n
+    return pencil_normal_rank(*_system_pencil(sys)) - sys.n
 
 
 # ---------------------------------------------------------------------------

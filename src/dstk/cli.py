@@ -18,7 +18,7 @@ import sys as _sys
 
 import numpy as np
 
-from . import analysis, factor, kernels, ops, pencil, solve
+from . import analysis, factor, ops, pencil, solve
 from .analysis import StabilityRegion
 from .exceptions import DstkError, ParseError, RegionInvalid
 from .system import DescriptorSystem, TimeDomain, make_system
@@ -273,7 +273,7 @@ def _parse_region(spec: str | None, domain) -> StabilityRegion:
 # subcommands
 
 
-def _cmd_info(args, tol, rng):
+def _cmd_info(args, tol):
     g = read_system(args.system)
     pz = analysis.poles(g, tol=tol)
     zz = analysis.zeros(g, tol=tol)
@@ -301,7 +301,7 @@ def _cmd_info(args, tol, rng):
     }
 
 
-def _cmd_eval(args, tol, rng):
+def _cmd_eval(args, tol):
     g = read_system(args.system)
     re_s, im_s = (args.at.split(",") + ["0"])[:2]
     try:
@@ -314,14 +314,14 @@ def _cmd_eval(args, tol, rng):
     return [args.system], {"lambda": _jc(lam), "value": _cmatrix(val)}
 
 
-def _cmd_minreal(args, tol, rng):
+def _cmd_minreal(args, tol):
     g = read_system(args.system)
     gm = analysis.minreal(g, tol=tol)
     write_system(args.output, gm)
     return [args.system], {"order_in": g.n, "order_out": gm.n, "written": args.output}
 
 
-def _cmd_connect(args, tol, rng):
+def _cmd_connect(args, tol):
     g1 = read_system(args.system1)
     g2 = read_system(args.system2)
     op = {
@@ -336,7 +336,7 @@ def _cmd_connect(args, tol, rng):
     return [args.system1, args.system2], {"kind": args.kind, "order": gc.n, "written": args.output}
 
 
-def _cmd_decompose(args, tol, rng):
+def _cmd_decompose(args, tol):
     g = read_system(args.system)
     region = _parse_region(args.region, g.domain)
     pair = factor.additive_decompose(g, region, improper_to_bad=args.improper_to_bad, tol=tol)
@@ -349,7 +349,7 @@ def _cmd_decompose(args, tol, rng):
     }
 
 
-def _cmd_cf(args, tol, rng):
+def _cmd_cf(args, tol):
     g = read_system(args.system)
     region = _parse_region(args.region, g.domain)
     fn = factor.lcf if args.side == "left" else factor.rcf
@@ -364,7 +364,7 @@ def _cmd_cf(args, tol, rng):
     }
 
 
-def _cmd_iofac(args, tol, rng):
+def _cmd_iofac(args, tol):
     g = read_system(args.system)
     pair = factor.inner_outer(g, tol=tol)
     write_system(args.out_inner, pair.first)
@@ -377,7 +377,7 @@ def _cmd_iofac(args, tol, rng):
     }
 
 
-def _cmd_nullspace(args, tol, rng):
+def _cmd_nullspace(args, tol):
     g = read_system(args.system)
     fn = solve.left_nullspace if args.side == "left" else solve.right_nullspace
     basis = fn(g, tol=tol)
@@ -386,7 +386,7 @@ def _cmd_nullspace(args, tol, rng):
     return [args.system], {"side": args.side, "basis_shape": shape, "order": basis.n, "written": args.output}
 
 
-def _cmd_solve(args, tol, rng):
+def _cmd_solve(args, tol):
     G = read_system(args.system_g)
     F = read_system(args.system_f)
     res = solve.solve_right(G, F, tol=tol)
@@ -398,7 +398,7 @@ def _cmd_solve(args, tol, rng):
     }
 
 
-def _cmd_match(args, tol, rng):
+def _cmd_match(args, tol):
     G = read_system(args.system_g)
     F = read_system(args.system_f)
     X, parts = solve.l2_model_match(G, F, tol=tol)
@@ -410,7 +410,7 @@ def _cmd_match(args, tol, rng):
     }
 
 
-def _cmd_klf(args, tol, rng):
+def _cmd_klf(args, tol):
     M = _read_matrix(args.matrix_m)
     N = _read_matrix(args.matrix_n)
     _, _, _, _, ks = pencil.klf(M, N, tol=tol)
@@ -434,7 +434,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--tol", type=float, default=None, help="rank tolerance (default: automatic)")
-    common.add_argument("--seed", type=int, default=None, help="probe RNG seed (env DSTK_SEED as fallback)")
+    common.add_argument("--seed", type=int, default=None, help="echoed in the report; results do not depend on it (env DSTK_SEED fallback)")
     common.add_argument("--out", choices=["text", "json"], default="text", help="report format")
 
     ap = _Parser(prog="dstk", description="descriptor-system toolkit")
@@ -532,12 +532,7 @@ def run(argv=None) -> int:
                 seed = int(env)
             except ValueError:
                 raise ParseError("DSTK_SEED must be an integer") from None
-        token = kernels.set_probe_seed(seed)
-        try:
-            inputs, results = args.fn(args, args.tol, None)
-            seed = kernels.get_probe_seed()
-        finally:
-            kernels._probe_seed.reset(token)
+        inputs, results = args.fn(args, args.tol)
     except DstkError as exc:
         if args.out == "json":
             _emit({"command": args.command, "error": {"code": exc.code, "message": str(exc)}}, "json")

@@ -75,7 +75,6 @@ def additive_decompose(
     region: StabilityRegion,
     improper_to_bad: bool = False,
     tol=None,
-    rng=None,
 ) -> FactorPair:
     """Split ``G = Gg + Gb`` with the poles of ``Gg`` in ``region`` and those
     of ``Gb`` outside; the feedthrough goes to ``Gg``.
@@ -103,9 +102,7 @@ def additive_decompose(
         return FactorPair(g, _static(np.zeros((p, m)), g.domain), "additive")
 
     beta_thr = finite_beta_threshold(g.E)
-    res = gschur_ordered(
-        g.A, g.E, select=lambda a, b: b > beta_thr and region.contains(a / b), rng=rng
-    )
+    res = gschur_ordered(g.A, g.E, select=lambda a, b: b > beta_thr and region.contains(a / b))
     k = res.selected_count
     n = g.n
     A1, E1 = res.S, res.T
@@ -132,7 +129,7 @@ def additive_decompose(
 # coprime factorizations
 
 
-def _dislocating_feedback(g, region, pole_set, tol, rng):
+def _dislocating_feedback(g, region, pole_set, tol):
     """State feedback making all infinite eigenvalues of ``A + BF - lam E``
     simple and moving every finite eigenvalue outside ``region`` into it."""
     n, m = g.n, g.m
@@ -158,9 +155,7 @@ def _dislocating_feedback(g, region, pole_set, tol, rng):
         A = A + B @ F
 
     beta_thr = finite_beta_threshold(E)
-    res = gschur_ordered(
-        A, E, select=lambda a, b: b <= beta_thr or region.contains(a / b), rng=rng
-    )
+    res = gschur_ordered(A, E, select=lambda a, b: b <= beta_thr or region.contains(a / b))
     k = res.selected_count
     if k < n:
         nb = n - k
@@ -176,7 +171,7 @@ def _dislocating_feedback(g, region, pole_set, tol, rng):
             else:
                 r = region.rho / np.sqrt(2.0)
                 As, Bs, kind = Abs / r, Bbs / r, TimeDomain.DISCRETE
-            Fb = _riccati_schur(As, Bs, np.zeros((nb, nb)), np.zeros((nb, m)), np.eye(m), kind, rng=rng)[1]
+            Fb = _riccati_schur(As, Bs, np.zeros((nb, nb)), np.zeros((nb, m)), np.eye(m), kind)[1]
         else:
             targets = [complex(z) for z in pole_set]
             for z in targets:
@@ -196,7 +191,7 @@ def _dislocating_feedback(g, region, pole_set, tol, rng):
     return F
 
 
-def rcf(sys: DescriptorSystem, region: StabilityRegion, pole_set=None, tol=None, rng=None) -> FactorPair:
+def rcf(sys: DescriptorSystem, region: StabilityRegion, pole_set=None, tol=None) -> FactorPair:
     """Right coprime factorization ``G = N M^{-1}`` over a good region.
 
     A state feedback built on the minimal realization dislocates every bad
@@ -208,10 +203,9 @@ def rcf(sys: DescriptorSystem, region: StabilityRegion, pole_set=None, tol=None,
     block, which puts each bad eigenvalue ``z`` at its mirror image
     ``region.reflect(z)``: about ``Re z = alpha - 1/2`` for a half-plane,
     about ``|z| = rho/sqrt(2)`` (at ``rho**2 / (2 conj(z))``) for a disk.
-    The result does not depend on the probe seed.  An explicit ``pole_set``
-    (one target per bad eigenvalue, in the region, closed under conjugation,
-    none repeated more than ``rank(B)`` times) is placed by
-    ``scipy.signal.place_poles``; other target sets raise
+    An explicit ``pole_set`` (one target per bad eigenvalue, in the region,
+    closed under conjugation, none repeated more than ``rank(B)`` times) is
+    placed by ``scipy.signal.place_poles``; other target sets raise
     :class:`RegionInvalid`.  A Riccati solve that fails raises
     :class:`IterationFailure`; a closed loop left with a pole outside the
     region raises :class:`PlacementFailure`.
@@ -219,16 +213,16 @@ def rcf(sys: DescriptorSystem, region: StabilityRegion, pole_set=None, tol=None,
     if not isinstance(region, StabilityRegion):
         raise RegionInvalid("region must be a StabilityRegion")
     g = minreal(sys, tol=tol)
-    F = _dislocating_feedback(g, region, pole_set, tol, rng)
+    F = _dislocating_feedback(g, region, pole_set, tol)
     Af = g.A + g.B @ F
     N = _trusted_system(Af, g.E, g.B, g.C - g.D @ F, g.D, g.domain)
     M = _trusted_system(Af, g.E, g.B, -F, np.eye(g.m), g.domain)
     return FactorPair(N, M, "rcf")
 
 
-def lcf(sys: DescriptorSystem, region: StabilityRegion, pole_set=None, tol=None, rng=None) -> FactorPair:
+def lcf(sys: DescriptorSystem, region: StabilityRegion, pole_set=None, tol=None) -> FactorPair:
     """Left coprime factorization ``G = M^{-1} N`` (dual of :func:`rcf`)."""
-    pair = rcf(transpose_dual(sys), region, pole_set=pole_set, tol=tol, rng=rng)
+    pair = rcf(transpose_dual(sys), region, pole_set=pole_set, tol=tol)
     return FactorPair(transpose_dual(pair.first), transpose_dual(pair.second), "lcf")
 
 
@@ -245,7 +239,7 @@ def _psd_sqrt(W, what):
     return root, inv_root
 
 
-def _riccati_schur(A, B, Qc, Sc, Rc, domain, rng=None):
+def _riccati_schur(A, B, Qc, Sc, Rc, domain):
     """Stabilizing Riccati solution ``X`` and its gain ``F`` (closed loop
     ``A + B F``) via the ordered Schur form of the extended structured
     pencil (size 2n + m)."""
@@ -271,7 +265,7 @@ def _riccati_schur(A, B, Qc, Sc, Rc, domain, rng=None):
         def sel(a, b):
             return b > 1e-8 * (abs(a) + b + 1e-300) and abs(a / b) < 1.0
 
-    res = gschur_ordered(M, N, select=sel, rng=rng)
+    res = gschur_ordered(M, N, select=sel)
     if res.selected_count != n:
         raise IterationFailure("Riccati pencil did not split into n stable directions")
     Z1 = res.Z[:n, :n]
@@ -312,7 +306,7 @@ def _standard_stable_data(sys, tol):
     return g
 
 
-def inner_outer(sys: DescriptorSystem, tol=None, rng=None) -> FactorPair:
+def inner_outer(sys: DescriptorSystem, tol=None) -> FactorPair:
     """Inner--outer factorization ``G = Q1 R`` of a stable proper system of
     full column normal rank.
 
@@ -326,7 +320,7 @@ def inner_outer(sys: DescriptorSystem, tol=None, rng=None) -> FactorPair:
     p, m = g.p, g.m
     if m == 0:
         return FactorPair(_static(np.eye(p), g.domain), _static(np.zeros((0, 0)), g.domain), "inner-outer", 0)
-    if normal_rank(g, rng=rng) < m:
+    if normal_rank(g) < m:
         raise RankDeficiencyUnsupported("TFM must have full column normal rank")
     q1, R = _inner_outer_thin(g, tol)
     Q = concat_row(q1, _inner_complement(q1, g.domain)) if p > m else q1
@@ -400,11 +394,11 @@ def _inner_complement(q1, domain):
     return _trusted_system(A, np.eye(n), BD[:n, :], C, BD[n:, :], domain)
 
 
-def co_outer_co_inner(sys: DescriptorSystem, tol=None, rng=None) -> FactorPair:
+def co_outer_co_inner(sys: DescriptorSystem, tol=None) -> FactorPair:
     """Co-outer--co-inner factorization ``G = R Q1`` with ``Q1`` the leading
     ``inner_columns`` rows of the returned square inner ``Q`` (dual of
     :func:`inner_outer`)."""
-    pair = inner_outer(transpose_dual(sys), tol=tol, rng=rng)
+    pair = inner_outer(transpose_dual(sys), tol=tol)
     return FactorPair(
         transpose_dual(pair.second),
         transpose_dual(pair.first),

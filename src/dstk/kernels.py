@@ -9,7 +9,6 @@ downstream is built on these primitives.
 
 from __future__ import annotations
 
-import contextvars
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,39 +33,6 @@ __all__ = [
 ]
 
 EPS = float(np.finfo(float).eps)
-
-# Default seed for probe-point generators; reseedable through
-# :func:`dstk.set_probe_seed` so that command-line runs are reproducible.
-# The seed lives in a context variable, so each thread and each asyncio task
-# sees its own value.
-_DEFAULT_PROBE_SEED = 1905
-_probe_seed = contextvars.ContextVar("dstk_probe_seed", default=_DEFAULT_PROBE_SEED)
-
-
-def set_probe_seed(seed=None):
-    """Set the default seed used by all probabilistic rank/regularity probes.
-
-    ``None`` restores the built-in fixed seed.  Probe-based routines create a
-    fresh generator per call, so results stay reproducible and independent of
-    call order.  The setting holds for the current thread or asyncio task
-    only; the returned :class:`contextvars.Token` can restore the previous
-    value.
-    """
-    return _probe_seed.set(_DEFAULT_PROBE_SEED if seed is None else int(seed))
-
-
-def get_probe_seed() -> int:
-    return _probe_seed.get()
-
-
-def probe_rng(rng=None) -> np.random.Generator:
-    """Return ``rng`` if given, else a generator seeded with the probe seed."""
-    if rng is None:
-        return np.random.default_rng(_probe_seed.get())
-    if isinstance(rng, (int, np.integer)):
-        return np.random.default_rng(int(rng))
-    return rng
-
 
 def as_matrix(M, name="matrix") -> np.ndarray:
     """Coerce to a finite 2-d float array."""
@@ -214,33 +180,39 @@ def _block_eigenvalues(S, T, blocks):
     return eigs
 
 
-def _ring_points(A, B, rng, count):
-    """Random complex probe points for the pencil ``A - lam*B``, off the real
-    axis on a circle of radius ``1 + min(||A||_F / ||B||_F, 1e6)`` (radius 2
-    when ``B = 0``)."""
+# golden-ratio fraction: its multiples mod 1 spread the probe angles evenly
+_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def _ring_points(A, B, count):
+    """The first ``count`` points of the fixed probe sequence of the pencil
+    ``A - lam*B``.
+
+    The points lie off the real axis on a circle of radius
+    ``1 + min(||A||_F / ||B||_F, 1e6)`` (radius 2 when ``B = 0``); the k-th
+    has angle ``0.15 + (pi - 0.3) * frac((k + 1) * golden)``, with the sign
+    alternating from point to point.
+    """
     nb = np.linalg.norm(B)
     radius = 1.0 + (min(np.linalg.norm(A) / max(nb, 1e-12), 1e6) if nb > 0 else 1.0)
-    pts = []
-    for _ in range(count):
-        theta = rng.uniform(0.15, np.pi - 0.15)
-        if rng.uniform() < 0.5:
-            theta = -theta
-        pts.append(radius * np.exp(1j * theta))
-    return pts
+    k = np.arange(count)
+    theta = 0.15 + (np.pi - 0.3) * ((k + 1) * _GOLDEN % 1.0)
+    return list(radius * np.exp(1j * np.where(k % 2, -theta, theta)))
 
 
-def pencil_regular_probe(A, B, rng=None) -> bool:
-    """Probabilistic regularity test: full rank of A - lam*B at random shifts."""
-    n = A.shape[0]
-    if n == 0:
-        return True
-    for lam in _ring_points(A, B, probe_rng(rng), 3):
-        if rank_tol(A - lam * B) == n:
-            return True
-    return False
+def _probe_rank(M, N, tol=None) -> int:
+    """Normal rank of the pencil ``M - lam*N``: the largest
+    ``rank_tol(M - lam*N, tol)`` over three fixed probe points, stopping
+    early at full rank ``min(M.shape)``."""
+    full, best = min(M.shape), 0
+    for lam in _ring_points(M, N, 3):
+        if best == full:
+            break
+        best = max(best, rank_tol(M - lam * N, tol))
+    return best
 
 
-def gschur_ordered(A, B, select: Callable | None = None, rng=None) -> GschurResult:
+def gschur_ordered(A, B, select: Callable | None = None) -> GschurResult:
     """Ordered generalized real Schur form of the regular pencil ``A - lam*B``.
 
     Parameters
@@ -252,13 +224,11 @@ def gschur_ordered(A, B, select: Callable | None = None, rng=None) -> GschurResu
         representations.  Selected eigenvalues are moved to the leading
         positions.  Within a complex-conjugate 2x2 block the pair moves
         together (selected if either member is).
-    rng : generator or int, optional
-        Source for the regularity probe points.
 
     Raises
     ------
     SingularPencil
-        If the random-shift regularity probe fails.
+        If ``A - lam*B`` is rank deficient at every regularity probe point.
     IterationFailure
         If the QZ iteration or the reordering does not converge.
     """
@@ -269,7 +239,7 @@ def gschur_ordered(A, B, select: Callable | None = None, rng=None) -> GschurResu
         raise DimensionMismatch(f"pencil blocks must be square and equal-sized, got {A.shape} and {B.shape}")
     if n == 0:
         return GschurResult(A.copy(), B.copy(), np.eye(0), np.eye(0), [], 0)
-    if not pencil_regular_probe(A, B, rng):
+    if _probe_rank(A, B) < n:
         raise SingularPencil("pencil A - lambda*B is numerically singular")
 
     try:

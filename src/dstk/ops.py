@@ -120,7 +120,7 @@ def diag_stack(sys1: DescriptorSystem, sys2: DescriptorSystem) -> DescriptorSyst
     return _trusted_system(A, E, B, C, D, domain)
 
 
-def inverse(sys: DescriptorSystem, mode: str = "general", rng=None) -> DescriptorSystem:
+def inverse(sys: DescriptorSystem, mode: str = "general") -> DescriptorSystem:
     """Realization of the inverse TFM.
 
     ``mode="general"`` appends the output equation to the pencil and needs no
@@ -131,7 +131,7 @@ def inverse(sys: DescriptorSystem, mode: str = "general", rng=None) -> Descripto
     if sys.p != sys.m:
         raise NotSquare(f"inverse needs a square TFM, got {sys.p}x{sys.m}")
     m, n = sys.m, sys.n
-    if normal_rank(sys, rng) < m:
+    if normal_rank(sys) < m:
         raise NotInvertibleTFM("TFM is rank deficient at the probe frequencies")
     if mode == "d-inverse":
         if rank_tol(sys.D) < m:

@@ -21,12 +21,10 @@ import scipy.linalg as sla
 from .exceptions import DimensionMismatch, IterationFailure, SingularPencil
 from .kernels import (
     _col_compress_null_first,
-    _ring_points,
+    _probe_rank,
     _row_compress,
     as_matrix,
     default_tol,
-    probe_rng,
-    rank_tol,
 )
 
 __all__ = [
@@ -290,15 +288,11 @@ def weierstrass_structure(A, E, tol=None) -> WeierstrassStructure:
     return WeierstrassStructure(_finite_eigenvalues(Mk[k:, k:], Nk[k:, k:]), divisors)
 
 
-def pencil_normal_rank(M, N, rng=None) -> int:
-    """Normal rank by maximizing the rank of ``M - lam N`` at random probes."""
+def pencil_normal_rank(M, N) -> int:
+    """Normal rank: the largest rank of ``M - lam N`` at three fixed probe
+    points."""
     M = as_matrix(M, "M")
     N = as_matrix(N, "N")
     if M.shape != N.shape:
         raise DimensionMismatch("M and N must have equal shapes")
-    if M.size == 0:
-        return 0
-    best = 0
-    for lam in _ring_points(M, N, probe_rng(rng), 3):
-        best = max(best, rank_tol(M - lam * N))
-    return best
+    return _probe_rank(M, N)

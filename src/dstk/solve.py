@@ -40,7 +40,7 @@ from .analysis import (
     zeros,
 )
 from .factor import _inner_outer_thin, _riccati_schur, additive_decompose
-from .kernels import _col_compress_null_first, probe_rng, rank_tol
+from .kernels import _GOLDEN, _col_compress_null_first, _probe_rank, rank_tol
 from .ops import _static, concat_row, conjugate, inverse, parallel, series, transpose_dual
 from .pencil import klf
 from .system import DescriptorSystem, TimeDomain, _trusted_system, eval_tfm, probe_points
@@ -87,18 +87,23 @@ class LdpParts:
 # nullspace bases
 
 
-def right_nullspace(sys: DescriptorSystem, tol=None, rng=None) -> DescriptorSystem:
+def right_nullspace(sys: DescriptorSystem, tol=None) -> DescriptorSystem:
     """Proper stable rational basis of the right nullspace of the TFM.
 
     The result has shape ``m x (m - r)`` (``r`` the normal rank), full column
     normal rank, and order equal to the sum of the right minimal indices.
     It is read off the leading right-singular block of the staircase form
     of the system pencil; its poles are placed by a stabilizing LQR gain.
-    Full-column-rank inputs yield an empty ``m x 0`` basis.
+    Full-column-rank inputs yield an empty ``m x 0`` basis.  A staircase
+    whose count of right Kronecker blocks disagrees with ``m - r`` raises
+    :class:`IterationFailure` instead of returning a basis of the wrong width.
     """
     g = minreal(sys, tol=tol)
     Mk, Nk, _, V, ks = klf(*_system_pencil(g), tol=tol)
     nr, nu = ks.nr, len(ks.right_indices)
+    width = g.m - normal_rank(g)
+    if nu != width:
+        raise IterationFailure(f"staircase found {nu} right Kronecker blocks where the normal rank leaves {width}")
     if nu == 0:
         return _static(np.zeros((g.m, 0)), g.domain)
     # the leading block has only right Kronecker structure, so its N part
@@ -112,22 +117,26 @@ def right_nullspace(sys: DescriptorSystem, tol=None, rng=None) -> DescriptorSyst
     F = np.zeros((nu, nr))
     if nr:
         As, Bs = np.linalg.solve(E1, A1), np.linalg.solve(E1, B1)
-        F = _riccati_schur(As, Bs, np.eye(nr), np.zeros((nr, nu)), np.eye(nu), g.domain, rng=rng)[1]
+        F = _riccati_schur(As, Bs, np.eye(nr), np.zeros((nr, nu)), np.eye(nu), g.domain)[1]
     Vu = V[g.n :, : nr + nu] @ W
     return _trusted_system(A1 + B1 @ F, E1, -B1, Vu[:, nu:] + Vu[:, :nu] @ F, Vu[:, :nu], g.domain)
 
 
-def left_nullspace(sys: DescriptorSystem, tol=None, rng=None) -> DescriptorSystem:
+def left_nullspace(sys: DescriptorSystem, tol=None) -> DescriptorSystem:
     """Proper rational basis of the left nullspace (``(p - r) x p``)."""
-    return transpose_dual(right_nullspace(transpose_dual(sys), tol=tol, rng=rng))
+    return transpose_dual(right_nullspace(transpose_dual(sys), tol=tol))
 
 
 # ---------------------------------------------------------------------------
 # linear rational matrix equations
 
 
-def _orthonormal_columns(rows, cols, rng):
-    Q, _ = np.linalg.qr(rng.normal(size=(rows, max(cols, 1))))
+def _selector(rows, cols, attempt):
+    """Fixed orthonormal ``rows x cols`` selector of the given attempt: the Q
+    factor of ``cos((attempt + 1) i j phi)`` with ``phi = pi (sqrt(5) - 1)``,
+    of full column rank because the ``cos((attempt + 1) i phi)`` are distinct."""
+    i, j = np.ogrid[:rows, : max(cols, 1)]
+    Q, _ = np.linalg.qr(np.cos((attempt + 1) * i * j * 2.0 * np.pi * _GOLDEN))
     return Q[:, :cols]
 
 
@@ -165,53 +174,47 @@ def _row_col_select(sys, P=None, T=None):
     return _trusted_system(sys.A, sys.E, B, C, D, sys.domain)
 
 
-def solve_right(G: DescriptorSystem, F: DescriptorSystem, tol=None, rng=None) -> SolveResult:
+def solve_right(G: DescriptorSystem, F: DescriptorSystem, tol=None) -> SolveResult:
     """Solve ``G X = F`` for a rational ``X``.
 
-    Compatibility is tested probabilistically by comparing the ranks of the
-    lifted system pencils of ``G`` and ``[G F]`` at shared random frequency
-    probes; a strict rank inflation at every probe raises
-    :class:`Incompatible`.  When ``G`` is invertible the explicit lifted-
-    pencil realization is used directly; otherwise constant orthonormal
-    row/column selectors reduce the problem to an invertible core.  The
-    returned nullspace basis parameterizes all solutions.
+    ``F`` is compatible when the system pencil of ``[G F]`` has no larger
+    normal rank than that of ``G``, each the largest rank at three fixed
+    probe points; otherwise :class:`Incompatible` is raised.  When ``G`` is
+    invertible the explicit lifted-pencil realization is used directly;
+    otherwise fixed orthonormal row/column selectors reduce the problem to
+    an invertible core, trying up to five selector pairs until ``G X = F``
+    holds at three probe points.  The returned nullspace basis
+    parameterizes all solutions.  The result depends on ``G``, ``F`` and
+    ``tol`` alone.
     """
     if G.domain is not F.domain:
         raise DomainMismatch("G and F must share a time domain")
     if G.p != F.p:
         raise DimensionMismatch(f"G and F must have equal output counts, got {G.p} and {F.p}")
-    rng = probe_rng(rng)
     g = minreal(G, tol=tol)
     f = minreal(F, tol=tol)
 
-    # shared-state pencils for the compatibility test
+    # system pencil of [G F]; its leading gf.n + g.m columns are G's, on the
+    # shared state
     gf = concat_row(g, f)
     Mgf, Ngf = _system_pencil(gf)
-    mg = g.m
-    keep = list(range(gf.n)) + [gf.n + j for j in range(mg)]
-    Mg, Ng = Mgf[:, keep], Ngf[:, keep]
-    inflated = 0
-    probes = probe_points(gf, count=3, rng=rng)
-    for lam in probes:
-        r1 = rank_tol(Mg - lam * Ng, tol)
-        r2 = rank_tol(Mgf - lam * Ngf, tol)
-        if r2 > r1:
-            inflated += 1
-    if inflated == len(probes) and probes:
-        raise Incompatible("rank of [G F] exceeds rank of G at every probe frequency")
+    ng = gf.n + g.m
+    if _probe_rank(Mgf, Ngf, tol) > _probe_rank(Mgf[:, :ng], Ngf[:, :ng], tol):
+        raise Incompatible("[G F] has a larger normal rank than G")
 
-    r = normal_rank(g, rng=rng)
-    attempts = 5
-    for attempt in range(attempts):
-        if r == g.p == g.m:
+    r = normal_rank(g)
+    square = r == g.p == g.m
+    probes = probe_points(gf, count=3)
+    for attempt in range(1 if square else 5):
+        if square:
             P, T = None, None
             g2, f2 = g, f
         else:
-            P = _orthonormal_columns(g.p, r, rng).T
-            T = _orthonormal_columns(g.m, r, rng)
+            P = _selector(g.p, r, attempt).T
+            T = _selector(g.m, r, attempt)
             g2 = _row_col_select(g, P=P, T=T)
             f2 = _row_col_select(f, P=P)
-            if normal_rank(g2, rng=rng) < r:
+            if normal_rank(g2) < r:
                 continue
         if r == 0:
             X0 = _static(np.zeros((g.m, f.m)), g.domain)
@@ -220,21 +223,21 @@ def solve_right(G: DescriptorSystem, F: DescriptorSystem, tol=None, rng=None) ->
             X0 = Xh if T is None else series(_static(T, g.domain), Xh)
         X0 = minreal(X0, tol=tol)
         ok = True
-        for lam in probe_points(gf, count=3, rng=rng):
+        for lam in probes:
             lhs = eval_tfm(g, lam) @ eval_tfm(X0, lam)
             rhs = eval_tfm(f, lam)
             if np.linalg.norm(lhs - rhs) > 1e-7 * (1.0 + np.linalg.norm(rhs)):
                 ok = False
                 break
         if ok:
-            return SolveResult(X0, right_nullspace(g, tol=tol, rng=rng))
+            return SolveResult(X0, right_nullspace(g, tol=tol))
     raise IterationFailure("could not construct a particular solution (is the system compatible?)")
 
 
-def solve_left(G: DescriptorSystem, F: DescriptorSystem, tol=None, rng=None) -> SolveResult:
+def solve_left(G: DescriptorSystem, F: DescriptorSystem, tol=None) -> SolveResult:
     """Solve ``X G = F`` (transpose-dual of :func:`solve_right`); the basis
     field holds a left nullspace basis of ``G``."""
-    res = solve_right(transpose_dual(G), transpose_dual(F), tol=tol, rng=rng)
+    res = solve_right(transpose_dual(G), transpose_dual(F), tol=tol)
     return SolveResult(transpose_dual(res.particular), transpose_dual(res.null_basis))
 
 
@@ -242,7 +245,7 @@ def solve_left(G: DescriptorSystem, F: DescriptorSystem, tol=None, rng=None) -> 
 # L2 model matching
 
 
-def _causal_split(g, tol=None, rng=None):
+def _causal_split(g, tol=None):
     """Orthogonal causal/anticausal split of a two-sided system.
 
     The pole-based decomposition alone is not orthogonal on the unit circle:
@@ -251,7 +254,7 @@ def _causal_split(g, tol=None, rng=None):
     ``(causal, strictly_anticausal)`` whose L2 norms add in squares.
     """
     region = stability_region(g.domain)
-    parts = additive_decompose(g, region, improper_to_bad=True, tol=tol, rng=rng)
+    parts = additive_decompose(g, region, improper_to_bad=True, tol=tol)
     gs, gu = parts.first, parts.second
     if g.domain is TimeDomain.DISCRETE and gu.n:
         c0 = eval_tfm(gu, 0.0).real
@@ -260,7 +263,7 @@ def _causal_split(g, tol=None, rng=None):
     return gs, gu
 
 
-def l2_model_match(G: DescriptorSystem, F: DescriptorSystem, tol=None, rng=None):
+def l2_model_match(G: DescriptorSystem, F: DescriptorSystem, tol=None):
     """L2-optimal stable solution of ``min ||F - G X||`` and its certificate.
 
     Both systems must be stable and proper and ``G`` must have full column
@@ -274,7 +277,6 @@ def l2_model_match(G: DescriptorSystem, F: DescriptorSystem, tol=None, rng=None)
         raise DomainMismatch("G and F must share a time domain")
     if G.p != F.p:
         raise DimensionMismatch(f"G and F must have equal output counts, got {G.p} and {F.p}")
-    rng = probe_rng(rng)
     g = minreal(G, tol=tol)
     f = minreal(F, tol=tol)
     if not is_stable(g, tol=tol):
@@ -283,7 +285,7 @@ def l2_model_match(G: DescriptorSystem, F: DescriptorSystem, tol=None, rng=None)
         raise UnstableInput("F must be stable and proper")
     if g.domain is TimeDomain.CONTINUOUS and np.linalg.norm(f.D) > 1e-10 * (1.0 + np.linalg.norm(f.B) * np.linalg.norm(f.C)):
         raise NonstrictlyProperF("continuous-time model matching needs a strictly proper F")
-    if normal_rank(g, rng=rng) < g.m:
+    if normal_rank(g) < g.m:
         raise UnsupportedShape("G must have full column normal rank")
     region = stability_region(g.domain)
     for z in zeros(g, tol=tol).finite:
@@ -294,7 +296,7 @@ def l2_model_match(G: DescriptorSystem, F: DescriptorSystem, tol=None, rng=None)
         # square G with an exact stable solution needs no compression at all
         # (take the identity as the inner factor and G itself as the outer)
         if g.p == g.m:
-            X0 = solve_right(g, f, tol=tol, rng=rng).particular
+            X0 = solve_right(g, f, tol=tol).particular
             if is_stable(X0, tol=tol):
                 zero_sys = _static(np.zeros((g.m, f.m)), g.domain)
                 parts = LdpParts(
@@ -312,7 +314,7 @@ def l2_model_match(G: DescriptorSystem, F: DescriptorSystem, tol=None, rng=None)
     # the optimal stable correction is the causal projection of the
     # compressed target (in discrete time that includes the zeroth Fourier
     # coefficient of the antistable part, not just its stable poles)
-    Ls, Lu = _causal_split(f1t, tol=tol, rng=rng)
+    Ls, Lu = _causal_split(f1t, tol=tol)
 
     if Ls.n or np.any(Ls.D):
         X = minreal(series(inverse(R, mode="d-inverse"), Ls), tol=tol)

@@ -6,7 +6,8 @@ Its transfer-function matrix is evaluated throughout this package as
     ``G(lambda) = C (A - lambda E)^{-1} B + D``
 
 and that evaluation is the verification oracle for every construction in
-the library.
+the library.  Regularity of ``A - lambda*E`` is validated at three fixed
+probe points, so validation depends on the matrices alone.
 """
 
 from __future__ import annotations
@@ -16,14 +17,13 @@ from enum import Enum
 
 import numpy as np
 
-from . import kernels
 from .exceptions import (
     DimensionMismatch,
     EvalAtPole,
     SingularPencil,
     SingularTransform,
 )
-from .kernels import EPS, as_matrix, probe_rng, rank_tol
+from .kernels import EPS, _probe_rank, _ring_points, as_matrix, rank_tol
 
 __all__ = [
     "TimeDomain",
@@ -50,9 +50,10 @@ def _as_domain(domain) -> TimeDomain:
 class DescriptorSystem:
     """Real descriptor realization ``(A - lambda*E, B, C, D)``.
 
-    The pencil ``A - lambda*E`` is regular (validated probabilistically at
-    construction); ``n = 0`` is allowed and represents a static gain ``D``.
-    Instances are immutable value objects and safe to share across threads.
+    The pencil ``A - lambda*E`` is regular (validated at three fixed probe
+    points at construction); ``n = 0`` is allowed and represents a static
+    gain ``D``.  Instances are immutable value objects and safe to share
+    across threads.
     """
 
     A: np.ndarray
@@ -98,12 +99,12 @@ def _trusted_system(A, E, B, C, D, domain) -> DescriptorSystem:
     return DescriptorSystem(_freeze(A), _freeze(E), _freeze(B), _freeze(C), _freeze(D), _as_domain(domain))
 
 
-def make_system(A, E, B, C, D, domain, rng=None) -> DescriptorSystem:
+def make_system(A, E, B, C, D, domain) -> DescriptorSystem:
     """Validate and build a descriptor system.
 
     ``E=None`` means the identity (a standard state-space system).  Dimension
     consistency is enforced and the pencil ``A - lambda*E`` is checked for
-    regularity with random-shift probes (three attempts).
+    regularity: it must have full rank at one of three fixed probe points.
 
     Raises
     ------
@@ -130,7 +131,7 @@ def make_system(A, E, B, C, D, domain, rng=None) -> DescriptorSystem:
         raise DimensionMismatch(f"C must have {n} columns, got {C.shape}")
     if D.shape != (p, m):
         raise DimensionMismatch(f"D must be {p}x{m}, got {D.shape}")
-    if n > 0 and not kernels.pencil_regular_probe(A, E, rng):
+    if _probe_rank(A, E) < n:
         raise SingularPencil("pencil A - lambda*E is numerically singular")
     return _trusted_system(A, E, B, C, D, domain)
 
@@ -167,23 +168,20 @@ def apply_similarity(sys: DescriptorSystem, U, V) -> DescriptorSystem:
     return _trusted_system(U @ sys.A @ V, U @ sys.E @ V, U @ sys.B, sys.C @ V, sys.D, sys.domain)
 
 
-def probe_points(sys: DescriptorSystem, count=5, rng=None):
-    """Random complex probe points off the real axis, clear of the spectrum.
-
-    Drawn uniformly in angle on the probe circle of the pencil
-    ``A - lambda*E``; pole-adjacent draws are rejected and redrawn.
+def probe_points(sys: DescriptorSystem, count=5):
+    """Complex probe points off the real axis, clear of the spectrum: the
+    first ``count`` points of the fixed probe sequence of ``A - lambda*E``
+    that are not next to a pole (fewer when 20 * ``count`` do not yield them).
     """
-    rng = probe_rng(rng)
     pts = []
-    for _ in range(20):
-        for lam in kernels._ring_points(sys.A, sys.E, rng, count - len(pts)):
-            if sys.n:
-                sv = np.linalg.svd(sys.A - lam * sys.E, compute_uv=False)
-                if sv[-1] <= 1e-8 * max(sv[0], 1.0):
-                    continue
-            pts.append(lam)
+    for lam in _ring_points(sys.A, sys.E, 20 * count):
         if len(pts) == count:
             break
+        if sys.n:
+            sv = np.linalg.svd(sys.A - lam * sys.E, compute_uv=False)
+            if sv[-1] <= 1e-8 * max(sv[0], 1.0):
+                continue
+        pts.append(lam)
     return pts
 
 
@@ -210,7 +208,7 @@ def random_system(n, m, p, domain, proper=True, stable=False, rng=None) -> Descr
     ``stable=True`` then constrains the finite dynamics only).
     """
     domain = _as_domain(domain)
-    rng = probe_rng(rng) if rng is not None else np.random.default_rng()
+    rng = np.random.default_rng(rng)
     if min(n, m, p) < 0:
         raise ValueError("dimensions must be nonnegative")
     if not proper and n < 2:

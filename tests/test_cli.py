@@ -6,7 +6,6 @@ import pytest
 from dstk.analysis import mcmillan_degree, normal_rank, poles
 from dstk.cli import format_system, parse_system, run, write_system
 from dstk.exceptions import ParseError
-from dstk.kernels import get_probe_seed, set_probe_seed
 from dstk.system import eval_tfm, make_system, random_system
 
 
@@ -150,16 +149,6 @@ class TestCommands:
         capsys.readouterr()
         assert run(["nosuchcommand"]) == 1
         capsys.readouterr()
-
-    def test_run_restores_caller_seed(self, tmp_path, capsys):
-        _, path = lag_file(tmp_path)
-        set_probe_seed(7)
-        try:
-            assert run(["info", path, "--seed", "11", "--out", "json"]) == 0
-            assert json.loads(capsys.readouterr().out)["seed"] == 11
-            assert get_probe_seed() == 7
-        finally:
-            set_probe_seed(None)
 
     def test_env_seed_fallback(self, tmp_path, capsys, monkeypatch):
         _, path = lag_file(tmp_path)

@@ -1,4 +1,3 @@
-import threading
 import tracemalloc
 
 import numpy as np
@@ -8,13 +7,11 @@ from scipy.optimize import linear_sum_assignment
 
 from dstk.exceptions import SingularPencil, SpectraNotDisjoint, UnstablePair
 from dstk.kernels import (
-    get_probe_seed,
     glyap,
     gschur_ordered,
     gsylv_separation,
     null_basis,
     rank_tol,
-    set_probe_seed,
 )
 
 
@@ -271,25 +268,3 @@ class TestGlyap:
             glyap([[1.0]], [[1.0]], [[1.0]], "continuous")
         with pytest.raises(UnstablePair):
             glyap([[1.0]], [[0.0]], [[1.0]], "continuous")  # infinite eigenvalue
-
-
-class TestProbeSeed:
-    def test_thread_isolation(self):
-        default = get_probe_seed()
-        seen = []
-
-        def worker():
-            seen.append(get_probe_seed())
-            set_probe_seed(11)
-            seen.append(get_probe_seed())
-
-        set_probe_seed(7)
-        try:
-            t = threading.Thread(target=worker)
-            t.start()
-            t.join(timeout=30)
-            assert not t.is_alive()
-            assert seen == [default, 11]
-            assert get_probe_seed() == 7
-        finally:
-            set_probe_seed(None)

@@ -5,7 +5,7 @@ import scipy.linalg
 from conftest import oracle_points, safe_eval
 
 from dstk.analysis import h2_norm, is_stable, normal_rank, poles, stability_region
-from dstk.exceptions import Incompatible, NonstrictlyProperF, UnstableInput, UnsupportedShape
+from dstk.exceptions import DstkError, Incompatible, NonstrictlyProperF, UnstableInput, UnsupportedShape
 from dstk.ops import RationalMatrixData, concat_col, conjugate, realize_rational, series, transpose_dual
 from dstk.solve import l2_model_match, left_nullspace, right_nullspace, solve_left, solve_right
 from dstk.system import eval_tfm, make_system, random_system
@@ -146,6 +146,19 @@ class TestNullspaces:
         nl = left_nullspace(g)
         assert (nl.p, nl.m) == (2, 4)
         self.assert_basis(nl, g, 30, rng, left=True)
+
+    @pytest.mark.parametrize("s", [0, 4])
+    def test_rank_deficient_product_basis_or_refusal(self, rng, s):
+        # G = G1 G2 is 3 x 3 of normal rank 2; where the staircase misses its
+        # right Kronecker block, an empty basis would be silently wrong
+        r = np.random.default_rng(1000 * s + 16)
+        G = series(random_system(8, 2, 3, "continuous", rng=r), random_system(8, 3, 2, "continuous", rng=r))
+        try:
+            nr = right_nullspace(G)
+        except DstkError:
+            return
+        assert (nr.p, nr.m) == (3, 1)
+        self.assert_basis(nr, G, G.n, rng)
 
     def test_solve_right_high_order_basis(self, rng):
         G = series(random_system(10, 2, 3, "continuous", rng=rng), random_system(10, 4, 2, "continuous", rng=rng))
