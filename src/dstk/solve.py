@@ -133,9 +133,11 @@ def left_nullspace(sys: DescriptorSystem, tol=None) -> DescriptorSystem:
 
 def _selector(rows, cols, attempt):
     """Fixed orthonormal ``rows x cols`` selector of the given attempt: the Q
-    factor of ``cos((attempt + 1) i j phi)`` with ``phi = pi (sqrt(5) - 1)``,
-    of full column rank because the ``cos((attempt + 1) i phi)`` are distinct."""
-    i, j = np.ogrid[:rows, : max(cols, 1)]
+    factor of ``cos((attempt + 1) (i + 1) (j + 1) phi)`` with
+    ``phi = pi (sqrt(5) - 1)``.  Every entry moves with the attempt, so no
+    direction (such as the all-ones vector, which ``G`` may annihilate) is
+    shared by all attempts."""
+    i, j = np.ogrid[1 : rows + 1, 1 : max(cols, 1) + 1]
     Q, _ = np.linalg.qr(np.cos((attempt + 1) * i * j * 2.0 * np.pi * _GOLDEN))
     return Q[:, :cols]
 

@@ -5,8 +5,8 @@ import scipy.linalg
 from conftest import oracle_points, safe_eval
 
 from dstk.analysis import h2_norm, is_stable, normal_rank, poles, stability_region
-from dstk.exceptions import DstkError, Incompatible, NonstrictlyProperF, UnstableInput, UnsupportedShape
-from dstk.ops import RationalMatrixData, concat_col, conjugate, realize_rational, series, transpose_dual
+from dstk.exceptions import Incompatible, IterationFailure, NonstrictlyProperF, UnstableInput, UnsupportedShape
+from dstk.ops import RationalMatrixData, concat_col, concat_row, conjugate, realize_rational, series, transpose_dual
 from dstk.solve import l2_model_match, left_nullspace, right_nullspace, solve_left, solve_right
 from dstk.system import eval_tfm, make_system, random_system
 
@@ -155,7 +155,7 @@ class TestNullspaces:
         G = series(random_system(8, 2, 3, "continuous", rng=r), random_system(8, 3, 2, "continuous", rng=r))
         try:
             nr = right_nullspace(G)
-        except DstkError:
+        except IterationFailure:
             return
         assert (nr.p, nr.m) == (3, 1)
         self.assert_basis(nr, G, G.n, rng)
@@ -210,6 +210,24 @@ class TestSolve:
                 fv = eval_tfm(F, lam)
                 assert np.linalg.norm(gv @ xv - fv) <= 1e-8 * (1 + np.linalg.norm(fv))
             assert res.null_basis.m == G.m - normal_rank(G)
+
+    @pytest.mark.parametrize("dom", ["continuous", "discrete"])
+    def test_annihilated_ones_direction(self, rng, dom):
+        # G = [g -g] and its dual annihilate the all-ones vector; no row or
+        # column selector may keep that direction on every attempt
+        g = random_system(3, 1, 3, dom, rng=rng)
+        neg = make_system(g.A, g.E, g.B, -g.C, -g.D, dom)
+        G = concat_row(g, neg)
+        F = series(G, random_system(2, 1, 2, dom, rng=rng))
+        X = solve_right(G, F).particular
+        Gl = transpose_dual(G)
+        Fl = series(random_system(2, 2, 1, dom, rng=rng), Gl)
+        Xl = solve_left(Gl, Fl).particular
+        for lam in oracle_points(rng, 4):
+            lam, gv = safe_eval(G, lam, rng)
+            fv, flv = eval_tfm(F, lam), eval_tfm(Fl, lam)
+            assert np.linalg.norm(gv @ eval_tfm(X, lam) - fv) <= 1e-8 * (1 + np.linalg.norm(fv))
+            assert np.linalg.norm(eval_tfm(Xl, lam) @ gv.T - flv) <= 1e-8 * (1 + np.linalg.norm(flv))
 
     def test_solve_left_duality(self, rng):
         G = random_system(2, 3, 2, "continuous", rng=rng)
