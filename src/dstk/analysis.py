@@ -3,9 +3,8 @@
 Normal rank, pole/zero structure (finite values plus infinite
 multiplicities), McMillan degree, stability and minimum-phase predicates,
 the five-condition minimality report, minimal realization, and the H2/L2
-system norm.  The report decides its finite conditions on the split that
-:func:`minreal` reduces, observability as the transposed dual's
-controllability.
+system norm.  The report and :func:`minreal` share one split, its absolute
+tolerance and one non-dynamic-mode primitive (:func:`_nondynamic`).
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import (
-    IterationFailure,
     NonstrictlyProperContinuous,
     RegionInvalid,
     UnstableSystem,
@@ -27,7 +25,6 @@ from .kernels import (
     default_tol,
     glyap,
     gsylv_separation,
-    null_basis,
     rank_tol,
 )
 from .pencil import _regular_deflate, klf, pencil_normal_rank, weierstrass_structure
@@ -248,41 +245,22 @@ def _standard_minreal(A, B, C, tol_abs):
     return At.T, Ct.T, Bt.T
 
 
-def _drop_simple_chains(W, B, C):
-    """Split the degree-one chains off the nilpotent block ``(I - lam W, B, C)``.
+def _nondynamic(A, E, tol_abs):
+    """Orthogonal ``L``, ``R`` exposing the non-dynamic modes of ``A - lam E``.
 
-    Any subspace of ``ker W`` transversal to ``range W`` decouples under a
-    similarity with exactly zero coupling blocks; its states act as a pure
-    feedthrough.  Returns ``(W', B', C', D_extra, dropped)`` with the constant
-    contribution of the removed states in ``D_extra``.
+    One SVD of ``E`` gives its rank ``r`` and left/right kernels ``U2``,
+    ``V2``; one SVD of ``U2^T A V2`` gives the rest.  In the coordinates
+    ``L^T (A - lam E) R``, ``E`` is zero outside its leading r-by-r block and
+    ``A`` is ``diag(s)`` on the next ``len(s)`` positions, with no coupling to
+    the rest of the kernel block.  Returns ``(L, R, r, s)``; ``s`` holds the
+    singular values above ``tol_abs``, one per non-dynamic mode.
     """
-    n = W.shape[0]
-    zero = np.zeros((C.shape[0], B.shape[1]))
-    if n == 0:
-        return W, B, C, zero, False
-    K = null_basis(W)
-    if K.shape[1] == 0:
-        return W, B, C, zero, False
-    U, s, _ = np.linalg.svd(W)
-    R = U[:, : _svd_rank(s, W.shape)]
-    G = K - R @ (R.T @ K)
-    Ug, sg, Vgh = np.linalg.svd(G, full_matrices=False)
-    q = _svd_rank(sg, G.shape, 1e-8 * max(1.0, sg[0] if sg.size else 0.0))
-    if q == 0:
-        return W, B, C, zero, False
-    S = K @ Vgh[:q].T
-    Y = null_basis(np.hstack([R, S]).T)
-    T = np.hstack([R, Y, S])
-    sv = np.linalg.svd(T, compute_uv=False)
-    if sv[-1] <= 1e-10 * sv[0]:
-        raise IterationFailure("chain-splitting similarity is ill conditioned")
-    Ti = np.linalg.inv(T)
-    Wt = Ti @ W @ T
-    Bt = Ti @ B
-    Ct = C @ T
-    keep = n - q
-    D_extra = Ct[:, keep:] @ Bt[keep:, :]
-    return Wt[:keep, :keep], Bt[:keep, :], Ct[:, :keep], D_extra, True
+    U, se, Vh = np.linalg.svd(E)
+    r = _svd_rank(se, E.shape, tol_abs)
+    P, s, Qh = np.linalg.svd(U[:, r:].T @ A @ Vh[r:].T)
+    L = np.hstack([U[:, :r], U[:, r:] @ P])
+    R = np.hstack([Vh[:r].T, Vh[r:].T @ Qh.T])
+    return L, R, r, s[: _svd_rank(s, s.shape, tol_abs)]
 
 
 def _split(sys: DescriptorSystem, tol):
@@ -300,12 +278,13 @@ def minreal(sys: DescriptorSystem, tol=None) -> DescriptorSystem:
 
     The pencil is first split orthogonally into its infinite and finite
     parts (:func:`_split`) and the two are decoupled by a generalized
-    Sylvester solve.  The finite part is reduced by the standard
-    controllability/observability staircases; the infinite part is rebuilt
-    as a minimal nilpotent-E block from the coefficients of the polynomial
-    action, with any constant part absorbed into ``D``.  The result
-    satisfies all five minimality conditions and its order never exceeds
-    the input order.
+    Sylvester solve.  Both parts are reduced by the standard
+    controllability/observability staircases, the infinite one in the form
+    ``(I - lam Ah, Bh, Ch)`` with nilpotent ``Ah``; that one is then
+    residualized once, its non-dynamic modes (:func:`_nondynamic`) solved
+    out into ``D``.  Every rank decision uses the split's absolute
+    tolerance.  The result satisfies all five minimality conditions and its
+    order never exceeds the input order.
     """
     if sys.n == 0:
         return sys
@@ -321,21 +300,27 @@ def minreal(sys: DescriptorSystem, tol=None) -> DescriptorSystem:
     Ah, Bh, Ch = np.linalg.solve(Ai, Ei), np.linalg.solve(Ai, Bi), Ci
     Am, Bm, Cm = _standard_minreal(As, Bs, Cf, tol_abs)
 
-    # infinite half: reduce the nilpotent action, then strip the degree-one
-    # chains (non-dynamic modes), absorbing their constant action into D
-    D_new = sys.D
-    while True:
-        Ah, Bh, Ch = _standard_minreal(Ah, Bh, Ch, tol_abs)
-        Ah, Bh, Ch, Dx, dropped = _drop_simple_chains(Ah, Bh, Ch)
-        D_new = D_new + Dx
-        if not dropped:
-            break
+    # infinite half; dividing by s below is the one non-orthogonal step
+    Ah, Bh, Ch = _standard_minreal(Ah, Bh, Ch, tol_abs)
+    Ai, Ei, D = np.eye(Ah.shape[0]), Ah, sys.D
+    if Ah.size:
+        L, R, r, s = _nondynamic(Ai, Ah, tol_abs)
+        if s.size:
+            q = Ah.shape[0] - s.size  # kept states first, non-dynamic ones last
+            order = np.r_[:r, r + s.size : Ah.shape[0], r : r + s.size]
+            L, R = L[:, order], R[:, order]
+            At, Bt, Ct = L.T @ R, L.T @ Bh, Ch @ R
+            X, Y = At[q:, :q] / s[:, None], Bt[q:] / s[:, None]
+            Ai, Bh = At[:q, :q] - At[:q, q:] @ X, Bt[:q] - At[:q, q:] @ Y
+            Ch, D = Ct[:, :q] - Ct[:, q:] @ X, D + Ct[:, q:] @ Y
+            Ei = np.zeros((q, q))
+            Ei[:r, :r] = L[:, :r].T @ Ah @ R[:, :r]
 
-    A = _diag2(Am, np.eye(Ah.shape[0]))
-    E = _diag2(np.eye(Am.shape[0]), Ah)
+    A = _diag2(Am, Ai)
+    E = _diag2(np.eye(Am.shape[0]), Ei)
     B = np.vstack([Bm, Bh])
     C = np.hstack([Cm, Ch])
-    return _trusted_system(A, E, B, C, D_new, sys.domain)
+    return _trusted_system(A, E, B, C, D, sys.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -391,25 +376,27 @@ def is_minimum_phase(sys: DescriptorSystem, tol=None) -> bool:
 def minimality_report(sys: DescriptorSystem, tol=None) -> MinimalityReport:
     """Evaluate the five minimality conditions on the given realization.
 
-    Finite controllability holds when the staircase on the finite part of
-    :func:`minreal`'s split removes no state (the decoupling from the
-    infinite part leaves ``(A, B)`` there unchanged, so it is skipped);
-    finite observability is the same test on the transposed dual, so the
-    report is dual-symmetric."""
+    Every rank decision uses the absolute staircase tolerance of
+    :func:`minreal`'s split.  Finite controllability holds when the
+    staircase on the finite part of that split removes no state (the
+    decoupling from the infinite part leaves ``(A, B)`` there unchanged, so
+    it is skipped); finite observability is the same test on the transposed
+    dual, so the report is dual-symmetric.  Infinite controllability and
+    observability are full rank of ``[E, B]`` and ``[E; C]``, and the
+    non-dynamic modes are those of :func:`_nondynamic`."""
     A, E, B, C = sys.A, sys.E, sys.B, sys.C
 
     def _finite_controllable(g):
         Mk, Nk, B1, C1, ninf, tol_abs = _split(g, tol)
         Ef = Nk[ninf:, ninf:]
         As, Bs = np.linalg.solve(Ef, Mk[ninf:, ninf:]), np.linalg.solve(Ef, B1[ninf:, :])
-        return _ctrb_reduce(As, Bs, C1[:, ninf:], tol_abs)[0].shape == As.shape
+        return _ctrb_reduce(As, Bs, C1[:, ninf:], tol_abs)[0].shape == As.shape, tol_abs
 
-    fc = _finite_controllable(sys)
-    ic = rank_tol(np.hstack([E, B]), tol) == sys.n
-    fo = _finite_controllable(_trusted_system(A.T, E.T, C.T, B.T, sys.D.T, sys.domain))
-    io = rank_tol(np.vstack([E, C]), tol) == sys.n
-    Z = null_basis(E, tol)
-    nd = rank_tol(np.hstack([E, A @ Z]), tol) == rank_tol(E, tol)
+    fc, tol_abs = _finite_controllable(sys)
+    fo = _finite_controllable(_trusted_system(A.T, E.T, C.T, B.T, sys.D.T, sys.domain))[0]
+    ic = rank_tol(np.hstack([E, B]), tol_abs) == sys.n
+    io = rank_tol(np.vstack([E, C]), tol_abs) == sys.n
+    nd = _nondynamic(A, E, tol_abs)[3].size == 0
     return MinimalityReport(fc, ic, fo, io, nd, sys.n)
 
 

@@ -107,6 +107,8 @@ def parse_system(text: str) -> DescriptorSystem:
         domain = TimeDomain(hdr["domain"])
     except ValueError as exc:
         raise ParseError(f"bad header value: {exc}") from None
+    if min(n, m, p) < 0:
+        fail(f"negative dimension in header (n {n}, m {m}, p {p})")
 
     def read_block(name, rows, cols):
         line, ln = next_line()
@@ -303,10 +305,9 @@ def _cmd_info(args, tol):
 
 def _cmd_eval(args, tol):
     g = read_system(args.system)
-    re_s, im_s = (args.at.split(",") + ["0"])[:2]
     try:
-        lam = complex(_finite_float(re_s), _finite_float(im_s))
-    except ValueError:
+        lam = complex(*map(_finite_float, args.at.split(",")))
+    except (TypeError, ValueError):
         raise ParseError(f"bad --at value {args.at!r} (use RE,IM)") from None
     from .system import eval_tfm
 

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import assert_same_tfm, oracle_points, safe_eval
+from conftest import assert_same_tfm, assert_tfm_match, oracle_points, safe_eval
 
 from dstk.analysis import (
     StabilityRegion,
@@ -238,6 +238,13 @@ class TestMinimalityReport:
         rep = minimality_report(g)
         assert rep.minimal and rep.order == 0
 
+    def test_rounding_level_nondynamic_mode(self):
+        # E = 1e-15 sits below the staircase tolerance: the state is
+        # non-dynamic, and minreal solves it out
+        g = make_system([[1.0]], [[1e-15]], [[1.0]], [[1.0]], [[0.0]], "continuous")
+        assert not minimality_report(g).no_nondynamic_modes
+        assert minreal(g).n == 0
+
     @pytest.mark.parametrize("domain, n, seed", _DOUBLED_CASES)
     def test_doubled_systems(self, domain, n, seed):
         g = random_system(n, 2, 2, domain, rng=np.random.default_rng(1000 * seed + n))
@@ -298,6 +305,14 @@ class TestMinreal:
                 lam, a = safe_eval(gm, lam, rng)
                 b = eval_tfm(g, lam)
                 assert np.linalg.norm(a - b) <= 1e-8 * (1 + np.linalg.norm(b))
+
+    @pytest.mark.parametrize("domain", ["continuous", "discrete"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_improper_identity_product(self, domain, seed, rng):
+        g = random_system(8, 2, 2, domain, proper=False, rng=np.random.default_rng(1000 * seed + 8))
+        gm = minreal(series(g, inverse(g)))
+        assert gm.n == 0
+        assert_tfm_match(gm, lambda lam: np.eye(2), rng)
 
     def test_idempotent_order(self, rng):
         g = parallel(lag(), series(lag(), lag(2.0)))

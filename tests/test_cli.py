@@ -190,6 +190,13 @@ def _nonfinite_matrix(tmp_path):
     return ["klf", str(pm), str(pn)]
 
 
+def _negative_header(tmp_path, key):
+    text = format_system(lag_file(tmp_path)[0]).replace(f"\n{key} 1\n", f"\n{key} -1\n")
+    path = tmp_path / "neg.dss"
+    path.write_text(text)
+    return str(path)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -203,9 +210,13 @@ def _nonfinite_matrix(tmp_path):
         lambda tmp_path: ["eval", lag_file(tmp_path)[1], "--at", "nan,0"],
         lambda tmp_path: ["decompose", lag_file(tmp_path)[1], "--region", "half-plane:nan",
                           "--out-good", str(tmp_path / "a"), "--out-bad", str(tmp_path / "b")],
+        lambda tmp_path: ["eval", lag_file(tmp_path)[1], "--at", "1,2,3"],
+        lambda tmp_path: ["info", _negative_header(tmp_path, "n")],
+        lambda tmp_path: ["info", _negative_header(tmp_path, "m")],
+        lambda tmp_path: ["info", _negative_header(tmp_path, "p")],
     ],
     ids=["nan-in-system", "inf-in-matrix", "bad-at", "bad-half-plane", "negative-disk",
-         "nan-at", "nan-half-plane"],
+         "nan-at", "nan-half-plane", "three-part-at", "negative-n", "negative-m", "negative-p"],
 )
 def test_malformed_input_is_a_parse_error(tmp_path, capsys, argv):
     assert run(argv(tmp_path)) == 1
@@ -234,6 +245,12 @@ class TestJsonFailures:
         report = json.loads(capsys.readouterr().out)
         assert report == {"command": "info", "error": {"code": "parse-error", "message": report["error"]["message"]}}
         assert "header" in report["error"]["message"]
+
+    def test_negative_dimension(self, tmp_path, capsys):
+        assert run(["info", _negative_header(tmp_path, "n"), "--out", "json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report == {"command": "info", "error": {"code": "parse-error", "message": report["error"]["message"]}}
+        assert "negative dimension" in report["error"]["message"]
 
     @pytest.mark.parametrize(
         "argv, command",
