@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import (
+    IterationFailure,
     NonstrictlyProperContinuous,
     RegionInvalid,
     UnstableSystem,
@@ -21,6 +22,7 @@ from .exceptions import (
 from .kernels import (
     _diag2,
     _row_compress,
+    _svd,
     _svd_rank,
     default_tol,
     glyap,
@@ -217,26 +219,23 @@ def normal_rank(sys: DescriptorSystem) -> int:
 
 
 def _ctrb_reduce(A, B, C, tol_abs):
-    """Truncate to the controllable part via the orthogonal staircase."""
+    """Truncate to the controllable part via the orthogonal staircase on
+    ``S = [[A, B], [C, 0]]``: each step's ``U`` updates rows ``k0:n`` from the
+    previous stair's first column ``lo`` on (left of it they hold only
+    rounding), then columns ``k0:n``."""
     n = A.shape[0]
-    A = A.copy()
-    B = B.copy()
-    C = C.copy()
-    k0 = 0
+    S = np.block([[A, B], [C, np.zeros((C.shape[0], B.shape[1]))]])
+    k0 = lo = 0
     W = B
     while k0 < n:
         U, r = _row_compress(W, tol_abs)
         if r == 0:
             break
-        A[k0:, :] = U.T @ A[k0:, :]
-        A[:, k0:] = A[:, k0:] @ U
-        B[k0:, :] = U.T @ B[k0:, :]
-        C[:, k0:] = C[:, k0:] @ U
-        prev = k0
-        k0 += r
-        W = A[k0:, prev:k0]
-    nc = k0
-    return A[:nc, :nc], B[:nc, :], C[:, :nc]
+        S[k0:n, lo:] = U.T @ S[k0:n, lo:]
+        S[:, k0:n] = S[:, k0:n] @ U
+        lo, k0 = k0, k0 + r
+        W = S[k0:n, lo:k0]
+    return S[:k0, :k0], S[:k0, n:], S[n:, :k0]
 
 
 def _standard_minreal(A, B, C, tol_abs):
@@ -255,9 +254,9 @@ def _nondynamic(A, E, tol_abs):
     the rest of the kernel block.  Returns ``(L, R, r, s)``; ``s`` holds the
     singular values above ``tol_abs``, one per non-dynamic mode.
     """
-    U, se, Vh = np.linalg.svd(E)
+    U, se, Vh = _svd(E)
     r = _svd_rank(se, E.shape, tol_abs)
-    P, s, Qh = np.linalg.svd(U[:, r:].T @ A @ Vh[r:].T)
+    P, s, Qh = _svd(U[:, r:].T @ A @ Vh[r:].T)
     L = np.hstack([U[:, :r], U[:, r:] @ P])
     R = np.hstack([Vh[:r].T, Vh[r:].T @ Qh.T])
     return L, R, r, s[: _svd_rank(s, s.shape, tol_abs)]
@@ -339,10 +338,15 @@ def poles(sys: DescriptorSystem, tol=None) -> PoleZeroInfo:
 
 def zeros(sys: DescriptorSystem, tol=None) -> PoleZeroInfo:
     """Zero structure of the TFM: finite eigenvalues of the regular part of
-    the system matrix pencil, infinite zero count, and (nr, nl) defects."""
+    the system matrix pencil, infinite zero count, and (nr, nl) defects.
+    Block counts other than ``m - r`` right and ``p - r`` left (``r`` the
+    normal rank) raise :class:`IterationFailure`."""
     g = minreal(sys, tol=tol)
-    Ms, Ns = _system_pencil(g)
-    _, _, _, _, ks = klf(Ms, Ns, tol=tol)
+    _, _, _, _, ks = klf(*_system_pencil(g), tol=tol)
+    r = normal_rank(g)
+    found, want = (len(ks.right_indices), len(ks.left_indices)), (g.m - r, g.p - r)
+    if found != want:
+        raise IterationFailure(f"staircase found {found} (right, left) Kronecker blocks where the normal rank leaves {want}")
     return _value_info(ks.finite_eigenvalues, ks.infinite_divisor_degrees, (ks.nr, ks.nl))
 
 

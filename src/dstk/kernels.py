@@ -1,6 +1,7 @@
 """Dense real linear-algebra kernels.
 
-Tolerance-based rank decisions, orthonormal nullspace bases, the ordered
+Tolerance-based rank decisions and orthonormal nullspace bases, all from one
+SVD entry point (``_svd``: one LAPACK ``gesdd`` call), the ordered
 generalized real Schur decomposition, the generalized Sylvester solver of
 block decoupling (LAPACK ``dtgsyl`` on the QZ forms) and an O(n^3)
 generalized Lyapunov solver (Bartels--Stewart on the QZ form).  Everything
@@ -64,6 +65,18 @@ def _svd_rank(s, shape, tol=None) -> int:
     return int(np.count_nonzero(s > tol))
 
 
+def _svd(M, vectors=True):
+    """``(U, s, Vh)`` of ``M``, full ``U`` and ``Vh`` (``s`` alone without
+    ``vectors``), from one LAPACK ``gesdd`` call, real or complex.  A failed
+    iteration raises ``numpy.linalg.LinAlgError``."""
+    if M.size == 0:
+        return (np.eye(M.shape[0]), np.zeros(0), np.eye(M.shape[1])) if vectors else np.zeros(0)
+    U, s, Vh, info = sla.get_lapack_funcs("gesdd", (M,))(M, compute_uv=int(vectors), full_matrices=1)
+    if info:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    return (U, s, Vh) if vectors else s
+
+
 def rank_tol(M, tol=None) -> int:
     """Numerical rank: number of singular values above the tolerance.
 
@@ -71,9 +84,7 @@ def rank_tol(M, tol=None) -> int:
     ``max(rows, cols) * eps * sigma_max``.  Empty matrices have rank 0.
     """
     M = np.asarray(M)
-    if M.size == 0:
-        return 0
-    return _svd_rank(np.linalg.svd(M, compute_uv=False), M.shape, tol)
+    return _svd_rank(_svd(M, vectors=False), M.shape, tol)
 
 
 def null_basis(M, tol=None) -> np.ndarray:
@@ -85,11 +96,9 @@ def null_basis(M, tol=None) -> np.ndarray:
     M = np.asarray(M, dtype=M.dtype if np.iscomplexobj(M) else float)
     m, n = M.shape if M.ndim == 2 else (1, M.size)
     M = M.reshape(m, n)
-    if n == 0:
-        return np.zeros((0, 0))
     if m == 0 or not M.any():
         return np.eye(n)
-    U, s, Vh = np.linalg.svd(M, full_matrices=True)
+    _, s, Vh = _svd(M)
     return Vh[_svd_rank(s, M.shape, tol) :].conj().T
 
 
@@ -99,10 +108,7 @@ def _row_compress(M, tol_abs, rank=None):
     A given ``rank`` prescribes the split instead of deciding it against
     ``tol_abs``.
     """
-    m = M.shape[0]
-    if M.size == 0:
-        return np.eye(m), 0
-    U, s, _ = np.linalg.svd(M, full_matrices=True)
+    U, s, _ = _svd(M)
     return U, _svd_rank(s, M.shape, tol_abs) if rank is None else rank
 
 
@@ -113,11 +119,9 @@ def _col_compress_null_first(M, tol_abs, nullity=None):
     ``tol_abs``.
     """
     m, n = M.shape
-    if n == 0:
-        return np.eye(0), 0
     if m == 0 or not M.any():
         return np.eye(n), n if nullity is None else nullity
-    _, s, Vh = np.linalg.svd(M, full_matrices=True)
+    _, s, Vh = _svd(M)
     r = _svd_rank(s, M.shape, tol_abs) if nullity is None else n - nullity
     V = np.hstack([Vh[r:].T, Vh[:r].T])
     return V, n - r

@@ -23,6 +23,7 @@ from .kernels import (
     _col_compress_null_first,
     _probe_rank,
     _row_compress,
+    _svd,
     as_matrix,
     default_tol,
 )
@@ -175,7 +176,13 @@ def _finite_eigenvalues(M, N):
 def _regular_deflate(M, N, tol):
     """One deflation pass on a square pencil: ``(Mk, Nk, U, V, divisors)``,
     infinite structure leading, trailing ``Nk`` invertible.  A square pencil
-    without right minimal indices has no left ones either."""
+    without right minimal indices has no left ones either.  ``N`` is
+    invertible, and the pencil comes back unchanged, when ``sigma_min(N)``
+    exceeds ``tol`` or else ``default_tol(n, max(||M||_F, sigma_max(N)))``,
+    an upper bound of the staircase tolerance: no singular vectors needed."""
+    n, s = N.shape[0], _svd(N, vectors=False)
+    if s.size and s[-1] > (default_tol(n, max(np.linalg.norm(M), s[0])) if tol is None else tol):
+        return M.copy(), N.copy(), np.eye(n), np.eye(n), []
     Mk, Nk, U, V, mus, nus = _deflate(M, N, _staircase_tol(M, N, tol))
     right, divisors = _stair_counts(mus, nus)
     if right:

@@ -7,6 +7,7 @@ from conftest import assert_same_tfm, assert_tfm_match, oracle_points, safe_eval
 
 from dstk.analysis import (
     StabilityRegion,
+    _ctrb_reduce,
     h2_norm,
     is_minimum_phase,
     is_stable,
@@ -18,11 +19,13 @@ from dstk.analysis import (
     stability_region,
     zeros,
 )
-from dstk.exceptions import NonstrictlyProperContinuous, UnstableSystem
+from dstk.exceptions import IterationFailure, NonstrictlyProperContinuous, UnstableSystem
+from dstk.kernels import default_tol
 from dstk.ops import (
     RationalMatrixData,
     concat_col,
     concat_row,
+    diag_stack,
     inverse,
     parallel,
     realize_rational,
@@ -167,6 +170,22 @@ class TestZeros:
             zp = poles(g)
             zz = zeros(g)
             assert zp.total == zz.total + zz.kronecker_ranks[0] + zz.kronecker_ranks[1]
+
+    def _product(self, seed):
+        # 3x4 of normal rank 2: one left and two right Kronecker blocks
+        r = np.random.default_rng(seed)
+        return series(random_system(10, 2, 3, "continuous", rng=r), random_system(10, 4, 2, "continuous", rng=r))
+
+    def test_misjudged_staircase_refused(self):
+        # the staircase misreads the Kronecker structure of this product; it
+        # used to report 10 finite zeros with ranks (5, 0)
+        with pytest.raises(IterationFailure):
+            zeros(self._product(7))
+
+    def test_rank_deficient_product(self):
+        info = zeros(self._product(0))
+        assert info.kronecker_ranks == (10, 10)
+        assert info.total == 0
 
 
 class TestDegreeAndPredicates:
@@ -325,6 +344,23 @@ class TestMinreal:
         assert mcmillan_degree(g) == 1
         gm = minreal(g)
         assert gm.n == 1 == mcmillan_degree(gm)
+
+
+class TestCtrbReduce:
+    @pytest.mark.parametrize("n1, n2, m", [(5, 4, 1), (12, 7, 2), (20, 10, 3)])
+    def test_keeps_controllable_part(self, rng, n1, n2, m):
+        # diag(G1, G2) with G2 fed by no input, hidden by an orthogonal similarity
+        g1 = random_system(n1, m, 2, "continuous", rng=rng)
+        g1 = make_system(np.linalg.solve(g1.E, g1.A), None, np.linalg.solve(g1.E, g1.B), g1.C, g1.D, "continuous")
+        g2 = make_system(rng.normal(size=(n2, n2)), None, np.zeros((n2, 1)), rng.normal(size=(2, n2)),
+                         np.zeros((2, 1)), "continuous")
+        Q = np.linalg.qr(rng.normal(size=(n1 + n2, n1 + n2)))[0]
+        g = diag_stack(g1, g2)
+        At, Bt, Ct = Q.T @ g.A @ Q, Q.T @ g.B, g.C @ Q
+        tol = default_tol(n1 + n2, max(np.linalg.norm(X) for X in (At, Bt, Ct)) + 1.0)  # minreal's rule
+        A, B, C = _ctrb_reduce(At, Bt, Ct, tol)
+        assert A.shape == (n1, n1) and B.shape == (n1, m + 1) and C.shape == (4, n1)
+        assert_same_tfm(make_system(A, None, B, C, g.D, "continuous"), g, rng)
 
 
 class TestH2Norm:

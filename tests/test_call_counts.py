@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dstk import analysis, cli, factor, pencil, solve
+from dstk import analysis, cli, factor, kernels, pencil, solve
 from dstk.cli import write_system
 from dstk.pencil import weierstrass_structure
 from dstk.system import make_system, random_system
@@ -107,3 +107,25 @@ def test_model_match_skips_inner_completion(pipeline_calls):
     solve.l2_model_match(G, F)
     assert pipeline_calls["inner_complement"] == 0
     assert pipeline_calls["minreal"] <= 10
+
+
+@pytest.mark.parametrize(
+    "query",
+    [analysis.minreal, analysis.poles, lambda g: weierstrass_structure(g.A, g.E)],
+    ids=["minreal", "poles", "weierstrass_structure"],
+)
+def test_invertible_E_needs_no_square_singular_vectors(monkeypatch, proper24, query):
+    # an invertible E is decided from its singular values alone, and the
+    # staircase compresses only n x m stairs
+    shapes, svd = [], kernels._svd
+
+    def counted(M, vectors=True):
+        shapes.append((M.shape, vectors))
+        return svd(M, vectors)
+
+    for mod in (kernels, pencil, analysis):
+        monkeypatch.setattr(mod, "_svd", counted)
+    query(proper24)
+    n = proper24.n
+    assert ((n, n), False) in shapes
+    assert ((n, n), True) not in shapes

@@ -7,6 +7,8 @@ from scipy.optimize import linear_sum_assignment
 
 from dstk.exceptions import SingularPencil, SpectraNotDisjoint, UnstablePair
 from dstk.kernels import (
+    _row_compress,
+    _svd,
     glyap,
     gschur_ordered,
     gsylv_separation,
@@ -45,6 +47,47 @@ class TestRankTol:
         tol = 1e-10
         for c in (3.0, 0.25):
             assert rank_tol(c * M, c * tol) == rank_tol(M, tol)
+
+
+class TestSvd:
+    @pytest.mark.parametrize("shape", [(6, 6), (9, 2), (2, 9)])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_matches_numpy(self, rng, shape, complex_):
+        M = rng.normal(size=shape) + (1j * rng.normal(size=shape) if complex_ else 0.0)
+        want = np.linalg.svd(M, compute_uv=False)
+        s = _svd(M, vectors=False)
+        U, s2, Vh = _svd(M)
+        for got in (s, s2):
+            assert np.max(np.abs(got - want)) <= 1e-13 * want[0]
+        assert U.shape == (shape[0], shape[0]) and Vh.shape == (shape[1], shape[1])
+        k = min(shape)
+        assert np.allclose((U[:, :k] * s2) @ Vh[:k], M, atol=1e-13 * want[0])
+        assert np.allclose(U.conj().T @ U, np.eye(shape[0]), atol=1e-13)
+        assert np.allclose(Vh @ Vh.conj().T, np.eye(shape[1]), atol=1e-13)
+
+    def test_empty(self):
+        U, s, Vh = _svd(np.zeros((3, 0)))
+        assert U.shape == (3, 3) and s.size == 0 and Vh.shape == (0, 0)
+        assert _svd(np.zeros((0, 2)), vectors=False).size == 0
+
+    def test_non_finite_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            _svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
+class TestRowCompress:
+    def test_orthogonal_and_compressed(self, rng):
+        M = rng.normal(size=(12, 3)) @ rng.normal(size=(3, 5))  # rank 3
+        U, r = _row_compress(M, 1e-10)
+        assert r == 3
+        assert np.linalg.norm(U.T @ U - np.eye(12)) < 1e-13
+        UM = U.T @ M
+        assert np.linalg.norm(UM[r:]) < 1e-13 * np.linalg.norm(M)
+        assert np.linalg.matrix_rank(UM[:r]) == r
+
+    def test_prescribed_rank(self, rng):
+        U, r = _row_compress(rng.normal(size=(5, 2)), 1e-10, rank=1)
+        assert r == 1 and U.shape == (5, 5)
 
 
 class TestNullBasis:
