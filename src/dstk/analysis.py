@@ -28,6 +28,7 @@ from .kernels import (
     glyap,
     gsylv_separation,
     rank_tol,
+    stair_tol,
 )
 from .pencil import _regular_deflate, klf, pencil_normal_rank, weierstrass_structure
 from .system import DescriptorSystem, TimeDomain, _trusted_system
@@ -266,7 +267,8 @@ def _split(sys: DescriptorSystem, tol):
     """One deflation pass: the pencil ``Mk - lam Nk`` with its ``ninf``
     infinite eigenvalues leading, ``B`` and ``C`` in its coordinates, and the
     absolute staircase tolerance."""
-    Mk, Nk, U, V, divisors = _regular_deflate(sys.A, sys.E, tol)
+    Mk, Nk, U, V, divisors = _regular_deflate(sys.A, sys.E, stair_tol(tol, sys.n, sys.A, sys.E))
+    # the staircases run on standardized data, whose scale the raw norms miss
     scale = max(np.linalg.norm(X) for X in (sys.A, sys.E, sys.B, sys.C)) + 1.0
     tol_abs = tol if tol is not None else default_tol(max(sys.n, sys.m, sys.p), scale)
     return Mk, Nk, U @ sys.B, sys.C @ V, int(sum(divisors)), tol_abs

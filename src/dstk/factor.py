@@ -28,11 +28,13 @@ from .exceptions import (
 from .analysis import StabilityRegion, minreal, normal_rank, stability_region, zeros
 from .kernels import (
     _diag2,
-    finite_beta_threshold,
+    _svd,
+    _svd_rank,
     gschur_ordered,
     gsylv_separation,
     null_basis,
     rank_tol,
+    stair_tol,
 )
 from .ops import _static, concat_row, transpose_dual
 from .pencil import weierstrass_structure
@@ -101,7 +103,7 @@ def additive_decompose(
     if g.n == 0:
         return FactorPair(g, _static(np.zeros((p, m)), g.domain), "additive")
 
-    beta_thr = finite_beta_threshold(g.E)
+    beta_thr = stair_tol(tol, g.n, g.E)
     res = gschur_ordered(g.A, g.E, select=lambda a, b: b > beta_thr and region.contains(a / b))
     k = res.selected_count
     n = g.n
@@ -136,13 +138,13 @@ def _dislocating_feedback(g, region, pole_set, tol):
     A, E, B = g.A, g.E, g.B
     F = np.zeros((m, n))
 
-    re = rank_tol(E, tol)
+    Ue, se, VeT = _svd(E)
+    e_tol = stair_tol(tol, n, E)
+    re = _svd_rank(se, E.shape, e_tol)
     if re < n:
         # index reduction: make the trailing block of A + BF invertible in the
         # orthogonal coordinates that compress E
-        Ue, _, VeT = np.linalg.svd(E)
-        Ve = VeT.T
-        Ap = Ue.T @ A @ Ve
+        Ap = Ue.T @ A @ VeT.T
         Bp = Ue.T @ B
         A22 = Ap[re:, re:]
         B2 = Bp[re:, :]
@@ -151,11 +153,10 @@ def _dislocating_feedback(g, region, pole_set, tol):
         scale = 1.0 + np.linalg.norm(A, 2)
         T = scale * np.eye(n - re)
         F2 = B2.T @ np.linalg.solve(B2 @ B2.T, T - A22)
-        F = np.hstack([np.zeros((m, re)), F2]) @ Ve.T
+        F = np.hstack([np.zeros((m, re)), F2]) @ VeT
         A = A + B @ F
 
-    beta_thr = finite_beta_threshold(E)
-    res = gschur_ordered(A, E, select=lambda a, b: b <= beta_thr or region.contains(a / b))
+    res = gschur_ordered(A, E, select=lambda a, b: b <= e_tol or region.contains(a / b))
     k = res.selected_count
     if k < n:
         nb = n - k

@@ -6,6 +6,10 @@ generalized real Schur decomposition, the generalized Sylvester solver of
 block decoupling (LAPACK ``dtgsyl`` on the QZ forms) and an O(n^3)
 generalized Lyapunov solver (Bartels--Stewart on the QZ form).  Everything
 downstream is built on these primitives.
+
+Point ranks (``rank_tol``, ``null_basis``, probes) are relative to
+``sigma_max``; structural cuts (staircase, deflation, QZ beta) are absolute,
+at ``stair_tol``.
 """
 
 from __future__ import annotations
@@ -52,6 +56,12 @@ def default_tol(dim, scale) -> float:
     updates, which can sit well above ``eps * scale``.
     """
     return 100.0 * max(dim, 1) * EPS * scale
+
+
+def stair_tol(tol, dim, *mats) -> float:
+    """Absolute tolerance of a structural rank cut: ``tol`` when given, else
+    ``default_tol(dim, max ||M||_F)`` over the matrices the cut is about."""
+    return tol if tol is not None else default_tol(dim, max(np.linalg.norm(M) for M in mats))
 
 
 def _svd_rank(s, shape, tol=None) -> int:
@@ -349,13 +359,6 @@ def _domain_kind(domain) -> str:
     return kind
 
 
-def finite_beta_threshold(E) -> float:
-    """Threshold under which a QZ beta is treated as an infinite eigenvalue."""
-    E = np.asarray(E, dtype=float)
-    scale = np.linalg.norm(E, 2) if E.size else 0.0
-    return default_tol(E.shape[0], scale + 1e-300)
-
-
 def glyap(A, E, W, domain) -> np.ndarray:
     """Solve the generalized Lyapunov equation for a stable pair ``(A, E)``.
 
@@ -367,7 +370,8 @@ def glyap(A, E, W, domain) -> np.ndarray:
     the QZ form ``Q^T (A, E) Z = (S, T)`` that the stability check computes
     (Penzl, 1998): the standard equation in ``M = T^-1 S`` and
     ``T^-1 Q^T W Q T^-T`` goes to ``scipy.linalg.solve_*_lyapunov``, whose
-    solution ``Y`` gives ``X = Z Y Z^T``.
+    solution ``Y`` gives ``X = Z Y Z^T``.  A QZ beta at most
+    ``stair_tol(None, n, E)`` is an infinite, hence unstable, eigenvalue.
     """
     A = as_matrix(A, "A")
     E = as_matrix(E, "E")
@@ -384,7 +388,7 @@ def glyap(A, E, W, domain) -> np.ndarray:
     W = 0.5 * (W + W.T)
 
     qz = gschur_ordered(A, E)
-    beta_tol = finite_beta_threshold(E)
+    beta_tol = stair_tol(None, n, E)
     for alpha, beta in qz.eigenvalues:
         if beta <= beta_tol:
             raise UnstablePair("pencil has an infinite eigenvalue")

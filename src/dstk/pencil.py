@@ -25,7 +25,7 @@ from .kernels import (
     _row_compress,
     _svd,
     as_matrix,
-    default_tol,
+    stair_tol,
 )
 
 __all__ = [
@@ -83,16 +83,6 @@ class WeierstrassStructure:
     @property
     def ninf(self) -> int:
         return int(sum(self.infinite_divisor_degrees))
-
-
-def _staircase_tol(M, N, tol):
-    if tol is not None:
-        return tol
-    scale = 0.0
-    for X in (M, N):
-        if X.size:
-            scale = max(scale, np.linalg.norm(X, 2))
-    return default_tol(max(M.shape), scale + 1e-300)
 
 
 def _deflate(M, N, tol_abs, forced=None):
@@ -173,17 +163,17 @@ def _finite_eigenvalues(M, N):
     return [complex(v) for v in z]
 
 
-def _regular_deflate(M, N, tol):
+def _regular_deflate(M, N, tol_abs):
     """One deflation pass on a square pencil: ``(Mk, Nk, U, V, divisors)``,
     infinite structure leading, trailing ``Nk`` invertible.  A square pencil
-    without right minimal indices has no left ones either.  ``N`` is
-    invertible, and the pencil comes back unchanged, when ``sigma_min(N)``
-    exceeds ``tol`` or else ``default_tol(n, max(||M||_F, sigma_max(N)))``,
-    an upper bound of the staircase tolerance: no singular vectors needed."""
+    without right minimal indices has no left ones either.  One absolute
+    tolerance decides both steps: ``N`` is invertible, and the pencil comes
+    back unchanged, when ``sigma_min(N)`` exceeds ``tol_abs`` (no singular
+    vectors needed); otherwise the staircase cuts at ``tol_abs``."""
     n, s = N.shape[0], _svd(N, vectors=False)
-    if s.size and s[-1] > (default_tol(n, max(np.linalg.norm(M), s[0])) if tol is None else tol):
+    if s.size and s[-1] > tol_abs:
         return M.copy(), N.copy(), np.eye(n), np.eye(n), []
-    Mk, Nk, U, V, mus, nus = _deflate(M, N, _staircase_tol(M, N, tol))
+    Mk, Nk, U, V, mus, nus = _deflate(M, N, tol_abs)
     right, divisors = _stair_counts(mus, nus)
     if right:
         raise SingularPencil("pencil is singular: it has minimal indices")
@@ -198,7 +188,8 @@ def klf(M, N, tol=None):
     leading right-singular stairs, then the regular part (infinite structure
     followed by the finite block, whose eigenvalues come from a QZ without
     Schur vectors), then trailing left-singular stairs.  ``ks`` collects the
-    structural counts.
+    structural counts.  Every rank cut of the three passes is taken at
+    ``stair_tol(tol, max(M.shape), M, N)``.
 
     Regular pencils simply yield empty index lists.
     """
@@ -207,7 +198,7 @@ def klf(M, N, tol=None):
     if M.shape != N.shape:
         raise DimensionMismatch(f"M and N must have equal shapes, got {M.shape} and {N.shape}")
     m, n = M.shape
-    tol_abs = _staircase_tol(M, N, tol)
+    tol_abs = stair_tol(tol, max(M.shape), M, N)
 
     # pass 1: right singular + infinite structure to the front
     Mk, Nk, L, R, mus1, nus1 = _deflate(M, N, tol_abs)
@@ -282,15 +273,16 @@ def klf(M, N, tol=None):
 def weierstrass_structure(A, E, tol=None) -> WeierstrassStructure:
     """Finite eigenvalues and infinite divisor degrees of a regular pencil.
 
-    One rank-deflation pass gives the infinite structure; the finite
-    eigenvalues come from the deflated trailing block, so no eigenvalue ever
-    has to be classified by the size of a QZ beta.
+    One rank-deflation pass, cut at ``stair_tol(tol, n, A, E)``, gives the
+    infinite structure; the finite eigenvalues come from the deflated
+    trailing block, so no eigenvalue ever has to be classified by the size
+    of a QZ beta.
     """
     A = as_matrix(A, "A")
     E = as_matrix(E, "E")
     if A.shape != E.shape or A.shape[0] != A.shape[1]:
         raise DimensionMismatch("regular pencil blocks must be square and equal-sized")
-    Mk, Nk, _, _, divisors = _regular_deflate(A, E, tol)
+    Mk, Nk, _, _, divisors = _regular_deflate(A, E, stair_tol(tol, A.shape[0], A, E))
     k = int(sum(divisors))
     return WeierstrassStructure(_finite_eigenvalues(Mk[k:, k:], Nk[k:, k:]), divisors)
 

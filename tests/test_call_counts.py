@@ -129,3 +129,57 @@ def test_invertible_E_needs_no_square_singular_vectors(monkeypatch, proper24, qu
     n = proper24.n
     assert ((n, n), False) in shapes
     assert ((n, n), True) not in shapes
+
+
+@pytest.fixture
+def norm2_calls(monkeypatch):
+    """Number of ``numpy.linalg.norm(X, 2)`` calls: structural cuts scale by
+    Frobenius norms and need no 2-norm SVD."""
+    count, norm = [0], np.linalg.norm
+
+    def counted(x, ord=None, *args, **kwargs):
+        count[0] += ord == 2
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    return count
+
+
+@pytest.fixture
+def improper24():
+    return random_system(24, 2, 2, "continuous", proper=False, rng=np.random.default_rng(24))
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda g: pencil.klf(*analysis._system_pencil(g)),
+        lambda g: weierstrass_structure(g.A, g.E),
+        lambda g: factor.additive_decompose(g, analysis.stability_region(g.domain), improper_to_bad=True),
+        lambda g: kernels.glyap(-np.eye(g.n), np.eye(g.n), np.eye(g.n), "continuous"),
+    ],
+    ids=["klf", "weierstrass_structure", "additive_decompose", "glyap"],
+)
+def test_structural_cuts_take_no_2_norm(norm2_calls, improper24, query):
+    query(improper24)
+    assert norm2_calls[0] == 0
+
+
+def test_rcf_takes_one_svd_of_E(monkeypatch, improper24):
+    # the rank of E, its compression and the QZ beta cut share one SVD
+    g = analysis.minreal(improper24)
+    assert kernels.rank_tol(g.E) < g.n
+    seen, svd, np_svd = Counter(), kernels._svd, np.linalg.svd
+
+    def counted(fn, name):
+        def wrapper(M, *args, **kwargs):
+            seen[name] += np.shape(M) == g.E.shape and np.array_equal(M, g.E)
+            return fn(M, *args, **kwargs)
+
+        return wrapper
+
+    for mod in (kernels, pencil, analysis, factor):
+        monkeypatch.setattr(mod, "_svd", counted(svd, "_svd"), raising=False)
+    monkeypatch.setattr(np.linalg, "svd", counted(np_svd, "numpy"))
+    factor.rcf(improper24, analysis.stability_region(g.domain))
+    assert (seen["_svd"], seen["numpy"]) == (1, 0)

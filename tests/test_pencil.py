@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from dstk.exceptions import SingularPencil
+from dstk.exceptions import SingularPencil, UnstablePair
+from dstk.kernels import default_tol, glyap
 from dstk.pencil import klf, pencil_normal_rank, weierstrass_structure
 
 
@@ -196,6 +197,30 @@ class TestWeierstrass:
             rows, cols = linear_sum_assignment(cost)
             assert cost[rows, cols].max() <= 1e-10 * (1.0 + np.abs(planted).max())
             assert {z.conjugate() for z in finite} == set(finite)
+
+
+class TestOneCut:
+    """``klf``, ``weierstrass_structure`` and ``glyap``'s beta test cut one
+    pencil at one tolerance."""
+
+    @pytest.mark.parametrize("factor, n_inf", [(0.5, 1), (2.0, 0)])
+    def test_small_singular_value_of_E(self, factor, n_inf):
+        # A = I and E = diag(1, ..., 1, delta) under one orthogonal similarity,
+        # delta on either side of the cut; ||A||_F = sqrt(n) > ||E||_F
+        n = 9
+        e = np.ones(n)
+        e[-1] = factor * default_tol(n, np.sqrt(n))
+        Q, _ = np.linalg.qr(np.random.default_rng(9).normal(size=(n, n)))
+        A, E = Q @ np.eye(n) @ Q.T, Q @ np.diag(e) @ Q.T
+        ks = klf(A, E)[4]
+        ws = weierstrass_structure(A, E)
+        assert ks.infinite_divisor_degrees == ws.infinite_divisor_degrees == [1] * n_inf
+        assert len(ks.finite_eigenvalues) == ws.nf == n - n_inf
+        if n_inf:
+            with pytest.raises(UnstablePair):
+                glyap(-A, E, np.eye(n), "continuous")
+        else:
+            assert np.all(np.isfinite(glyap(-A, E, np.eye(n), "continuous")))
 
 
 class TestNormalRank:
