@@ -17,6 +17,7 @@ from .exceptions import (
     IterationFailure,
     NonstrictlyProperContinuous,
     RegionInvalid,
+    UnstablePair,
     UnstableSystem,
 )
 from .kernels import (
@@ -30,7 +31,7 @@ from .kernels import (
     rank_tol,
     stair_tol,
 )
-from .pencil import _regular_deflate, klf, pencil_normal_rank, weierstrass_structure
+from .pencil import _regular_deflate, klf, pencil_normal_rank
 from .system import DescriptorSystem, TimeDomain, _trusted_system
 
 __all__ = [
@@ -177,8 +178,8 @@ class MinimalityReport:
         return self.irreducible and self.no_nondynamic_modes
 
 
-def _value_info(vals, divisors, kronecker_ranks=None) -> PoleZeroInfo:
-    """Poles or zeros from finite values and infinite divisor degrees; QZ
+def _value_info(vals, inf_count, kronecker_ranks=None) -> PoleZeroInfo:
+    """Poles or zeros from finite values and the infinite count; eigenvalue
     rounding is zeroed out of the imaginary parts of nearly real values."""
     finite = []
     for v in vals:
@@ -186,7 +187,6 @@ def _value_info(vals, divisors, kronecker_ranks=None) -> PoleZeroInfo:
         if abs(v.imag) <= 1e-10 * max(1.0, abs(v)):
             v = complex(v.real)
         finite.append(v)
-    inf_count = int(sum(d - 1 for d in divisors))
     return PoleZeroInfo(finite, inf_count, len(finite) + inf_count, kronecker_ranks)
 
 
@@ -287,8 +287,15 @@ def minreal(sys: DescriptorSystem, tol=None) -> DescriptorSystem:
     tolerance.  The result satisfies all five minimality conditions and its
     order never exceeds the input order.
     """
+    return _reduce(sys, tol)[0]
+
+
+def _reduce(sys: DescriptorSystem, tol):
+    """:func:`minreal` and its pole structure ``(g, nf, ninf)``: ``g`` is block
+    diagonal, its leading ``nf`` states finite with ``E = I`` exactly, and
+    ``ninf``, the infinite pole count, is the rank of the trailing ``E``."""
     if sys.n == 0:
-        return sys
+        return sys, 0, 0
     Mk, Nk, B1, C1, ninf, tol_abs = _split(sys, tol)
     Ai, Ei, Af, Ef = Mk[:ninf, :ninf], Nk[:ninf, :ninf], Mk[ninf:, ninf:], Nk[ninf:, ninf:]
     Bi, Bf = B1[:ninf, :], B1[ninf:, :]
@@ -303,7 +310,7 @@ def minreal(sys: DescriptorSystem, tol=None) -> DescriptorSystem:
 
     # infinite half; dividing by s below is the one non-orthogonal step
     Ah, Bh, Ch = _standard_minreal(Ah, Bh, Ch, tol_abs)
-    Ai, Ei, D = np.eye(Ah.shape[0]), Ah, sys.D
+    Ai, Ei, D, r = np.eye(Ah.shape[0]), Ah, sys.D, 0
     if Ah.size:
         L, R, r, s = _nondynamic(Ai, Ah, tol_abs)
         if s.size:
@@ -321,21 +328,24 @@ def minreal(sys: DescriptorSystem, tol=None) -> DescriptorSystem:
     E = _diag2(np.eye(Am.shape[0]), Ei)
     B = np.vstack([Bm, Bh])
     C = np.hstack([Cm, Ch])
-    return _trusted_system(A, E, B, C, D, sys.domain)
+    return _trusted_system(A, E, B, C, D, sys.domain), Am.shape[0], r
 
 
 # ---------------------------------------------------------------------------
 # poles, zeros, predicates
 
 
+def _poles(g, nf, ninf) -> PoleZeroInfo:
+    """:func:`poles` from the output of :func:`_reduce`."""
+    return _value_info(np.linalg.eigvals(g.A[:nf, :nf]), ninf)
+
+
 def poles(sys: DescriptorSystem, tol=None) -> PoleZeroInfo:
-    """Pole structure of the TFM from the Weierstrass structure of
-    ``minreal(sys)``: finite poles, the infinite pole count
-    ``sum(divisor degree - 1)`` and their total, the McMillan degree.
-    ``kronecker_ranks`` is ``None``."""
-    g = minreal(sys, tol=tol)
-    ws = weierstrass_structure(g.A, g.E, tol=tol)
-    return _value_info(ws.finite_eigenvalues, ws.infinite_divisor_degrees)
+    """Pole structure of the TFM as :func:`minreal` splits it, deflating
+    nothing again: finite poles (eigenvalues of its ``E = I`` block), the
+    infinite pole count ``sum(divisor degree - 1)`` (rank of its infinite
+    ``E`` block) and their total, the McMillan degree; no ``kronecker_ranks``."""
+    return _poles(*_reduce(sys, tol))
 
 
 def zeros(sys: DescriptorSystem, tol=None) -> PoleZeroInfo:
@@ -343,13 +353,18 @@ def zeros(sys: DescriptorSystem, tol=None) -> PoleZeroInfo:
     the system matrix pencil, infinite zero count, and (nr, nl) defects.
     Block counts other than ``m - r`` right and ``p - r`` left (``r`` the
     normal rank) raise :class:`IterationFailure`."""
-    g = minreal(sys, tol=tol)
+    return _zeros(minreal(sys, tol=tol), tol)
+
+
+def _zeros(g, tol) -> PoleZeroInfo:
+    """:func:`zeros` of a system ``g`` that is already minimal."""
     _, _, _, _, ks = klf(*_system_pencil(g), tol=tol)
     r = normal_rank(g)
     found, want = (len(ks.right_indices), len(ks.left_indices)), (g.m - r, g.p - r)
     if found != want:
         raise IterationFailure(f"staircase found {found} (right, left) Kronecker blocks where the normal rank leaves {want}")
-    return _value_info(ks.finite_eigenvalues, ks.infinite_divisor_degrees, (ks.nr, ks.nl))
+    inf_count = sum(d - 1 for d in ks.infinite_divisor_degrees)
+    return _value_info(ks.finite_eigenvalues, int(inf_count), (ks.nr, ks.nl))
 
 
 def mcmillan_degree(sys: DescriptorSystem, tol=None) -> int:
@@ -413,19 +428,21 @@ def minimality_report(sys: DescriptorSystem, tol=None) -> MinimalityReport:
 def h2_norm(sys: DescriptorSystem, tol=None) -> float:
     """H2 norm of a stable system via the controllability Gramian.
 
-    Continuous time requires a strictly proper TFM (``D = 0`` after
-    reduction); in discrete time the feedthrough contributes ``trace(D D^T)``.
+    An improper TFM (``minreal(sys)`` has ``E != I``) or a pole outside the
+    stable region (``glyap``'s QZ) raises :class:`UnstableSystem`.  Continuous
+    time requires a strictly proper TFM (``D = 0`` after reduction); in
+    discrete time the feedthrough contributes ``trace(D D^T)``.
     """
     g = minreal(sys, tol=tol)
-    ws = weierstrass_structure(g.A, g.E, tol=tol)
-    if not _all_stable(ws.finite_eigenvalues, ws.infinite_divisor_degrees, g.domain):
-        raise UnstableSystem("H2 norm requires all poles in the stable region")
-    dscale = np.linalg.norm(g.D)
-    if g.domain is TimeDomain.CONTINUOUS and dscale > 1e-10 * (1.0 + np.linalg.norm(g.B) * np.linalg.norm(g.C)):
+    unstable = UnstableSystem("H2 norm requires all poles in the stable region")
+    if not g.is_standard:
+        raise unstable
+    try:
+        X = glyap(g.A, g.E, g.B @ g.B.T, g.domain)
+    except UnstablePair:
+        raise unstable from None
+    if g.domain is TimeDomain.CONTINUOUS and np.linalg.norm(g.D) > 1e-10 * (1.0 + np.linalg.norm(g.B) * np.linalg.norm(g.C)):
         raise NonstrictlyProperContinuous("continuous-time H2 norm needs a strictly proper system")
-    if g.n == 0:
-        return float(np.linalg.norm(g.D)) if g.domain is TimeDomain.DISCRETE else 0.0
-    X = glyap(g.A, g.E, g.B @ g.B.T, g.domain)
     val = float(np.trace(g.C @ X @ g.C.T))
     if g.domain is TimeDomain.DISCRETE:
         val += float(np.trace(g.D @ g.D.T))

@@ -277,8 +277,9 @@ def _parse_region(spec: str | None, domain) -> StabilityRegion:
 
 def _cmd_info(args, tol):
     g = read_system(args.system)
-    pz = analysis.poles(g, tol=tol)
-    zz = analysis.zeros(g, tol=tol)
+    gm, nf, ninf = analysis._reduce(g, tol)
+    pz = analysis._poles(gm, nf, ninf)
+    zz = analysis._zeros(gm, tol)
     rep = analysis.minimality_report(g, tol=tol)
     return [args.system], {
         "domain": g.domain.value,

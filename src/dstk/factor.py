@@ -25,7 +25,7 @@ from .exceptions import (
     RegionInvalid,
     UnstableInput,
 )
-from .analysis import StabilityRegion, minreal, normal_rank, stability_region, zeros
+from .analysis import StabilityRegion, _reduce, _zeros, minreal, normal_rank, stability_region
 from .kernels import (
     _diag2,
     _svd,
@@ -37,7 +37,6 @@ from .kernels import (
     stair_tol,
 )
 from .ops import _static, concat_row, transpose_dual
-from .pencil import weierstrass_structure
 from .system import DescriptorSystem, TimeDomain, _trusted_system
 
 __all__ = [
@@ -84,46 +83,31 @@ def additive_decompose(
     Infinite poles cannot straddle a half-plane boundary, so improper systems
     are rejected for half-plane regions unless ``improper_to_bad`` forces the
     whole infinite structure into ``Gb``.  For disk regions the infinite
-    structure always belongs to the bad part.
+    structure always belongs to the bad part.  The finite/infinite split is
+    :func:`minreal`'s, the one place ``tol`` acts; the ordered Schur form
+    sees only its finite ``E = I`` block.
     """
     if not isinstance(region, StabilityRegion):
         raise RegionInvalid("region must be a StabilityRegion")
-    g = minreal(sys, tol=tol)
-    p, m = g.p, g.m
-    ws = weierstrass_structure(g.A, g.E, tol=tol)
-    for lam in ws.finite_eigenvalues:
-        if region.on_boundary(lam, 1e-8):
-            raise PoleOnBoundary(f"pole {lam} lies on the region boundary")
-    if ws.infinite_divisor_degrees and region.is_half_plane and not improper_to_bad:
+    g, nf, ninf = _reduce(sys, tol)
+    res = gschur_ordered(g.A[:nf, :nf], g.E[:nf, :nf], select=lambda a, b: region.contains(a / b))
+    for a, b in res.eigenvalues:
+        if region.on_boundary(a / b, 1e-8):
+            raise PoleOnBoundary(f"pole {a / b} lies on the region boundary")
+    if ninf and region.is_half_plane and not improper_to_bad:
         raise PoleOnBoundary(
             "improper system: infinite poles straddle a half-plane boundary "
             "(pass improper_to_bad=True to force them into the bad part)"
         )
 
-    if g.n == 0:
-        return FactorPair(g, _static(np.zeros((p, m)), g.domain), "additive")
-
-    beta_thr = stair_tol(tol, g.n, g.E)
-    res = gschur_ordered(g.A, g.E, select=lambda a, b: b > beta_thr and region.contains(a / b))
     k = res.selected_count
-    n = g.n
-    A1, E1 = res.S, res.T
-    B1 = res.Q.T @ g.B
-    C1 = g.C @ res.Z
-    if k == n:
-        Gg = _trusted_system(A1, E1, B1, C1, g.D, g.domain)
-        return FactorPair(Gg, _static(np.zeros((p, m)), g.domain), "additive")
-    if k == 0:
-        Gb = _trusted_system(A1, E1, B1, C1, np.zeros((p, m)), g.domain)
-        return FactorPair(_static(g.D, g.domain), Gb, "additive")
-
-    L, R = gsylv_separation(
-        A1[:k, :k], A1[:k, k:], A1[k:, k:], E1[:k, :k], E1[:k, k:], E1[k:, k:]
-    )
-    Bg = B1[:k, :] - L @ B1[k:, :]
-    Cb = C1[:, :k] @ R + C1[:, k:]
-    Gg = _trusted_system(A1[:k, :k], E1[:k, :k], Bg, C1[:, :k], g.D, g.domain)
-    Gb = _trusted_system(A1[k:, k:], E1[k:, k:], B1[k:, :], Cb, np.zeros((p, m)), g.domain)
+    S, T, B1, C1 = res.S, res.T, res.Q.T @ g.B[:nf], g.C[:, :nf] @ res.Z
+    L, R = gsylv_separation(S[:k, :k], S[:k, k:], S[k:, k:], T[:k, :k], T[:k, k:], T[k:, k:])
+    Gg = _trusted_system(S[:k, :k], T[:k, :k], B1[:k] - L @ B1[k:], C1[:, :k], g.D, g.domain)
+    # the infinite block joins the bad part as minreal decoupled it
+    Ab, Eb = _diag2(S[k:, k:], g.A[nf:, nf:]), _diag2(T[k:, k:], g.E[nf:, nf:])
+    Bb, Cb = np.vstack([B1[k:], g.B[nf:]]), np.hstack([C1[:, :k] @ R + C1[:, k:], g.C[:, nf:]])
+    Gb = _trusted_system(Ab, Eb, Bb, Cb, np.zeros((g.p, g.m)), g.domain)
     return FactorPair(Gg, Gb, "additive")
 
 
@@ -292,16 +276,15 @@ def _riccati_schur(A, B, Qc, Sc, Rc, domain):
 
 def _standard_stable_data(sys, tol):
     """Minimal realization, validated for the inner-outer restricted scope.
-    A proper minimal realization has ``E = I`` exactly, so its
-    ``(A, B, C, D)`` is a standard state-space model."""
+    The TFM is proper exactly when ``minreal``'s ``E`` is ``I``; then
+    ``(A, B, C, D)`` is a standard state-space model with poles ``eig(A)``."""
     g = minreal(sys, tol=tol)
-    ws = weierstrass_structure(g.A, g.E, tol=tol)
     region = stability_region(g.domain)
-    if ws.infinite_divisor_degrees:
+    if not g.is_standard:
         raise ImproperInput("inner-outer factorization needs a proper system")
-    if not all(region.contains(z) for z in ws.finite_eigenvalues):
+    if not all(region.contains(z) for z in np.linalg.eigvals(g.A)):
         raise UnstableInput("inner-outer factorization needs a stable system")
-    for z in zeros(g, tol=tol).finite:
+    for z in _zeros(g, tol).finite:
         if region.on_boundary(z, 1e-8):
             raise BoundaryZeros(f"zero {z} lies on the stability boundary")
     return g

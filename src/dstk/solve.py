@@ -32,12 +32,12 @@ from .exceptions import (
 )
 from .analysis import (
     _system_pencil,
+    _zeros,
     h2_norm,
     is_stable,
     minreal,
     normal_rank,
     stability_region,
-    zeros,
 )
 from .factor import _inner_outer_thin, _riccati_schur, additive_decompose
 from .kernels import _GOLDEN, _col_compress_null_first, _probe_rank, rank_tol
@@ -281,16 +281,15 @@ def l2_model_match(G: DescriptorSystem, F: DescriptorSystem, tol=None):
         raise DimensionMismatch(f"G and F must have equal output counts, got {G.p} and {F.p}")
     g = minreal(G, tol=tol)
     f = minreal(F, tol=tol)
-    if not is_stable(g, tol=tol):
-        raise UnstableInput("G must be stable and proper")
-    if not is_stable(f, tol=tol):
-        raise UnstableInput("F must be stable and proper")
+    region = stability_region(g.domain)
+    for h, name in ((g, "G"), (f, "F")):
+        if not (h.is_standard and all(region.contains(z) for z in np.linalg.eigvals(h.A))):
+            raise UnstableInput(f"{name} must be stable and proper")
     if g.domain is TimeDomain.CONTINUOUS and np.linalg.norm(f.D) > 1e-10 * (1.0 + np.linalg.norm(f.B) * np.linalg.norm(f.C)):
         raise NonstrictlyProperF("continuous-time model matching needs a strictly proper F")
     if normal_rank(g) < g.m:
         raise UnsupportedShape("G must have full column normal rank")
-    region = stability_region(g.domain)
-    for z in zeros(g, tol=tol).finite:
+    for z in _zeros(g, tol).finite:
         if region.on_boundary(z, 1e-8):
             raise BoundaryZeros(f"zero {z} lies on the stability boundary")
     if g.domain is TimeDomain.CONTINUOUS and rank_tol(g.D.T @ g.D) < g.m:

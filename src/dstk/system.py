@@ -77,9 +77,9 @@ class DescriptorSystem:
 
     @property
     def is_standard(self) -> bool:
-        """True when E is exactly the identity (fast-path flag)."""
-        n = self.n
-        return bool(np.array_equal(self.E, np.eye(n)))
+        """True when E is exactly the identity.  A :func:`~dstk.minreal`
+        output has ``E == I`` exactly when its transfer matrix is proper."""
+        return bool(np.array_equal(self.E, np.eye(self.n)))
 
     def __call__(self, lam) -> np.ndarray:
         return eval_tfm(self, lam)

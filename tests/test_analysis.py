@@ -8,6 +8,7 @@ from conftest import assert_same_tfm, assert_tfm_match, oracle_points, safe_eval
 from dstk.analysis import (
     StabilityRegion,
     _ctrb_reduce,
+    _reduce,
     h2_norm,
     is_minimum_phase,
     is_stable,
@@ -32,6 +33,7 @@ from dstk.ops import (
     series,
     transpose_dual,
 )
+from dstk.pencil import weierstrass_structure
 from dstk.system import eval_tfm, make_system, random_system
 
 
@@ -137,6 +139,46 @@ class TestPoles:
         g = make_system([[0.0, 1.0], [0.0, 0.0]], np.eye(2), [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]], "continuous")
         info = poles(g)
         assert np.allclose(info.finite, [0.0, 0.0]) and info.total == 2
+
+
+def _match_values(got, want, rtol):
+    """Every value of ``want`` has its own value of ``got`` within ``rtol``."""
+    left = list(got)
+    assert len(left) == len(want)
+    for z in want:
+        j = int(np.argmin([abs(z - w) for w in left]))
+        assert abs(z - left.pop(j)) <= rtol * (1.0 + abs(z)), z
+
+
+class TestOneDecision:
+    """``poles`` reads ``minreal``'s split; it must agree with a second
+    deflation of the minimal realization (``weierstrass_structure``)."""
+
+    @staticmethod
+    def corpus():
+        for s in range(24):
+            r = np.random.default_rng(s)
+            n, m, p = r.integers(2, 40), r.integers(1, 4), r.integers(1, 4)
+            domain = "continuous" if s % 2 == 0 else "discrete"
+            g = random_system(n, m, p, domain, proper=s % 3 != 0, rng=r)
+            yield from (g, concat_col(g, g), parallel(g, g))
+
+    def test_poles_agree_with_weierstrass_structure(self):
+        for g in self.corpus():
+            info, gm = poles(g), minreal(g)
+            ws = weierstrass_structure(gm.A, gm.E)
+            assert info.infinite_count == sum(d - 1 for d in ws.infinite_divisor_degrees)
+            _match_values(info.finite, ws.finite_eigenvalues, 1e-10)
+
+    def test_infinite_block_iff_nonstandard(self):
+        products = []
+        for s in range(6):
+            domain = "continuous" if s % 2 == 0 else "discrete"
+            h = random_system(8, 2, 2, domain, proper=s % 3 != 0, rng=np.random.default_rng(s))
+            products.append(series(h, inverse(h)))
+        for g in [*self.corpus(), *products]:
+            gm, nf, ninf = _reduce(g, None)
+            assert (ninf == 0) == gm.is_standard == (nf == gm.n)
 
 
 class TestZeros:
@@ -390,3 +432,16 @@ class TestH2Norm:
         biproper = make_system([[-1.0]], [[1.0]], [[1.0]], [[-1.0]], [[1.0]], "continuous")
         with pytest.raises(NonstrictlyProperContinuous):
             h2_norm(biproper)
+        # instability outranks a nonzero feedthrough; s + 1/(s + 0.5) is
+        # improper with a finite pole that is stable in both domains
+        unstable_biproper = make_system([[1.0]], [[1.0]], [[1.0]], [[-1.0]], [[1.0]], "continuous")
+        improper = parallel(derivative_sys(), lag(0.5))
+        discrete = make_system(improper.A, improper.E, improper.B, improper.C, improper.D, "discrete")
+        for g in (unstable_biproper, improper, discrete):
+            with pytest.raises(UnstableSystem):
+                h2_norm(g)
+
+    def test_discrete_static_gain(self):
+        D = np.array([[1.0, -2.0], [0.5, 3.0]])
+        g = make_system(np.zeros((0, 0)), None, np.zeros((0, 2)), np.zeros((2, 0)), D, "discrete")
+        assert abs(h2_norm(g) - np.linalg.norm(D)) <= 1e-14 * np.linalg.norm(D)

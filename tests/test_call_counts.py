@@ -1,8 +1,11 @@
-"""Regular-pencil queries stay off the Kronecker machinery.
+"""Regular-pencil queries stay off the Kronecker machinery, and pipelines
+reduce once.
 
 A square pencil needs one deflation pass to split into its infinite and
-finite parts, and its finite eigenvalues need no Schur vectors.  These tests
-count the calls that would betray a full ``klf`` or a QZ with Schur vectors.
+finite parts, and its finite eigenvalues need no Schur vectors.  ``minreal``
+makes that split, so nothing downstream deflates its output again.  These
+tests count the calls that would betray a full ``klf``, a QZ with Schur
+vectors, a repeated reduction or a second deflation.
 """
 
 from collections import Counter
@@ -13,12 +16,16 @@ import scipy.linalg
 
 from dstk import analysis, cli, factor, kernels, pencil, solve
 from dstk.cli import write_system
+from dstk.exceptions import DstkError
 from dstk.pencil import weierstrass_structure
 from dstk.system import make_system, random_system
 
 
 @pytest.fixture
 def calls(monkeypatch):
+    """Calls of the QZ, of ``klf``, of ``weierstrass_structure`` and of the
+    reduction ``analysis._reduce`` (which ``minreal`` runs), counted wherever
+    a dstk module binds them."""
     counts = Counter()
 
     def counted(name, fn):
@@ -28,13 +35,10 @@ def calls(monkeypatch):
 
         return wrapper
 
-    for mod, attr, name in [
-        (scipy.linalg, "qz", "qz"),
-        (scipy.linalg, "ordqz", "qz"),
-        (pencil, "klf", "klf"),
-        (analysis, "klf", "klf"),
-        (analysis, "minreal", "minreal"),
-    ]:
+    targets = [(scipy.linalg, "qz", "qz"), (scipy.linalg, "ordqz", "qz")]
+    for attr, name in [("klf", "klf"), ("weierstrass_structure", "weierstrass"), ("_reduce", "reduce")]:
+        targets += [(mod, attr, name) for mod in (pencil, analysis, factor, solve, cli) if hasattr(mod, attr)]
+    for mod, attr, name in targets:
         monkeypatch.setattr(mod, attr, counted(name, getattr(mod, attr)))
     return counts
 
@@ -67,7 +71,7 @@ def test_cli_info_reduces_once_per_structure(calls, proper24, tmp_path, capsys):
     write_system(path, proper24)
     assert cli.run(["info", path]) == 0
     capsys.readouterr()
-    assert calls["minreal"] <= 2
+    assert calls["reduce"] == 1
     assert calls["klf"] <= 1
     assert calls["qz"] == 0
 
@@ -83,20 +87,14 @@ def test_improper_minimality_report_runs_no_qz(calls):
 
 @pytest.fixture
 def pipeline_calls(calls, monkeypatch):
-    """``calls`` plus ``minreal`` where ``factor`` and ``solve`` bind it, and
-    the square inner completion."""
-    for mod, attr, name in [
-        (factor, "minreal", "minreal"),
-        (solve, "minreal", "minreal"),
-        (factor, "_inner_complement", "inner_complement"),
-    ]:
-        fn = getattr(mod, attr)
+    """``calls`` plus the square inner completion."""
+    fn = factor._inner_complement
 
-        def wrapper(*args, _fn=fn, _name=name, **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
+    def wrapper(*args, **kwargs):
+        calls["inner_complement"] += 1
+        return fn(*args, **kwargs)
 
-        monkeypatch.setattr(mod, attr, wrapper)
+    monkeypatch.setattr(factor, "_inner_complement", wrapper)
     return calls
 
 
@@ -106,7 +104,44 @@ def test_model_match_skips_inner_completion(pipeline_calls):
     F = make_system(F.A, F.E, F.B, F.C, np.zeros_like(F.D), "continuous")
     solve.l2_model_match(G, F)
     assert pipeline_calls["inner_complement"] == 0
-    assert pipeline_calls["minreal"] <= 10
+    assert pipeline_calls["reduce"] <= 7
+
+
+def test_inner_outer_reduces_twice(calls):
+    # the input once, the thin inner factor once; the zeros reuse the first
+    g = random_system(12, 2, 2, "continuous", stable=True, rng=np.random.default_rng(12))
+    factor.inner_outer(g)
+    assert calls["reduce"] == 2
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        analysis.poles,
+        analysis.is_stable,
+        analysis.mcmillan_degree,
+        analysis.h2_norm,
+        lambda g: factor.additive_decompose(g, analysis.stability_region(g.domain), improper_to_bad=True),
+        factor.inner_outer,
+    ],
+    ids=["poles", "is_stable", "mcmillan_degree", "h2_norm", "additive_decompose", "inner_outer"],
+)
+@pytest.mark.parametrize("proper", [True, False])
+def test_pole_structure_is_read_from_minreal(calls, query, proper):
+    g = random_system(12, 2, 2, "discrete", proper=proper, stable=True, rng=np.random.default_rng(12))
+    try:
+        query(g)
+    except DstkError:
+        assert not proper  # h2_norm and inner_outer refuse an improper system
+    assert calls["weierstrass"] == 0
+    # inner_outer also reduces its thin inner factor
+    assert calls["reduce"] == (2 if query is factor.inner_outer and proper else 1)
+
+
+def test_h2_norm_takes_one_qz(calls):
+    # glyap's QZ decides stability and solves; properness is E = I
+    analysis.h2_norm(random_system(12, 2, 2, "discrete", stable=True, rng=np.random.default_rng(12)))
+    assert calls["qz"] == 1
 
 
 @pytest.mark.parametrize(

@@ -120,6 +120,25 @@ class TestAdditive:
             s = eval_tfm(pair.first, lam) + eval_tfm(pair.second, lam)
             assert abs(s[0, 0] - lam) <= 1e-8 * (1 + abs(lam))
 
+    @pytest.mark.parametrize("seed", [168, 60, 264])
+    def test_improper_split_sums_to_input(self, seed):
+        # a degree-3 infinite divisor leaves one zero and two ~1e-8 QZ betas
+        # in minreal's output; read as large finite poles, they used to put
+        # a wrong block into Gg (seeds 168, 60) or stop the decoupling (264)
+        r = np.random.default_rng(50000 + seed)
+        n, m, p = r.integers(2, 40), r.integers(1, 4), r.integers(1, 4)
+        g = random_system(n, m, p, "continuous", proper=False, rng=r)
+        pair = additive_decompose(g, LHP, improper_to_bad=True)
+        total = parallel(pair.first, pair.second)
+        for t in (0.4, 1.3, 2.2, -0.9, -2.7):
+            lam = 1.3 * np.exp(1j * t)
+            X = np.linalg.solve(g.A - lam * g.E, g.B)
+            scale = np.linalg.norm(g.D) + np.linalg.norm(g.C) * np.linalg.norm(X)
+            assert np.linalg.norm(eval_tfm(total, lam) - (g.C @ X + g.D)) <= 1e-8 * scale
+        good, ninf = poles(pair.first), poles(g).infinite_count
+        assert good.infinite_count == 0 and all(LHP.contains(z) for z in good.finite)
+        assert ninf > 0 and poles(pair.second).infinite_count == ninf
+
     def test_improper_discrete_to_bad_automatically(self, rng):
         g = random_system(4, 1, 1, "discrete", proper=False, rng=rng)
         pair = additive_decompose(g, DISK)
