@@ -21,8 +21,8 @@ from .exceptions import (
     UnstableSystem,
 )
 from .kernels import (
+    EPS,
     _diag2,
-    _row_compress,
     _svd,
     _svd_rank,
     default_tol,
@@ -219,24 +219,30 @@ def normal_rank(sys: DescriptorSystem) -> int:
 # minimal realization
 
 
+ORTH_TOL = EPS  # a Krylov staircase basis of k columns is re-orthonormalized past max |V^T V - I| = ORTH_TOL * k
+
+
 def _ctrb_reduce(A, B, C, tol_abs):
-    """Truncate to the controllable part via the orthogonal staircase on
-    ``S = [[A, B], [C, 0]]``: each step's ``U`` updates rows ``k0:n`` from the
-    previous stair's first column ``lo`` on (left of it they hold only
-    rounding), then columns ``k0:n``."""
+    """Truncate to the controllable part by a block Krylov staircase: a thin SVD
+    of ``W = (I - V V^T) A V_k`` (``B`` first; ``V_k`` the last stair), projected
+    by two classical Gram--Schmidt passes, cuts each stair at ``tol_abs``, and
+    its leading left singular vectors join ``V``, kept by rows so that each
+    product is one contiguous ``dot``.  A Cholesky QR keeps every leading span
+    and restores lost orthogonality.  Returns ``(V^T A V, V^T B, C V)``."""
     n = A.shape[0]
-    S = np.block([[A, B], [C, np.zeros((C.shape[0], B.shape[1]))]])
-    k0 = lo = 0
-    W = B
-    while k0 < n:
-        U, r = _row_compress(W, tol_abs)
+    Vt, W, k = np.empty((n, n)), B, 0
+    while k < n:
+        U, s, _ = _svd(W, full=False)
+        r = min(_svd_rank(s, W.shape, tol_abs), n - k)
         if r == 0:
             break
-        S[k0:n, lo:] = U.T @ S[k0:n, lo:]
-        S[:, k0:n] = S[:, k0:n] @ U
-        lo, k0 = k0, k0 + r
-        W = S[k0:n, lo:k0]
-    return S[:k0, :k0], S[:k0, n:], S[n:, :k0]
+        Vt[k : k + r], W, k = U[:, :r].T, A.dot(U[:, :r]), k + r
+        for _ in range(2 if k < n else 0):
+            W -= Vt[:k].T.dot(Vt[:k].dot(W))
+    Vt, G = Vt[:k], Vt[:k] @ Vt[:k].T
+    if np.abs(G - np.eye(k)).max(initial=0.0) > ORTH_TOL * k:
+        Vt = np.linalg.solve(np.linalg.cholesky(G), Vt)
+    return Vt @ A @ Vt.T, Vt @ B, C @ Vt.T
 
 
 def _standard_minreal(A, B, C, tol_abs):
@@ -368,8 +374,8 @@ def _zeros(g, tol) -> PoleZeroInfo:
 
 
 def mcmillan_degree(sys: DescriptorSystem, tol=None) -> int:
-    """Total pole count (finite plus infinite) of the TFM."""
-    return poles(sys, tol=tol).total
+    """Total pole count of the TFM: the finite plus the infinite count of :func:`_reduce`."""
+    return sum(_reduce(sys, tol)[1:])
 
 
 def _all_stable(finite, infinite, domain) -> bool:

@@ -38,11 +38,12 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _finite_float(text: str) -> float:
-    x = float(text)
-    if not np.isfinite(x):
-        raise ValueError(f"non-finite number {text!r}")
-    return x
+def _finite_float(text):
+    """``float(text)``, or a float array from a list of tokens in one numpy call; non-finite values raise."""
+    x = np.asarray(text, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError(f"non-finite number in {text!r}")
+    return x if x.ndim else float(x)
 
 
 def format_system(sys: DescriptorSystem) -> str:
@@ -125,7 +126,7 @@ def parse_system(text: str) -> DescriptorSystem:
             if len(vals) != cols:
                 fail(f"matrix {name} row {i + 1}: expected {cols} entries, got {len(vals)}", ln)
             try:
-                M[i] = [_finite_float(v) for v in vals]
+                M[i] = _finite_float(vals)
             except ValueError:
                 fail(f"matrix {name} row {i + 1}: invalid or non-finite number", ln)
         return M, None, ln
@@ -175,7 +176,7 @@ def _read_matrix(path: str) -> np.ndarray:
                 if not s or s.startswith("#"):
                     continue
                 try:
-                    rows.append([_finite_float(v) for v in s.split()])
+                    rows.append(_finite_float(s.split()))
                 except ValueError:
                     raise ParseError(f"{path} line {lineno}: invalid or non-finite number") from None
     except OSError as exc:

@@ -75,13 +75,14 @@ def _svd_rank(s, shape, tol=None) -> int:
     return int(np.count_nonzero(s > tol))
 
 
-def _svd(M, vectors=True):
-    """``(U, s, Vh)`` of ``M``, full ``U`` and ``Vh`` (``s`` alone without
-    ``vectors``), from one LAPACK ``gesdd`` call, real or complex.  A failed
-    iteration raises ``numpy.linalg.LinAlgError``."""
+def _svd(M, vectors=True, full=True):
+    """``(U, s, Vh)`` of ``M``, full ``U`` and ``Vh`` or thin ones without
+    ``full`` (``s`` alone without ``vectors``), from one LAPACK ``gesdd`` call,
+    real or complex.  A failed iteration raises ``numpy.linalg.LinAlgError``."""
     if M.size == 0:
-        return (np.eye(M.shape[0]), np.zeros(0), np.eye(M.shape[1])) if vectors else np.zeros(0)
-    U, s, Vh, info = sla.get_lapack_funcs("gesdd", (M,))(M, compute_uv=int(vectors), full_matrices=1)
+        k = None if full else 0
+        return (np.eye(M.shape[0])[:, :k], np.zeros(0), np.eye(M.shape[1])[:k]) if vectors else np.zeros(0)
+    U, s, Vh, info = sla.get_lapack_funcs("gesdd", (M,))(M, compute_uv=int(vectors), full_matrices=int(full))
     if info:
         raise np.linalg.LinAlgError("SVD did not converge")
     return (U, s, Vh) if vectors else s

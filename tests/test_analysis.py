@@ -5,7 +5,9 @@ import pytest
 
 from conftest import assert_same_tfm, assert_tfm_match, oracle_points, safe_eval
 
+from dstk import analysis
 from dstk.analysis import (
+    ORTH_TOL,
     StabilityRegion,
     _ctrb_reduce,
     _reduce,
@@ -258,10 +260,19 @@ class TestDegreeAndPredicates:
             g = random_system(n, 1, 2, "continuous", proper=n < 2 or rng.uniform() < 0.5, rng=rng)
             assert mcmillan_degree(g) <= g.n
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_degree_is_pole_count(self, seed):
+        # read from minreal's split, with no eigenvalues; improper for seed % 3 == 0
+        r = np.random.default_rng(3000 + seed)
+        n, m, p = int(r.integers(2, 20)), int(r.integers(1, 4)), int(r.integers(1, 4))
+        g = random_system(n, m, p, ("continuous", "discrete")[seed % 2], proper=seed % 3 != 0, rng=r)
+        for x in (g, concat_col(g, g), parallel(g, negated(g)), series(g, transpose_dual(g))):
+            assert mcmillan_degree(x) == poles(x).total
+
 
 # seeds whose doubled realizations still hide a cancellation below the
 # staircase tolerance (accumulated rounding, ROADMAP item 6)
-_MISSED = {("continuous", 24, 0), ("continuous", 24, 2), ("continuous", 24, 4), ("discrete", 24, 2)}
+_MISSED = {("continuous", 24, 0), ("continuous", 24, 4), ("discrete", 24, 2)}
 _ITEM_6 = pytest.mark.xfail(strict=True, reason="ROADMAP item 6")
 _DOUBLED_CASES = [
     pytest.param(d, n, s, marks=_ITEM_6 if (d, n, s) in _MISSED else ())
@@ -403,6 +414,72 @@ class TestCtrbReduce:
         A, B, C = _ctrb_reduce(At, Bt, Ct, tol)
         assert A.shape == (n1, n1) and B.shape == (n1, m + 1) and C.shape == (4, n1)
         assert_same_tfm(make_system(A, None, B, C, g.D, "continuous"), g, rng)
+
+    @pytest.mark.parametrize("n1, n2, m", [(8, 4, 2), (24, 12, 2), (40, 20, 2), (40, 20, 3)])
+    def test_removes_uncontrollable_part(self, n1, n2, m):
+        A, B, C, tol = _hidden_uncontrollable(n1, n2, m, np.random.default_rng(100 * n1 + m))
+        Ar, Br, Cr = _ctrb_reduce(A, B, C, tol)
+        assert Ar.shape == (n1, n1) and Br.shape == (n1, m) and Cr.shape == (2, n1)
+        for lam in _FIXED_POINTS:
+            R = np.linalg.solve(A - lam * np.eye(A.shape[0]), B)
+            err = np.linalg.norm(_dense_tfm(Ar, Br, Cr, lam) - C @ R) / (np.linalg.norm(C) * np.linalg.norm(R))
+            assert err <= 1e-12
+
+    @pytest.mark.parametrize("n1, n2, m", [(8, 4, 2), (24, 12, 2), (40, 20, 2), (40, 20, 3)])
+    def test_basis_orthonormal(self, n1, n2, m):
+        # with C = I the third block is the basis V itself
+        A, B, _, tol = _hidden_uncontrollable(n1, n2, m, np.random.default_rng(100 * n1 + m))
+        V = _ctrb_reduce(A, B, np.eye(n1 + n2), tol)[2]
+        k = V.shape[1]
+        assert k == n1 and np.abs(V.T @ V - np.eye(k)).max() <= ORTH_TOL * k
+
+    def test_zero_tolerance_keeps_every_state(self):
+        # at tol 0 rounding-level singular values count too; the stairs stop at n
+        A, B, C, _ = _hidden_uncontrollable(6, 3, 2, np.random.default_rng(9))
+        Ar, Br, Cr = _ctrb_reduce(A, B, C, 0.0)
+        assert Ar.shape == (9, 9) and Br.shape == (9, 2) and Cr.shape == (2, 9)
+
+    def test_reorthonormalized_near_the_cut(self, monkeypatch):
+        # item 6's discrete n = 8, s = 2 draw: minreal's first staircase keeps a
+        # stair just above its cut, where two Gram-Schmidt passes leave
+        # |V^T V - I| near 100 eps k
+        seen = []
+        monkeypatch.setattr(analysis, "_ctrb_reduce", lambda A, B, C, tol: seen.append((A, B, C, tol)) or _ctrb_reduce(A, B, C, tol))
+        minreal(random_system(8, 2, 2, "discrete", rng=np.random.default_rng(2008)))
+        monkeypatch.undo()
+        A, B, C, tol = seen[0]
+        V = _ctrb_reduce(A, B, np.eye(A.shape[0]), tol)[2]
+        k = V.shape[1]
+        assert np.abs(V.T @ V - np.eye(k)).max() <= ORTH_TOL * k
+        Ar, Br, Cr = _ctrb_reduce(A, B, C, tol)
+        for lam in _FIXED_POINTS:
+            want = _dense_tfm(A, B, C, lam)
+            assert np.linalg.norm(_dense_tfm(Ar, Br, Cr, lam) - want) <= 1e-10 * np.linalg.norm(want)
+        monkeypatch.setattr(analysis, "ORTH_TOL", np.inf)  # Gram-Schmidt alone
+        V = _ctrb_reduce(A, B, np.eye(A.shape[0]), tol)[2]
+        assert np.abs(V.T @ V - np.eye(k)).max() > ORTH_TOL * k
+
+
+_FIXED_POINTS = [1.5 * np.exp(1j * t) for t in np.linspace(0.3, np.pi - 0.3, 6)]
+
+
+def _dense_tfm(A, B, C, lam):
+    """``C (A - lam I)^-1 B`` by one dense solve, without ``eval_tfm``."""
+    return C @ np.linalg.solve(A - lam * np.eye(A.shape[0]), B)
+
+
+def _hidden_uncontrollable(n1, n2, m, rng):
+    """``(A, B, C, tol)``: a controllable ``(A1, B1)`` of order ``n1`` beside
+    an unfed ``A2`` of order ``n2``, hidden by an orthogonal similarity, and
+    minreal's staircase tolerance for them."""
+    g1 = random_system(n1, m, 2, "continuous", rng=rng)
+    n = n1 + n2
+    A, B = np.zeros((n, n)), np.zeros((n, m))
+    A[:n1, :n1], B[:n1] = np.linalg.solve(g1.E, g1.A), np.linalg.solve(g1.E, g1.B)
+    A[n1:, n1:] = rng.normal(size=(n2, n2))
+    Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    A, B, C = Q.T @ A @ Q, Q.T @ B, rng.normal(size=(2, n)) @ Q
+    return A, B, C, default_tol(n, max(np.linalg.norm(X) for X in (A, B, C)) + 1.0)
 
 
 class TestH2Norm:

@@ -154,9 +154,9 @@ def test_invertible_E_needs_no_square_singular_vectors(monkeypatch, proper24, qu
     # staircase compresses only n x m stairs
     shapes, svd = [], kernels._svd
 
-    def counted(M, vectors=True):
+    def counted(M, vectors=True, full=True):
         shapes.append((M.shape, vectors))
-        return svd(M, vectors)
+        return svd(M, vectors, full)
 
     for mod in (kernels, pencil, analysis):
         monkeypatch.setattr(mod, "_svd", counted)
@@ -164,6 +164,33 @@ def test_invertible_E_needs_no_square_singular_vectors(monkeypatch, proper24, qu
     n = proper24.n
     assert ((n, n), False) in shapes
     assert ((n, n), True) not in shapes
+
+
+def test_staircase_takes_thin_svds_only(monkeypatch, proper24):
+    # the Krylov staircase forms no square orthogonal factor
+    modes, svd = [], kernels._svd
+
+    def counted(M, vectors=True, full=True):
+        modes.append(full)
+        return svd(M, vectors, full)
+
+    monkeypatch.setattr(analysis, "_svd", counted)
+    g = proper24
+    A, B, C = analysis._ctrb_reduce(g.A, g.B, g.C, 1e-10)
+    assert A.shape == (g.n, g.n) and modes and not any(modes)
+
+
+def test_mcmillan_degree_takes_no_eigenvalues(monkeypatch, proper24):
+    # the degree is a count from minreal's split; its finite poles are not needed
+    count, eigvals = [0], np.linalg.eigvals
+
+    def counted(M):
+        count[0] += 1
+        return eigvals(M)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    assert analysis.mcmillan_degree(proper24) == proper24.n
+    assert count[0] == 0
 
 
 @pytest.fixture

@@ -43,6 +43,20 @@ class TestSystemFile:
         with pytest.raises(ParseError):
             parse_system(text)
 
+    @pytest.mark.parametrize("token", ["1d3", "0x10", "1__0", "nan", "-inf", "1e400"])
+    def test_invalid_or_non_finite_entry(self, token):
+        # line 8 holds the second row of A
+        text = f"dstk-dss v1\ndomain continuous\nn 2\nm 1\np 1\nA\n-1 0\n0 {token}\nB\n1\n1\nC\n1 1\nD\n0\n"
+        with pytest.raises(ParseError, match=r"^line 8: matrix A row 2: invalid or non-finite number$"):
+            parse_system(text)
+
+    def test_entries_parse_as_float(self):
+        tokens = ["1_000", "+3.5", "-0", "2e-3"]
+        text = f"dstk-dss v1\ndomain discrete\nn 0\nm 4\np 1\nA\nB\nC\nD\n{' '.join(tokens)}\n"
+        D = parse_system(text).D
+        assert D.tolist() == [[float(t) for t in tokens]]
+        assert np.signbit(D[0, 2])
+
     def test_bad_header(self):
         with pytest.raises(ParseError):
             parse_system("dstk-dss v3\n")

@@ -70,6 +70,25 @@ class TestSvd:
         assert U.shape == (3, 3) and s.size == 0 and Vh.shape == (0, 0)
         assert _svd(np.zeros((0, 2)), vectors=False).size == 0
 
+    @pytest.mark.parametrize("shape", [(6, 6), (9, 2), (2, 9)])
+    def test_thin_matches_full(self, rng, shape):
+        M = rng.normal(size=shape)
+        U, s, Vh = _svd(M)
+        Ut, st, Vht = _svd(M, full=False)
+        k = min(shape)
+        assert Ut.shape == (shape[0], k) and Vht.shape == (k, shape[1])
+        assert np.max(np.abs(st - s)) <= 1e-13 * s[0]
+        # distinct singular values fix each singular vector up to its sign
+        signs = np.sign(np.sum(Ut * U[:, :k], axis=0))
+        assert np.max(np.abs(Ut - U[:, :k] * signs)) <= 1e-12
+        assert np.max(np.abs(Vht - Vh[:k] * signs[:, None])) <= 1e-12
+
+    def test_thin_empty(self):
+        U, s, Vh = _svd(np.zeros((3, 0)), full=False)
+        assert U.shape == (3, 0) and s.size == 0 and Vh.shape == (0, 0)
+        U, s, Vh = _svd(np.zeros((0, 2)), full=False)
+        assert U.shape == (0, 0) and s.size == 0 and Vh.shape == (0, 2)
+
     def test_non_finite_raises(self):
         with pytest.raises(np.linalg.LinAlgError):
             _svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
