@@ -1,10 +1,10 @@
 """Structural analysis of descriptor systems.
 
-Normal rank, pole/zero structure (finite values plus infinite
-multiplicities), McMillan degree, stability and minimum-phase predicates,
-the five-condition minimality report, minimal realization, and the H2/L2
-system norm.  The report and :func:`minreal` share one split, its absolute
-tolerance and one non-dynamic-mode primitive (:func:`_nondynamic`).
+Normal rank, pole/zero structure (finite values plus infinite multiplicities),
+McMillan degree, stability and minimum-phase predicates, the five-condition
+minimality report, minimal realization and the H2/L2 system norm.  The report
+and :func:`minreal` share one split, its absolute tolerance and one non-dynamic-mode
+primitive (:func:`_nondynamic`); a finite Neumann sum decouples the split, no QZ.
 """
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ from .exceptions import (
 )
 from .kernels import (
     EPS,
+    _checked_decoupling,
     _diag2,
     _svd,
     _svd_rank,
     default_tol,
     glyap,
-    gsylv_separation,
     rank_tol,
     stair_tol,
 )
@@ -270,28 +270,38 @@ def _nondynamic(A, E, tol_abs):
 
 
 def _split(sys: DescriptorSystem, tol):
-    """One deflation pass: the pencil ``Mk - lam Nk`` with its ``ninf``
-    infinite eigenvalues leading, ``B`` and ``C`` in its coordinates, and the
-    absolute staircase tolerance."""
+    """One deflation pass: the pencil ``Mk - lam Nk`` with its infinite
+    eigenvalues leading, ``B`` and ``C`` in its coordinates, the infinite
+    divisor degrees and the absolute staircase tolerance."""
     Mk, Nk, U, V, divisors = _regular_deflate(sys.A, sys.E, stair_tol(tol, sys.n, sys.A, sys.E))
     # the staircases run on standardized data, whose scale the raw norms miss
     scale = max(np.linalg.norm(X) for X in (sys.A, sys.E, sys.B, sys.C)) + 1.0
     tol_abs = tol if tol is not None else default_tol(max(sys.n, sys.m, sys.p), scale)
-    return Mk, Nk, U @ sys.B, sys.C @ V, int(sum(divisors)), tol_abs
+    return Mk, Nk, U @ sys.B, sys.C @ V, divisors, tol_abs
+
+
+def _neumann_decouple(Ah, P, Q, As, d):
+    """``(L, R)`` decoupling ``[[I - lam Ah, P - lam Q], [0, As - lam I]]``:
+    ``R - L As = -P`` and ``L = Ah R + Q``, i.e. ``R - Ah R As = Q As - P``,
+    whose Neumann sum is finite since ``Ah^d = 0``; residual checked."""
+    R = F = Q @ As - P
+    for _ in range(d - 1):
+        R = F + Ah @ R @ As
+    L = Ah @ R + Q
+    return _checked_decoupling(L, R, [R - L @ As + P], [Ah, P, Q, As])
 
 
 def minreal(sys: DescriptorSystem, tol=None) -> DescriptorSystem:
     """Minimal descriptor realization with the same TFM.
 
-    The pencil is first split orthogonally into its infinite and finite
-    parts (:func:`_split`) and the two are decoupled by a generalized
-    Sylvester solve.  Both parts are reduced by the standard
-    controllability/observability staircases, the infinite one in the form
-    ``(I - lam Ah, Bh, Ch)`` with nilpotent ``Ah``; that one is then
-    residualized once, its non-dynamic modes (:func:`_nondynamic`) solved
-    out into ``D``.  Every rank decision uses the split's absolute
-    tolerance.  The result satisfies all five minimality conditions and its
-    order never exceeds the input order.
+    The pencil is split orthogonally into its infinite and finite parts
+    (:func:`_split`), divided by their ``A`` and ``E`` blocks and decoupled by
+    a finite Neumann sum (:func:`_neumann_decouple`).  Both are reduced by the
+    standard staircases, the infinite one in the form ``(I - lam Ah, Bh, Ch)``
+    with nilpotent ``Ah``, which is then residualized once: its non-dynamic
+    modes (:func:`_nondynamic`) are solved out into ``D``.  Every rank
+    decision uses the split's absolute tolerance.  The result satisfies all
+    five minimality conditions and its order never exceeds the input order.
     """
     return _reduce(sys, tol)[0]
 
@@ -302,20 +312,20 @@ def _reduce(sys: DescriptorSystem, tol):
     ``ninf``, the infinite pole count, is the rank of the trailing ``E``."""
     if sys.n == 0:
         return sys, 0, 0
-    Mk, Nk, B1, C1, ninf, tol_abs = _split(sys, tol)
-    Ai, Ei, Af, Ef = Mk[:ninf, :ninf], Nk[:ninf, :ninf], Mk[ninf:, ninf:], Nk[ninf:, ninf:]
-    Bi, Bf = B1[:ninf, :], B1[ninf:, :]
-    Ci, Cf = C1[:, :ninf], C1[:, ninf:]
-    if ninf and ninf < sys.n:
-        L, R = gsylv_separation(Ai, Mk[:ninf, ninf:], Af, Ei, Nk[:ninf, ninf:], Ef)
-        Bi = Bi - L @ Bf
-        Cf = Ci @ R + Cf
-    As, Bs = np.linalg.solve(Ef, Af), np.linalg.solve(Ef, Bf)
-    Ah, Bh, Ch = np.linalg.solve(Ai, Ei), np.linalg.solve(Ai, Bi), Ci
+    Mk, Nk, B1, C1, divisors, tol_abs = _split(sys, tol)
+    n, k = sys.n, int(sum(divisors))
+    As, Bs = np.linalg.solve(Nk[k:, k:], Mk[k:, k:]), np.linalg.solve(Nk[k:, k:], B1[k:, :])
+    Ah, Bh, Ch, Cf = Nk[:k, :k], B1[:k, :], C1[:, :k], C1[:, k:]
+    if k:
+        # an LU keeps the deflation's zero stairs: Ah is strictly block upper triangular in max(divisors) blocks
+        X = np.linalg.solve(Mk[:k, :k], np.hstack([Nk[:k, :], Mk[:k, k:], Bh]))
+        Ah, Q, P, Bh = np.split(X, [k, n, 2 * n - k], axis=1)
+        L, R = _neumann_decouple(Ah, P, Q, As, max(divisors))
+        Bh, Cf = Bh - L @ Bs, Cf + Ch @ R
+        Ah, Bh, Ch = _standard_minreal(Ah, Bh, Ch, tol_abs)
     Am, Bm, Cm = _standard_minreal(As, Bs, Cf, tol_abs)
 
     # infinite half; dividing by s below is the one non-orthogonal step
-    Ah, Bh, Ch = _standard_minreal(Ah, Bh, Ch, tol_abs)
     Ai, Ei, D, r = np.eye(Ah.shape[0]), Ah, sys.D, 0
     if Ah.size:
         L, R, r, s = _nondynamic(Ai, Ah, tol_abs)
@@ -327,14 +337,10 @@ def _reduce(sys: DescriptorSystem, tol):
             X, Y = At[q:, :q] / s[:, None], Bt[q:] / s[:, None]
             Ai, Bh = At[:q, :q] - At[:q, q:] @ X, Bt[:q] - At[:q, q:] @ Y
             Ch, D = Ct[:, :q] - Ct[:, q:] @ X, D + Ct[:, q:] @ Y
-            Ei = np.zeros((q, q))
-            Ei[:r, :r] = L[:, :r].T @ Ah @ R[:, :r]
+            Ei = _diag2(L[:, :r].T @ Ah @ R[:, :r], np.zeros((q - r, q - r)))
 
-    A = _diag2(Am, Ai)
-    E = _diag2(np.eye(Am.shape[0]), Ei)
-    B = np.vstack([Bm, Bh])
-    C = np.hstack([Cm, Ch])
-    return _trusted_system(A, E, B, C, D, sys.domain), Am.shape[0], r
+    A, E = _diag2(Am, Ai), _diag2(np.eye(Am.shape[0]), Ei)
+    return _trusted_system(A, E, np.vstack([Bm, Bh]), np.hstack([Cm, Ch]), D, sys.domain), Am.shape[0], r
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +420,10 @@ def minimality_report(sys: DescriptorSystem, tol=None) -> MinimalityReport:
     A, E, B, C = sys.A, sys.E, sys.B, sys.C
 
     def _finite_controllable(g):
-        Mk, Nk, B1, C1, ninf, tol_abs = _split(g, tol)
-        Ef = Nk[ninf:, ninf:]
-        As, Bs = np.linalg.solve(Ef, Mk[ninf:, ninf:]), np.linalg.solve(Ef, B1[ninf:, :])
-        return _ctrb_reduce(As, Bs, C1[:, ninf:], tol_abs)[0].shape == As.shape, tol_abs
+        Mk, Nk, B1, C1, divisors, tol_abs = _split(g, tol)
+        k = int(sum(divisors))
+        As, Bs = np.linalg.solve(Nk[k:, k:], Mk[k:, k:]), np.linalg.solve(Nk[k:, k:], B1[k:, :])
+        return _ctrb_reduce(As, Bs, C1[:, k:], tol_abs)[0].shape == As.shape, tol_abs
 
     fc, tol_abs = _finite_controllable(sys)
     fo = _finite_controllable(_trusted_system(A.T, E.T, C.T, B.T, sys.D.T, sys.domain))[0]

@@ -27,6 +27,7 @@ from .exceptions import (
 )
 from .analysis import StabilityRegion, _reduce, _zeros, minreal, normal_rank, stability_region
 from .kernels import (
+    RESIDUAL_TOL,
     _diag2,
     _svd,
     _svd_rank,
@@ -269,7 +270,7 @@ def _riccati_schur(A, B, Qc, Sc, Rc, domain):
         gain = np.linalg.solve(Wd, B.T @ X @ A + Sc.T)
         resid = A.T @ X @ A - X + Qc - (A.T @ X @ B + Sc) @ gain
     scale = 1.0 + np.linalg.norm(Qc) + (1.0 + np.linalg.norm(A)) ** 2 * (1.0 + np.linalg.norm(X))
-    if np.linalg.norm(resid) > 1e-6 * scale:
+    if np.linalg.norm(resid) > RESIDUAL_TOL * scale:
         raise IterationFailure("Riccati residual too large")
     return X, -gain
 

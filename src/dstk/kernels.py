@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 EPS = float(np.finfo(float).eps)
+RESIDUAL_TOL = 1e-6  # an equation solve is accepted at residual <= RESIDUAL_TOL * its Frobenius scale
 
 def as_matrix(M, name="matrix") -> np.ndarray:
     """Coerce to a finite 2-d float array."""
@@ -343,13 +344,15 @@ def gsylv_separation(A11, A12, A22, E11, E12, E22):
         raise SpectraNotDisjoint("generalized Sylvester system is singular")
     R = Z1 @ Rt @ Z2.T / scl
     L = Q1 @ Lt @ Q2.T / scl
-    scale = 1.0 + max(np.linalg.norm(M) for M in (A11, A12, A22, E11, E12, E22))
-    res = max(
-        np.linalg.norm(A11 @ R - L @ A22 + A12),
-        np.linalg.norm(E11 @ R - L @ E22 + E12),
-    )
-    if not np.isfinite(res) or res > 1e-6 * scale * (1.0 + np.linalg.norm(R) + np.linalg.norm(L)):
-        raise SpectraNotDisjoint("generalized Sylvester system is numerically singular")
+    return _checked_decoupling(L, R, [A11 @ R - L @ A22 + A12, E11 @ R - L @ E22 + E12], [A11, A12, A22, E11, E12, E22])
+
+
+def _checked_decoupling(L, R, residuals, blocks):
+    """``(L, R)`` if ``max ||residual|| <= RESIDUAL_TOL (1 + max ||block||) (1 + ||R|| + ||L||)``."""
+    res = max(np.linalg.norm(X) for X in residuals)
+    scale = 1.0 + max(np.linalg.norm(M) for M in blocks)
+    if not np.isfinite(res) or res > RESIDUAL_TOL * scale * (1.0 + np.linalg.norm(R) + np.linalg.norm(L)):
+        raise SpectraNotDisjoint("block-decoupling equations are numerically singular")
     return L, R
 
 

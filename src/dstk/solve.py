@@ -98,7 +98,11 @@ def right_nullspace(sys: DescriptorSystem, tol=None) -> DescriptorSystem:
     whose count of right Kronecker blocks disagrees with ``m - r`` raises
     :class:`IterationFailure` instead of returning a basis of the wrong width.
     """
-    g = minreal(sys, tol=tol)
+    return _right_nullspace(minreal(sys, tol=tol), tol)
+
+
+def _right_nullspace(g, tol) -> DescriptorSystem:
+    """:func:`right_nullspace` of a system ``g`` that is already minimal."""
     Mk, Nk, _, V, ks = klf(*_system_pencil(g), tol=tol)
     nr, nu = ks.nr, len(ks.right_indices)
     width = g.m - normal_rank(g)
@@ -232,7 +236,7 @@ def solve_right(G: DescriptorSystem, F: DescriptorSystem, tol=None) -> SolveResu
                 ok = False
                 break
         if ok:
-            return SolveResult(X0, right_nullspace(g, tol=tol))
+            return SolveResult(X0, _right_nullspace(g, tol))
     raise IterationFailure("could not construct a particular solution (is the system compatible?)")
 
 

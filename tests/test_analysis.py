@@ -22,8 +22,8 @@ from dstk.analysis import (
     stability_region,
     zeros,
 )
-from dstk.exceptions import IterationFailure, NonstrictlyProperContinuous, UnstableSystem
-from dstk.kernels import default_tol
+from dstk.exceptions import IterationFailure, NonstrictlyProperContinuous, SpectraNotDisjoint, UnstableSystem
+from dstk.kernels import default_tol, gsylv_separation
 from dstk.ops import (
     RationalMatrixData,
     concat_col,
@@ -480,6 +480,105 @@ def _hidden_uncontrollable(n1, n2, m, rng):
     Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
     A, B, C = Q.T @ A @ Q, Q.T @ B, rng.normal(size=(2, n)) @ Q
     return A, B, C, default_tol(n, max(np.linalg.norm(X) for X in (A, B, C)) + 1.0)
+
+
+def _well_conditioned(n, rng):
+    """Random matrix with singular values in ``[e^-0.6, e^0.6]``."""
+    Q1, Q2 = (np.linalg.qr(rng.normal(size=(n, n)))[0] for _ in range(2))
+    return Q1 @ np.diag(np.exp(rng.uniform(-0.6, 0.6, n))) @ Q2
+
+
+def _planted_chains(n, chains, domain, rng):
+    """Minimal system of order ``n`` and McMillan degree ``n - len(chains)``: a
+    generic finite part beside one nilpotent shift chain of each degree in
+    ``chains`` (in ``E``), hidden by well-conditioned ``U``, ``V``."""
+    nf = n - sum(chains)
+    A0, E0 = np.eye(n), np.zeros((n, n))
+    A0[:nf, :nf] = rng.normal(size=(nf, nf)) / np.sqrt(nf)
+    E0[:nf, :nf] = np.eye(nf)
+    k = nf
+    for c in chains:
+        E0[np.arange(k, k + c - 1), np.arange(k + 1, k + c)] = 1.0
+        k += c
+    U, V = _well_conditioned(n, rng), _well_conditioned(n, rng)
+    B, C, D = U @ rng.normal(size=(n, 2)), rng.normal(size=(2, n)) @ V, rng.normal(size=(2, 2))
+    return make_system(U @ A0 @ V, U @ E0 @ V, B, C, D, domain)
+
+
+def _dense_descriptor_tfm(g, lam):
+    """``(C (A - lam E)^-1 B + D, ||(A - lam E)^-1 B||)`` by one dense solve."""
+    X = np.linalg.solve(g.A - lam * g.E, g.B)
+    return g.C @ X + g.D, np.linalg.norm(X, 2)
+
+
+def _standardized_split(g):
+    """``minreal``'s standardized blocks ``(Ah, P, Q, As)``, the largest
+    divisor degree and the unstandardized coupling system of
+    ``gsylv_separation``."""
+    Mk, Nk, _, _, divisors, _ = analysis._split(g, None)
+    n, k = g.n, sum(divisors)
+    X = np.linalg.solve(Mk[:k, :k], np.hstack([Nk[:k], Mk[:k, k:]]))
+    As = np.linalg.solve(Nk[k:, k:], Mk[k:, k:])
+    blocks = (Mk[:k, :k], Mk[:k, k:], Mk[k:, k:], Nk[:k, :k], Nk[:k, k:], Nk[k:, k:])
+    return (X[:, :k], X[:, n:], X[:, k:n], As), max(divisors), blocks
+
+
+_CHAINS = [pytest.param(n, d, c, id=f"{d[0]}{n}-chain{c}") for n in (16, 48) for d in ("continuous", "discrete") for c in range(2, 7)]
+
+
+# bench seed 401's first planted system (continuous, proper, order 4, 2 x 2):
+# the third stair of parallel(G, -G) has singular values 1.8e-11 and 2.7e-12
+# against a cut of 2.07e-12, so minreal keeps 4 of its 8 states
+_SEED_401 = dict(
+    A=[[2.169078404096235, -2.6954424825624237, 0.46100460071819549, 2.0580215359183187],
+       [-2.3667387293457458, -0.69158102300960966, -0.11257290811073567, 2.3202228592723357],
+       [-4.9161615826493454, -0.89946201977732509, 1.0085216694679808, 0.73041420446270577],
+       [-0.18066450333422576, 1.0151533888128799, 1.0553995055296568, 0.024643202558507157]],
+    E=[[-0.12081047740354477, 0.96184849092775748, 0.36966502102218057, -0.39850635809843904],
+       [0.95251933389601029, -0.28476945327985576, 0.29124995529379022, -0.31168035668416627],
+       [2.1572379388452418, 0.40559546146208081, -1.1430900299133298, 0.090627221871315694],
+       [0.34709955950749921, -0.35542758040512867, -0.47016281643582164, -0.32546954862455829]],
+    B=[[1.4489917144150037, -0.078367399983022834],
+       [-0.78195381640486072, 0.35824813476285244],
+       [-2.8627061272312382, -1.790669077505826],
+       [0.28973520411373871, 0.32392279229429766]],
+    C=[[-1.0667434379408567, 0.91922927983975911, 0.182591399734854, 0.56321709263445741],
+       [0.88264176360051383, -0.34553228563544042, 0.74054173520766442, -0.39197919212306948]],
+    D=[[1.405475887007247, 0.84570538064665224],
+       [-0.97865740796203682, 1.4284664589157847]],
+)
+
+
+@_ITEM_6
+def test_order_8_cancellation_found():
+    g = make_system(domain="continuous", **_SEED_401)
+    assert minreal(g).n == 4
+    assert minreal(parallel(g, negated(g))).n == 0
+    assert minreal(concat_col(g, g)).n == 4
+
+
+class TestNeumannDecoupling:
+    @pytest.mark.parametrize("n, domain, c", _CHAINS)
+    def test_planted_chains_reduce_exactly(self, n, domain, c):
+        g = _planted_chains(n, (c, 2), domain, np.random.default_rng(100 * n + c))
+        gm = minreal(g)
+        assert gm.n == n and mcmillan_degree(g) == n - 2  # a chain of degree c is c states, c - 1 poles
+        for lam in _FIXED_POINTS:
+            want, size = _dense_descriptor_tfm(g, lam)
+            got = _dense_descriptor_tfm(gm, lam)[0]
+            scale = np.linalg.norm(g.D, 2) + np.linalg.norm(g.C, 2) * size
+            assert np.linalg.norm(got - want, 2) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n, domain, c", _CHAINS)
+    def test_sum_is_gsylv_solution(self, n, domain, c):
+        g = _planted_chains(n, (c, 2), domain, np.random.default_rng(100 * n + c))
+        (Ah, P, Q, As), d, blocks = _standardized_split(g)
+        assert d == c and not np.linalg.matrix_power(Ah, d).any()
+        R = analysis._neumann_decouple(Ah, P, Q, As, d)[1]
+        Rg = gsylv_separation(*blocks)[1]
+        assert np.linalg.norm(R - Rg) <= 1e-10 * np.linalg.norm(Rg)
+        with pytest.raises(SpectraNotDisjoint):  # the sum cut to its first term
+            analysis._neumann_decouple(Ah, P, Q, As, 1)
 
 
 class TestH2Norm:

@@ -17,6 +17,7 @@ import scipy.linalg
 from dstk import analysis, cli, factor, kernels, pencil, solve
 from dstk.cli import write_system
 from dstk.exceptions import DstkError
+from dstk.ops import series
 from dstk.pencil import weierstrass_structure
 from dstk.system import make_system, random_system
 
@@ -74,6 +75,28 @@ def test_cli_info_reduces_once_per_structure(calls, proper24, tmp_path, capsys):
     assert calls["reduce"] == 1
     assert calls["klf"] <= 1
     assert calls["qz"] == 0
+
+
+@pytest.mark.parametrize(
+    "query",
+    [analysis.minreal, analysis.poles, analysis.mcmillan_degree, analysis.is_stable],
+    ids=["minreal", "poles", "mcmillan_degree", "is_stable"],
+)
+def test_improper_structure_query_runs_no_qz(calls, improper24, query):
+    # the infinite and finite parts are decoupled by a finite sum on their
+    # standardized blocks, which needs no Schur form of either
+    query(improper24)
+    assert calls["qz"] == 0
+
+
+def test_solve_right_reduces_g_once(calls):
+    # G, F and the particular solution once each; the nullspace basis is
+    # read from the minimal G, not from a second reduction of it
+    rng = np.random.default_rng(8)
+    G = series(random_system(4, 2, 3, "continuous", rng=rng), random_system(4, 3, 2, "continuous", rng=rng))
+    F = series(G, random_system(2, 1, 3, "continuous", rng=rng))
+    assert solve.solve_right(G, F).null_basis.m == 1
+    assert calls["reduce"] == 3
 
 
 def test_improper_minimality_report_runs_no_qz(calls):
