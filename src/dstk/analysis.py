@@ -241,7 +241,11 @@ def _ctrb_reduce(A, B, C, tol_abs):
             W -= Vt[:k].T.dot(Vt[:k].dot(W))
     Vt, G = Vt[:k], Vt[:k] @ Vt[:k].T
     if np.abs(G - np.eye(k)).max(initial=0.0) > ORTH_TOL * k:
-        Vt = np.linalg.solve(np.linalg.cholesky(G), Vt)
+        try:
+            Vt = np.linalg.solve(np.linalg.cholesky(G), Vt)
+        except np.linalg.LinAlgError:
+            # the basis lost rank; re-orthonormalizing it would return a wrong system
+            raise IterationFailure("Krylov staircase basis lost rank") from None
     return Vt @ A @ Vt.T, Vt @ B, C @ Vt.T
 
 
@@ -437,6 +441,11 @@ def minimality_report(sys: DescriptorSystem, tol=None) -> MinimalityReport:
 # system norm
 
 
+def _strictly_proper(g) -> bool:
+    """Whether the feedthrough of ``g`` vanishes beside ``||B|| ||C||``."""
+    return np.linalg.norm(g.D) <= 1e-10 * (1.0 + np.linalg.norm(g.B) * np.linalg.norm(g.C))
+
+
 def h2_norm(sys: DescriptorSystem, tol=None) -> float:
     """H2 norm of a stable system via the controllability Gramian.
 
@@ -453,7 +462,7 @@ def h2_norm(sys: DescriptorSystem, tol=None) -> float:
         X = glyap(g.A, g.E, g.B @ g.B.T, g.domain)
     except UnstablePair:
         raise unstable from None
-    if g.domain is TimeDomain.CONTINUOUS and np.linalg.norm(g.D) > 1e-10 * (1.0 + np.linalg.norm(g.B) * np.linalg.norm(g.C)):
+    if g.domain is TimeDomain.CONTINUOUS and not _strictly_proper(g):
         raise NonstrictlyProperContinuous("continuous-time H2 norm needs a strictly proper system")
     val = float(np.trace(g.C @ X @ g.C.T))
     if g.domain is TimeDomain.DISCRETE:

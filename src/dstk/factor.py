@@ -90,10 +90,14 @@ def additive_decompose(
     """
     if not isinstance(region, StabilityRegion):
         raise RegionInvalid("region must be a StabilityRegion")
-    g, nf, ninf = _reduce(sys, tol)
+    return _additive_split(*_reduce(sys, tol), region, improper_to_bad)
+
+
+def _additive_split(g, nf, ninf, region, improper_to_bad) -> FactorPair:
+    """:func:`additive_decompose` of the output ``(g, nf, ninf)`` of :func:`_reduce`."""
     res = gschur_ordered(g.A[:nf, :nf], g.E[:nf, :nf], select=lambda a, b: region.contains(a / b))
     for a, b in res.eigenvalues:
-        if region.on_boundary(a / b, 1e-8):
+        if region.on_boundary(a / b):
             raise PoleOnBoundary(f"pole {a / b} lies on the region boundary")
     if ninf and region.is_half_plane and not improper_to_bad:
         raise PoleOnBoundary(
@@ -286,7 +290,7 @@ def _standard_stable_data(sys, tol):
     if not all(region.contains(z) for z in np.linalg.eigvals(g.A)):
         raise UnstableInput("inner-outer factorization needs a stable system")
     for z in _zeros(g, tol).finite:
-        if region.on_boundary(z, 1e-8):
+        if region.on_boundary(z):
             raise BoundaryZeros(f"zero {z} lies on the stability boundary")
     return g
 
@@ -371,7 +375,7 @@ def _inner_complement(q1, domain):
     T1 = Mhalf @ np.vstack([q1.B, D])
     Kt = Mhalf @ NK
     P = Kt - T1 @ (T1.T @ Kt)
-    U, s, _ = np.linalg.svd(P, full_matrices=False)
+    U, s, _ = _svd(P, full=False)
     keep = U[:, : p - m]
     if s.size < p - m or (p > m and s[p - m - 1] <= 1e-10 * max(s[0], 1.0)):
         raise IterationFailure("inner completion basis is numerically deficient")

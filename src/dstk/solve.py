@@ -6,12 +6,15 @@ its leading right-singular block, compressed to ``[B1 | A1 - lam E1]`` with
 ``E1`` invertible, is a descriptor realization of the kernel once a
 stabilizing LQR feedback on ``(A1, E1, B1)`` fixes its poles; the
 accumulated orthogonal transforms map it back to the input coordinates.
-No polynomial arithmetic is involved.  The model-matching pipeline
-compresses the problem with the thin inner-outer factors ``G = Q1 R``,
-splits the transformed target ``Q1~ F`` into its causal part ``Ls`` and
-the rest, back-substitutes ``R X = Ls`` through a stable inverse of the
-outer factor, and reports the H2 norm of the stable residual
-``F - G X = F - Q1 Ls``.
+No polynomial arithmetic is involved.  A particular solution of
+``G X = F`` is built from the library's own realization arithmetic:
+``inverse(G)`` in series with ``F``, on an invertible core ``P G T`` cut
+out by constant selectors when ``G`` is not square and invertible.  The
+model-matching pipeline compresses the problem with the thin inner-outer
+factors ``G = Q1 R``, splits the transformed target ``Q1~ F`` into its
+causal part ``Ls`` and the rest, back-substitutes ``R X = Ls`` through a
+stable inverse of the outer factor, and reports the H2 norm of the stable
+residual ``F - G X = F - Q1 Ls``.
 """
 
 from __future__ import annotations
@@ -27,10 +30,13 @@ from .exceptions import (
     Incompatible,
     IterationFailure,
     NonstrictlyProperF,
+    NotInvertibleTFM,
     UnstableInput,
     UnsupportedShape,
 )
 from .analysis import (
+    _reduce,
+    _strictly_proper,
     _system_pencil,
     _zeros,
     h2_norm,
@@ -39,7 +45,7 @@ from .analysis import (
     normal_rank,
     stability_region,
 )
-from .factor import _inner_outer_thin, _riccati_schur, additive_decompose
+from .factor import _additive_split, _inner_outer_thin, _riccati_schur
 from .kernels import _GOLDEN, _col_compress_null_first, _probe_rank, rank_tol
 from .ops import _static, concat_row, conjugate, inverse, parallel, series, transpose_dual
 from .pencil import klf
@@ -146,52 +152,19 @@ def _selector(rows, cols, attempt):
     return Q[:, :cols]
 
 
-def _shared_solver_pencil(G2, F2):
-    """Particular-solution realization for square invertible G2: picks the
-    input component of the lifted pencil solution of ``G2 X = F2``."""
-    nG, nF = G2.n, F2.n
-    r = G2.m
-    q = F2.m
-    nsh = nG + nF
-    Ash = np.zeros((nsh + r, nsh + r))
-    Ash[:nG, :nG] = G2.A
-    Ash[nG:nsh, nG:nsh] = F2.A
-    Ash[:nG, nsh:] = -G2.B
-    Ash[nsh:, :nG] = G2.C
-    Ash[nsh:, nG:nsh] = F2.C
-    Ash[nsh:, nsh:] = G2.D
-    Esh = np.zeros_like(Ash)
-    Esh[:nG, :nG] = G2.E
-    Esh[nG:nsh, nG:nsh] = F2.E
-    Bx = np.zeros((nsh + r, q))
-    Bx[nG:nsh, :] = -F2.B
-    Bx[nsh:, :] = F2.D
-    Cx = np.zeros((r, nsh + r))
-    Cx[:, nsh:] = np.eye(r)
-    return _trusted_system(Ash, Esh, Bx, Cx, np.zeros((r, q)), G2.domain)
-
-
-def _row_col_select(sys, P=None, T=None):
-    """Constant row selection ``P @ G`` and/or column selection ``G @ T``."""
-    B = sys.B if T is None else sys.B @ T
-    D = sys.D if T is None else sys.D @ T
-    C = sys.C if P is None else P @ sys.C
-    D = D if P is None else P @ D
-    return _trusted_system(sys.A, sys.E, B, C, D, sys.domain)
-
-
 def solve_right(G: DescriptorSystem, F: DescriptorSystem, tol=None) -> SolveResult:
     """Solve ``G X = F`` for a rational ``X``.
 
     ``F`` is compatible when the system pencil of ``[G F]`` has no larger
     normal rank than that of ``G``, each the largest rank at three fixed
     probe points; otherwise :class:`Incompatible` is raised.  When ``G`` is
-    invertible the explicit lifted-pencil realization is used directly;
-    otherwise fixed orthonormal row/column selectors reduce the problem to
-    an invertible core, trying up to five selector pairs until ``G X = F``
-    holds at three probe points.  The returned nullspace basis
-    parameterizes all solutions.  The result depends on ``G``, ``F`` and
-    ``tol`` alone.
+    invertible the particular solution is ``inverse(G)`` in series with
+    ``F``; otherwise fixed orthonormal row/column selectors ``P``, ``T``,
+    entered as static systems, reduce the problem to the invertible core
+    ``P G T X2 = P F`` with ``X = T X2``, trying up to five selector pairs
+    until ``G X = F`` holds at three probe points.  The returned nullspace
+    basis parameterizes all solutions.  The result depends on ``G``, ``F``
+    and ``tol`` alone.
     """
     if G.domain is not F.domain:
         raise DomainMismatch("G and F must share a time domain")
@@ -212,30 +185,15 @@ def solve_right(G: DescriptorSystem, F: DescriptorSystem, tol=None) -> SolveResu
     square = r == g.p == g.m
     probes = probe_points(gf, count=3)
     for attempt in range(1 if square else 5):
-        if square:
-            P, T = None, None
-            g2, f2 = g, f
-        else:
-            P = _selector(g.p, r, attempt).T
-            T = _selector(g.m, r, attempt)
-            g2 = _row_col_select(g, P=P, T=T)
-            f2 = _row_col_select(f, P=P)
-            if normal_rank(g2) < r:
-                continue
-        if r == 0:
-            X0 = _static(np.zeros((g.m, f.m)), g.domain)
-        else:
-            Xh = _shared_solver_pencil(g2, f2)
-            X0 = Xh if T is None else series(_static(T, g.domain), Xh)
-        X0 = minreal(X0, tol=tol)
-        ok = True
-        for lam in probes:
-            lhs = eval_tfm(g, lam) @ eval_tfm(X0, lam)
-            rhs = eval_tfm(f, lam)
-            if np.linalg.norm(lhs - rhs) > 1e-7 * (1.0 + np.linalg.norm(rhs)):
-                ok = False
-                break
-        if ok:
+        # the invertible core P G T X2 = P F, with X = T X2 (P = T = I for a square invertible G)
+        P, T = (np.eye(k) if square else _selector(k, r, attempt) for k in (g.p, g.m))
+        P, T = _static(P.T, g.domain), _static(T, g.domain)
+        try:
+            X0 = minreal(series(T, series(inverse(series(P, series(g, T))), series(P, f))), tol=tol)
+        except NotInvertibleTFM:
+            continue
+        values = ((eval_tfm(g, lam) @ eval_tfm(X0, lam), eval_tfm(f, lam)) for lam in probes)
+        if all(np.linalg.norm(lhs - rhs) <= 1e-7 * (1.0 + np.linalg.norm(rhs)) for lhs, rhs in values):
             return SolveResult(X0, _right_nullspace(g, tol))
     raise IterationFailure("could not construct a particular solution (is the system compatible?)")
 
@@ -251,16 +209,16 @@ def solve_left(G: DescriptorSystem, F: DescriptorSystem, tol=None) -> SolveResul
 # L2 model matching
 
 
-def _causal_split(g, tol=None):
-    """Orthogonal causal/anticausal split of a two-sided system.
+def _causal_split(g, nf, ninf):
+    """Orthogonal causal/anticausal split of a two-sided system, given as
+    the output ``(g, nf, ninf)`` of :func:`_reduce`.
 
     The pole-based decomposition alone is not orthogonal on the unit circle:
     the antistable part still owns the zeroth Fourier coefficient
     ``c0 = Gu(0)``, which belongs to the causal side.  Returns
     ``(causal, strictly_anticausal)`` whose L2 norms add in squares.
     """
-    region = stability_region(g.domain)
-    parts = additive_decompose(g, region, improper_to_bad=True, tol=tol)
+    parts = _additive_split(g, nf, ninf, stability_region(g.domain), improper_to_bad=True)
     gs, gu = parts.first, parts.second
     if g.domain is TimeDomain.DISCRETE and gu.n:
         c0 = eval_tfm(gu, 0.0).real
@@ -289,12 +247,12 @@ def l2_model_match(G: DescriptorSystem, F: DescriptorSystem, tol=None):
     for h, name in ((g, "G"), (f, "F")):
         if not (h.is_standard and all(region.contains(z) for z in np.linalg.eigvals(h.A))):
             raise UnstableInput(f"{name} must be stable and proper")
-    if g.domain is TimeDomain.CONTINUOUS and np.linalg.norm(f.D) > 1e-10 * (1.0 + np.linalg.norm(f.B) * np.linalg.norm(f.C)):
+    if g.domain is TimeDomain.CONTINUOUS and not _strictly_proper(f):
         raise NonstrictlyProperF("continuous-time model matching needs a strictly proper F")
     if normal_rank(g) < g.m:
         raise UnsupportedShape("G must have full column normal rank")
     for z in _zeros(g, tol).finite:
-        if region.on_boundary(z, 1e-8):
+        if region.on_boundary(z):
             raise BoundaryZeros(f"zero {z} lies on the stability boundary")
     if g.domain is TimeDomain.CONTINUOUS and rank_tol(g.D.T @ g.D) < g.m:
         # zeros at infinity: outside the restricted inner-outer scope, but a
@@ -314,12 +272,12 @@ def l2_model_match(G: DescriptorSystem, F: DescriptorSystem, tol=None):
         raise BoundaryZeros("G has zeros at infinity on the stability boundary")
 
     q1, R = _inner_outer_thin(g, tol)
-    f1t = minreal(series(conjugate(q1), f), tol=tol)
+    f1t, nf, ninf = _reduce(series(conjugate(q1), f), tol)
 
     # the optimal stable correction is the causal projection of the
     # compressed target (in discrete time that includes the zeroth Fourier
     # coefficient of the antistable part, not just its stable poles)
-    Ls, Lu = _causal_split(f1t, tol=tol)
+    Ls, Lu = _causal_split(f1t, nf, ninf)
 
     if Ls.n or np.any(Ls.D):
         X = minreal(series(inverse(R, mode="d-inverse"), Ls), tol=tol)

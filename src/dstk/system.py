@@ -23,7 +23,7 @@ from .exceptions import (
     SingularPencil,
     SingularTransform,
 )
-from .kernels import EPS, _probe_rank, _ring_points, as_matrix, rank_tol
+from .kernels import EPS, _probe_rank, _ring_points, _svd, as_matrix, rank_tol
 
 __all__ = [
     "TimeDomain",
@@ -149,7 +149,7 @@ def eval_tfm(sys: DescriptorSystem, lam) -> np.ndarray:
     if sys.n == 0:
         return sys.D.astype(complex)
     M = sys.A - lam * sys.E
-    sv = np.linalg.svd(M, compute_uv=False)
+    sv = _svd(M, vectors=False)
     if sv[0] == 0.0 or sv[-1] <= 10 * sys.n * EPS * sv[0]:
         raise EvalAtPole(f"A - lambda*E is numerically singular at lambda={lam}")
     X = np.linalg.solve(M, sys.B.astype(complex))
@@ -178,7 +178,7 @@ def probe_points(sys: DescriptorSystem, count=5):
         if len(pts) == count:
             break
         if sys.n:
-            sv = np.linalg.svd(sys.A - lam * sys.E, compute_uv=False)
+            sv = _svd(sys.A - lam * sys.E, vectors=False)
             if sv[-1] <= 1e-8 * max(sv[0], 1.0):
                 continue
         pts.append(lam)

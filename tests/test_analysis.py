@@ -459,6 +459,18 @@ class TestCtrbReduce:
         V = _ctrb_reduce(A, B, np.eye(A.shape[0]), tol)[2]
         assert np.abs(V.T @ V - np.eye(k)).max() > ORTH_TOL * k
 
+    @pytest.mark.parametrize("seed", [298, 1316])
+    def test_basis_that_lost_rank_refused(self, seed):
+        # G G^-1 of these discrete draws leaves a Krylov basis whose Gram
+        # matrix is not numerically positive definite, so its Cholesky QR
+        # fails; an SVD-repaired basis gives a wrong system, so minreal
+        # refuses instead of leaking numpy's LinAlgError
+        r = np.random.default_rng(seed)
+        n, m = int(r.integers(4, 24)), int(r.integers(1, 3))
+        g = random_system(n, m, m, "discrete", rng=r)
+        with pytest.raises(IterationFailure):
+            minreal(series(g, inverse(g)))
+
 
 _FIXED_POINTS = [1.5 * np.exp(1j * t) for t in np.linspace(0.3, np.pi - 0.3, 6)]
 

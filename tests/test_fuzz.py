@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from dstk.analysis import _system_pencil, minimality_report, minreal, normal_rank, poles, zeros
+from dstk.exceptions import DstkError
 from dstk.ops import concat_col, inverse, series
 from dstk.pencil import klf, pencil_normal_rank, weierstrass_structure
-from dstk.system import make_system, random_system
+from dstk.solve import solve_right
+from dstk.system import eval_tfm, make_system, random_system
 
 systems = dict(
     n=st.integers(2, 8),
@@ -91,3 +93,33 @@ def test_diagonal_scaling_keeps_structure(log_cond, n, m, domain, proper, seed):
     assert (zh.total, zh.kronecker_ranks) == (zg.total, zg.kronecker_ranks)
     assert _klf_structure(h) == _klf_structure(g)
     assert minimality_report(h) == minimality_report(g)
+
+
+_POINTS = [0.37 + 1.13j, -0.61 + 0.29j, 1.7 - 0.8j]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(
+    n=st.integers(2, 12),
+    m=st.integers(1, 3),
+    p=st.integers(1, 3),
+    inner=st.integers(1, 3),
+    domain=st.sampled_from(["continuous", "discrete"]),
+    proper=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_compatible_solve_right_is_right_or_refused(n, m, p, inner, domain, proper, seed):
+    # G = G1 G2 through `inner` channels (rank deficient below min(m, p)) and
+    # F = G X1: a returned X solves G X = F normwise, and a failure is a
+    # typed refusal, never another exception
+    r = np.random.default_rng(seed)
+    g1 = random_system(n // 2, inner, p, domain, proper=proper or n < 4, rng=r)
+    G = series(g1, random_system(n - n // 2, m, inner, domain, rng=r))
+    F = series(G, random_system(2, 1, m, domain, rng=r))
+    try:
+        X = solve_right(G, F).particular
+    except DstkError:
+        return
+    for lam in _POINTS:
+        g, x, f = (eval_tfm(h, lam) for h in (G, X, F))
+        assert np.linalg.norm(g @ x - f) <= 1e-8 * (np.linalg.norm(g) * np.linalg.norm(x) + np.linalg.norm(f))
