@@ -17,17 +17,16 @@ from .exceptions import (
     IterationFailure,
     NonstrictlyProperContinuous,
     RegionInvalid,
-    UnstablePair,
     UnstableSystem,
 )
 from .kernels import (
     EPS,
     _checked_decoupling,
     _diag2,
+    _stable_lyap,
     _svd,
     _svd_rank,
     default_tol,
-    glyap,
     rank_tol,
     stair_tol,
 )
@@ -449,19 +448,17 @@ def _strictly_proper(g) -> bool:
 def h2_norm(sys: DescriptorSystem, tol=None) -> float:
     """H2 norm of a stable system via the controllability Gramian.
 
-    An improper TFM (``minreal(sys)`` has ``E != I``) or a pole outside the
-    stable region (``glyap``'s QZ) raises :class:`UnstableSystem`.  Continuous
-    time requires a strictly proper TFM (``D = 0`` after reduction); in
-    discrete time the feedthrough contributes ``trace(D D^T)``.
+    An improper TFM (``minreal(sys)`` has ``E != I``) raises
+    :class:`UnstableSystem`, and so does a pole outside the stable region,
+    read off the one real Schur form of ``A`` that also solves the Lyapunov
+    equation of the Gramian.  Continuous time requires a strictly proper TFM
+    (``D = 0`` after reduction); in discrete time the feedthrough contributes
+    ``trace(D D^T)``.
     """
     g = minreal(sys, tol=tol)
-    unstable = UnstableSystem("H2 norm requires all poles in the stable region")
     if not g.is_standard:
-        raise unstable
-    try:
-        X = glyap(g.A, g.E, g.B @ g.B.T, g.domain)
-    except UnstablePair:
-        raise unstable from None
+        raise UnstableSystem("H2 norm requires all poles in the stable region")
+    X = _stable_lyap(g.A, g.B @ g.B.T, g.domain, UnstableSystem)
     if g.domain is TimeDomain.CONTINUOUS and not _strictly_proper(g):
         raise NonstrictlyProperContinuous("continuous-time H2 norm needs a strictly proper system")
     val = float(np.trace(g.C @ X @ g.C.T))

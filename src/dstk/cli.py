@@ -12,6 +12,7 @@ instead, with the same exit code.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys as _sys
@@ -434,6 +435,7 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message, self)
 
 
+@functools.cache  # built once: parse_args leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--tol", type=float, default=None, help="rank tolerance (default: automatic)")

@@ -29,10 +29,11 @@ from .analysis import StabilityRegion, _reduce, _zeros, minreal, normal_rank, st
 from .kernels import (
     RESIDUAL_TOL,
     _diag2,
+    _schur_ordered,
     _svd,
     _svd_rank,
+    _sylv_quasi,
     gschur_ordered,
-    gsylv_separation,
     null_basis,
     rank_tol,
     stair_tol,
@@ -85,8 +86,9 @@ def additive_decompose(
     are rejected for half-plane regions unless ``improper_to_bad`` forces the
     whole infinite structure into ``Gb``.  For disk regions the infinite
     structure always belongs to the bad part.  The finite/infinite split is
-    :func:`minreal`'s, the one place ``tol`` acts; the ordered Schur form
-    sees only its finite ``E = I`` block.
+    :func:`minreal`'s, the one place ``tol`` acts.  Its finite ``E = I``
+    block takes one ordered real Schur form, and ``dtrsyl`` decouples the
+    good and bad parts by a similarity.
     """
     if not isinstance(region, StabilityRegion):
         raise RegionInvalid("region must be a StabilityRegion")
@@ -95,22 +97,21 @@ def additive_decompose(
 
 def _additive_split(g, nf, ninf, region, improper_to_bad) -> FactorPair:
     """:func:`additive_decompose` of the output ``(g, nf, ninf)`` of :func:`_reduce`."""
-    res = gschur_ordered(g.A[:nf, :nf], g.E[:nf, :nf], select=lambda a, b: region.contains(a / b))
-    for a, b in res.eigenvalues:
-        if region.on_boundary(a / b):
-            raise PoleOnBoundary(f"pole {a / b} lies on the region boundary")
+    T, Z, eigs, k = _schur_ordered(g.A[:nf, :nf], region.contains)
+    for lam in eigs:
+        if region.on_boundary(lam):
+            raise PoleOnBoundary(f"pole {lam} lies on the region boundary")
     if ninf and region.is_half_plane and not improper_to_bad:
         raise PoleOnBoundary(
             "improper system: infinite poles straddle a half-plane boundary "
             "(pass improper_to_bad=True to force them into the bad part)"
         )
 
-    k = res.selected_count
-    S, T, B1, C1 = res.S, res.T, res.Q.T @ g.B[:nf], g.C[:, :nf] @ res.Z
-    L, R = gsylv_separation(S[:k, :k], S[:k, k:], S[k:, k:], T[:k, :k], T[:k, k:], T[k:, k:])
-    Gg = _trusted_system(S[:k, :k], T[:k, :k], B1[:k] - L @ B1[k:], C1[:, :k], g.D, g.domain)
+    B1, C1 = Z.T @ g.B[:nf], g.C[:, :nf] @ Z
+    R = _sylv_quasi(T[:k, :k], T[:k, k:], T[k:, k:])
+    Gg = _trusted_system(T[:k, :k], np.eye(k), B1[:k] - R @ B1[k:], C1[:, :k], g.D, g.domain)
     # the infinite block joins the bad part as minreal decoupled it
-    Ab, Eb = _diag2(S[k:, k:], g.A[nf:, nf:]), _diag2(T[k:, k:], g.E[nf:, nf:])
+    Ab, Eb = _diag2(T[k:, k:], g.A[nf:, nf:]), _diag2(np.eye(nf - k), g.E[nf:, nf:])
     Bb, Cb = np.vstack([B1[k:], g.B[nf:]]), np.hstack([C1[:, :k] @ R + C1[:, k:], g.C[:, nf:]])
     Gb = _trusted_system(Ab, Eb, Bb, Cb, np.zeros((g.p, g.m)), g.domain)
     return FactorPair(Gg, Gb, "additive")

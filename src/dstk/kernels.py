@@ -1,11 +1,11 @@
 """Dense real linear-algebra kernels.
 
 Tolerance-based rank decisions and orthonormal nullspace bases, all from one
-SVD entry point (``_svd``: one LAPACK ``gesdd`` call), the ordered
-generalized real Schur decomposition, the generalized Sylvester solver of
-block decoupling (LAPACK ``dtgsyl`` on the QZ forms) and an O(n^3)
-generalized Lyapunov solver (Bartels--Stewart on the QZ form).  Everything
-downstream is built on these primitives.
+SVD entry point (``_svd``: one LAPACK ``gesdd`` call), then Schur forms and
+the equations solved on them: one real Schur form and LAPACK ``dtrsyl`` for
+the block decoupling and the Lyapunov equation of a standard block (Bartels
+& Stewart, 1972), the ordered QZ form and ``dtgsyl`` for general pencils,
+whose Lyapunov equation is standardized onto the same solver.
 
 Point ranks (``rank_tol``, ``null_basis``, probes) are relative to
 ``sigma_max``; structural cuts (staircase, deflation, QZ beta) are absolute,
@@ -39,6 +39,7 @@ __all__ = [
 
 EPS = float(np.finfo(float).eps)
 RESIDUAL_TOL = 1e-6  # an equation solve is accepted at residual <= RESIDUAL_TOL * its Frobenius scale
+LYAP_RESIDUAL_TOL = 1e-7  # a Lyapunov solve is accepted at residual <= LYAP_RESIDUAL_TOL * its scale
 
 def as_matrix(M, name="matrix") -> np.ndarray:
     """Coerce to a finite 2-d float array."""
@@ -167,16 +168,10 @@ class GschurResult:
 
 def _quasi_blocks(S):
     """Positions (start, size) of the 1x1 / 2x2 diagonal blocks of S."""
-    n = S.shape[0]
-    blocks = []
-    i = 0
+    blocks, i, n = [], 0, S.shape[0]
     while i < n:
-        if i + 1 < n and S[i + 1, i] != 0.0:
-            blocks.append((i, 2))
-            i += 2
-        else:
-            blocks.append((i, 1))
-            i += 1
+        blocks.append((i, 2 if i + 1 < n and S[i + 1, i] != 0.0 else 1))
+        i += blocks[-1][1]
     return blocks
 
 
@@ -283,22 +278,31 @@ def gschur_ordered(A, B, select: Callable | None = None) -> GschurResult:
 
     selected = 0
     if select is not None:
-        flags = []
-        pos = 0
-        for start, size in blocks:
-            vals = eigs[pos : pos + size]
-            flags.append(any(select(a, b) for a, b in vals))
-            pos += size
-        run = True
-        for (start, size), f in zip(blocks, flags):
-            if f and not run:
-                raise IterationFailure("eigenvalue reordering produced an inconsistent leading block")
-            if not f:
-                run = False
-            else:
-                selected += size
+        # a block is selected if either eigenvalue is; the selected ones lead
+        flags = [any(select(a, b) for a, b in eigs[start : start + size]) for start, size in blocks]
+        if flags != sorted(flags, reverse=True):
+            raise IterationFailure("eigenvalue reordering produced an inconsistent leading block")
+        selected = sum(size for (_, size), f in zip(blocks, flags) if f)
 
     return GschurResult(S, T, Q, Z, eigs, selected)
+
+
+def _schur_ordered(A, select: Callable | None = None):
+    """Real Schur form ``Z.T @ A @ Z = T`` by one ``scipy.linalg.schur`` call:
+    ``(T, Z, eigenvalues, k)``, the eigenvalues read off the standardized
+    quasi-diagonal, the first ``k`` satisfying ``select(lam)`` (a conjugate
+    pair moves together).  A failed iteration or reordering raises
+    ``IterationFailure``."""
+    sort = None if select is None else (lambda re, im: bool(select(complex(re, im))))
+    try:
+        T, Z, *k = sla.schur(A, output="real", sort=sort)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise IterationFailure(f"Schur reordering failed: {exc}") from None
+    eigs = []
+    for i, size in _quasi_blocks(T):
+        w = 0.0 if size == 1 else np.sqrt(abs(T[i, i + 1])) * np.sqrt(abs(T[i + 1, i]))
+        eigs += [complex(T[i, i], w), complex(T[i, i], -w)][:size]
+    return T, Z, eigs, k[0] if k else 0
 
 
 def gsylv_separation(A11, A12, A22, E11, E12, E22):
@@ -356,6 +360,19 @@ def _checked_decoupling(L, R, residuals, blocks):
     return L, R
 
 
+def _sylv_quasi(T11, T12, T22):
+    """``R`` with ``T11 @ R - R @ T22 = -T12`` for quasi-triangular ``T11``,
+    ``T22`` of disjoint spectra: :func:`gsylv_separation` at ``E = I``, where
+    ``L = R``, by LAPACK ``dtrsyl`` and checked by :func:`_checked_decoupling`."""
+    if T12.size == 0:
+        return np.zeros(T12.shape)
+    R, scl, info = sla.lapack.dtrsyl(T11, T22, -T12, isgn=-1)
+    if info != 0 or scl == 0.0:
+        raise SpectraNotDisjoint("Sylvester equation is singular")
+    R /= scl
+    return _checked_decoupling(R, R, [T11 @ R - R @ T22 + T12], [T11, T12, T22])[1]
+
+
 def _domain_kind(domain) -> str:
     kind = getattr(domain, "value", domain)
     if kind not in ("continuous", "discrete"):
@@ -370,54 +387,67 @@ def glyap(A, E, W, domain) -> np.ndarray:
     Discrete:    ``A X A^T - E X E^T + W = 0``.
 
     ``W`` must be symmetric; the stable region is the open left half-plane or
-    the open unit disk according to ``domain``.  O(n^3) Bartels--Stewart on
-    the QZ form ``Q^T (A, E) Z = (S, T)`` that the stability check computes
-    (Penzl, 1998): the standard equation in ``M = T^-1 S`` and
-    ``T^-1 Q^T W Q T^-T`` goes to ``scipy.linalg.solve_*_lyapunov``, whose
+    the open unit disk according to ``domain``.  The QZ form
+    ``Q^T (A, E) Z = (S, T)`` standardizes the pair (Penzl, 1998): the
+    standard equation in ``M = T^-1 S`` and ``T^-1 Q^T W Q T^-T`` goes to
+    :func:`_stable_lyap`, which decides the finite eigenvalues, and its
     solution ``Y`` gives ``X = Z Y Z^T``.  A QZ beta at most
     ``stair_tol(None, n, E)`` is an infinite, hence unstable, eigenvalue.
     """
-    A = as_matrix(A, "A")
-    E = as_matrix(E, "E")
-    W = as_matrix(W, "W")
-    kind = _domain_kind(domain)
-    n = A.shape[0]
+    A, E, W = as_matrix(A, "A"), as_matrix(E, "E"), as_matrix(W, "W")
+    kind, n = _domain_kind(domain), A.shape[0]
     if A.shape != (n, n) or E.shape != (n, n) or W.shape != (n, n):
         raise DimensionMismatch("glyap blocks must be square of equal order")
-    if n == 0:
-        return np.zeros((0, 0))
-    wscale = np.linalg.norm(W)
-    if np.linalg.norm(W - W.T) > 1e-8 * (1.0 + wscale):
+    if np.linalg.norm(W - W.T) > 1e-8 * (1.0 + np.linalg.norm(W)):
         raise ValueError("W must be symmetric")
     W = 0.5 * (W + W.T)
 
     qz = gschur_ordered(A, E)
-    beta_tol = stair_tol(None, n, E)
-    for alpha, beta in qz.eigenvalues:
-        if beta <= beta_tol:
-            raise UnstablePair("pencil has an infinite eigenvalue")
-        lam = alpha / beta
-        if kind == "continuous":
-            if lam.real >= 0.0:
-                raise UnstablePair(f"eigenvalue {lam} not in the open left half-plane")
-        else:
-            if abs(lam) >= 1.0:
-                raise UnstablePair(f"eigenvalue {lam} not in the open unit disk")
-
+    if any(beta <= stair_tol(None, n, E) for _, beta in qz.eigenvalues):
+        raise UnstablePair("pencil has an infinite eigenvalue")
     M = sla.solve_triangular(qz.T, qz.S)
     Wt = sla.solve_triangular(qz.T, sla.solve_triangular(qz.T, qz.Q.T @ W @ qz.Q).T)
-    Wt = 0.5 * (Wt + Wt.T)
-    if kind == "continuous":
-        Y = sla.solve_continuous_lyapunov(M, -Wt)
-    else:
-        Y = sla.solve_discrete_lyapunov(M, Wt)
+    Y = _stable_lyap(M, Wt, kind, UnstablePair)
     X = qz.Z @ Y @ qz.Z.T
-    X = 0.5 * (X + X.T)
+    return _checked_lyap(A, E, 0.5 * (X + X.T), W, kind)
+
+
+def _stable_lyap(M, W, domain, unstable) -> np.ndarray:
+    """``X`` with ``M X + X M^T + W = 0`` (continuous) or ``M X M^T - X + W = 0``
+    (discrete) for a symmetric ``W``.  One real Schur form ``M = Z T Z^T``
+    decides stability, raising ``unstable`` at ``Re lam >= 0`` or
+    ``|lam| >= 1``, and LAPACK ``dtrsyl`` solves ``T Y + Y T^T = -Z^T W Z``,
+    in discrete time after the Cayley map ``T -> I - 2 (T + I)^-1``;
+    ``X = Z Y Z^T`` is checked by :func:`_checked_lyap`."""
+    kind, n = _domain_kind(domain), M.shape[0]
+    if n == 0:
+        return np.zeros((0, 0))
+    T, Z, eigs, _ = _schur_ordered(M)
+    for lam in eigs:
+        if kind == "continuous" and lam.real >= 0.0:
+            raise unstable(f"eigenvalue {lam} not in the open left half-plane")
+        if kind == "discrete" and abs(lam) >= 1.0:
+            raise unstable(f"eigenvalue {lam} not in the open unit disk")
+    S, Wt = T, -Z.T @ W @ Z
+    if kind == "discrete":
+        # (T + I)^-1 has T's quasi-triangular blocks, and dtrsyl reads them
+        # off the subdiagonal: zero what roundoff left below them
+        P = np.linalg.inv(T + np.eye(n))
+        P[np.tril(T == 0.0, -1)] = 0.0
+        S, Wt = np.eye(n) - 2.0 * P, 2.0 * P @ Wt @ P.T
+    Y, scl, _ = sla.lapack.dtrsyl(S, S, Wt, tranb="T")
+    X = Z @ (Y / scl) @ Z.T
+    return _checked_lyap(M, np.eye(n), 0.5 * (X + X.T), W, kind)
+
+
+def _checked_lyap(A, E, X, W, kind):
+    """``X`` if its Lyapunov residual in ``(A, E, W)`` is at most
+    ``LYAP_RESIDUAL_TOL (1 + ||W|| + (||A|| + ||E||)^2 ||X||)``."""
     if kind == "continuous":
         res = np.linalg.norm(A @ X @ E.T + E @ X @ A.T + W)
     else:
         res = np.linalg.norm(A @ X @ A.T - E @ X @ E.T + W)
-    scale = 1.0 + wscale + (np.linalg.norm(A) + np.linalg.norm(E)) ** 2 * np.linalg.norm(X)
-    if not np.isfinite(res) or res > 1e-7 * scale:
+    scale = 1.0 + np.linalg.norm(W) + (np.linalg.norm(A) + np.linalg.norm(E)) ** 2 * np.linalg.norm(X)
+    if not np.isfinite(res) or res > LYAP_RESIDUAL_TOL * scale:
         raise IterationFailure("Lyapunov residual too large")
     return X

@@ -24,9 +24,9 @@ from dstk.system import make_system, random_system
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Calls of the QZ, of ``klf``, of ``weierstrass_structure`` and of the
-    reduction ``analysis._reduce`` (which ``minreal`` runs), counted wherever
-    a dstk module binds them."""
+    """Calls of the QZ, of the real Schur form, of ``klf``, of
+    ``weierstrass_structure`` and of the reduction ``analysis._reduce``
+    (which ``minreal`` runs), counted wherever a dstk module binds them."""
     counts = Counter()
 
     def counted(name, fn):
@@ -36,7 +36,7 @@ def calls(monkeypatch):
 
         return wrapper
 
-    targets = [(scipy.linalg, "qz", "qz"), (scipy.linalg, "ordqz", "qz")]
+    targets = [(scipy.linalg, "qz", "qz"), (scipy.linalg, "ordqz", "qz"), (scipy.linalg, "schur", "schur")]
     for attr, name in [("klf", "klf"), ("weierstrass_structure", "weierstrass"), ("_reduce", "reduce")]:
         targets += [(mod, attr, name) for mod in (pencil, analysis, factor, solve, cli) if hasattr(mod, attr)]
     for mod, attr, name in targets:
@@ -163,9 +163,26 @@ def test_pole_structure_is_read_from_minreal(calls, query, proper):
     assert calls["reduce"] == (2 if query is factor.inner_outer and proper else 1)
 
 
-def test_h2_norm_takes_one_qz(calls):
-    # glyap's QZ decides stability and solves; properness is E = I
-    analysis.h2_norm(random_system(12, 2, 2, "discrete", stable=True, rng=np.random.default_rng(12)))
+@pytest.mark.parametrize(
+    "query",
+    [analysis.h2_norm, lambda g: factor.additive_decompose(g, analysis.stability_region(g.domain))],
+    ids=["h2_norm", "additive_decompose"],
+)
+@pytest.mark.parametrize("domain", ["continuous", "discrete"])
+def test_standard_block_takes_one_schur_and_no_qz(calls, query, domain):
+    # minreal's finite block has E = I: one real Schur form decides the
+    # poles and solves the Lyapunov or Sylvester equation
+    g = random_system(12, 2, 2, domain, stable=True, rng=np.random.default_rng(12))
+    query(make_system(g.A, g.E, g.B, g.C, np.zeros_like(g.D), domain))
+    assert (calls["qz"], calls["schur"]) == (0, 1)
+
+
+def test_model_match_takes_one_qz(calls):
+    # the Riccati solve keeps its extended pencil; the causal split of
+    # Q1~ F and the residual's H2 norm take real Schur forms
+    G = random_system(12, 2, 4, "continuous", stable=True, rng=np.random.default_rng(20))
+    F = random_system(6, 1, 4, "continuous", stable=True, rng=np.random.default_rng(27))
+    solve.l2_model_match(G, make_system(F.A, F.E, F.B, F.C, np.zeros_like(F.D), "continuous"))
     assert calls["qz"] == 1
 
 

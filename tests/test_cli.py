@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dstk.analysis import mcmillan_degree, normal_rank, poles
-from dstk.cli import format_system, parse_system, run, write_system
+from dstk.cli import _build_parser, format_system, parse_system, run, write_system
 from dstk.exceptions import ParseError
 from dstk.system import eval_tfm, make_system, random_system
 
@@ -281,3 +281,21 @@ class TestJsonFailures:
         assert capsys.readouterr().err.startswith("usage: dstk")
         assert run(["info", "--out", "json", "--help"]) == 0
         assert capsys.readouterr().out.startswith("usage: dstk")
+
+
+def test_cached_parser_matches_fresh_parsers(tmp_path, capsys):
+    # the parser is built once per process; a run, a usage error and another
+    # run through it report exactly what freshly built parsers report
+    g = random_system(6, 2, 2, "continuous", rng=np.random.default_rng(6))
+    path = _write(tmp_path, g)
+    sequence = [["info", path], ["bogus", "--out", "json"], ["minreal", path, "-o", str(tmp_path / "m.dss")]]
+
+    def outcomes(fresh):
+        seen = []
+        for argv in sequence:
+            if fresh:
+                _build_parser.cache_clear()
+            seen.append((run(argv), capsys.readouterr().out))
+        return seen
+
+    assert outcomes(fresh=False) == outcomes(fresh=True)
