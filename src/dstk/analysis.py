@@ -20,6 +20,7 @@ from .exceptions import (
     UnstableSystem,
 )
 from .kernels import (
+    BOUNDARY_TOL,
     EPS,
     _checked_decoupling,
     _diag2,
@@ -102,7 +103,7 @@ class StabilityRegion:
             return abs(z.real - self.alpha)
         return abs(abs(z) - self.rho)
 
-    def on_boundary(self, z, tol=1e-8) -> bool:
+    def on_boundary(self, z, tol=BOUNDARY_TOL) -> bool:
         return self.boundary_distance(z) <= tol * (1.0 + abs(complex(z)))
 
     def real_point(self) -> float:
@@ -364,20 +365,26 @@ def poles(sys: DescriptorSystem, tol=None) -> PoleZeroInfo:
 
 
 def zeros(sys: DescriptorSystem, tol=None) -> PoleZeroInfo:
-    """Zero structure of the TFM: finite eigenvalues of the regular part of
-    the system matrix pencil, infinite zero count, and (nr, nl) defects.
-    Block counts other than ``m - r`` right and ``p - r`` left (``r`` the
-    normal rank) raise :class:`IterationFailure`."""
-    return _zeros(minreal(sys, tol=tol), tol)
+    """Zero structure of the TFM: finite eigenvalues of the regular part of the
+    system matrix pencil, infinite zero count, and (nr, nl) defects, read off the
+    checked staircase of :func:`_structure` (a misread one raises :class:`IterationFailure`)."""
+    return _zeros(_structure(minreal(sys, tol=tol), tol)[3])
 
 
-def _zeros(g, tol) -> PoleZeroInfo:
-    """:func:`zeros` of a system ``g`` that is already minimal."""
-    _, _, _, _, ks = klf(*_system_pencil(g), tol=tol)
+def _structure(g, tol):
+    """The system-pencil staircase ``(Mk, Nk, V, ks, r)`` of a minimal ``g``: one
+    :func:`klf` and one probe normal rank ``r``; any count other than ``m - r``
+    right and ``p - r`` left Kronecker blocks raises :class:`IterationFailure`."""
+    Mk, Nk, _, V, ks = klf(*_system_pencil(g), tol=tol)
     r = normal_rank(g)
     found, want = (len(ks.right_indices), len(ks.left_indices)), (g.m - r, g.p - r)
     if found != want:
         raise IterationFailure(f"staircase found {found} (right, left) Kronecker blocks where the normal rank leaves {want}")
+    return Mk, Nk, V, ks, r
+
+
+def _zeros(ks) -> PoleZeroInfo:
+    """:func:`zeros` from the Kronecker structure ``ks`` of :func:`_structure`."""
     inf_count = sum(d - 1 for d in ks.infinite_divisor_degrees)
     return _value_info(ks.finite_eigenvalues, int(inf_count), (ks.nr, ks.nl))
 
@@ -388,13 +395,13 @@ def mcmillan_degree(sys: DescriptorSystem, tol=None) -> int:
 
 
 def _all_stable(finite, infinite, domain) -> bool:
-    """No infinite values, and every finite one in the stable region."""
+    """No infinite values, and every finite one in the stable region, off its boundary."""
     region = stability_region(domain)
-    return not infinite and all(region.contains(z) for z in finite)
+    return not infinite and all(region.contains(z) and not region.on_boundary(z) for z in finite)
 
 
 def is_stable(sys: DescriptorSystem, tol=None) -> bool:
-    """True when every pole lies in the stable region of the time domain.
+    """True when every pole lies in the stable region, off its boundary.
 
     An improper system has an infinite pole outside any stable region and is
     therefore never stable.
@@ -404,7 +411,7 @@ def is_stable(sys: DescriptorSystem, tol=None) -> bool:
 
 
 def is_minimum_phase(sys: DescriptorSystem, tol=None) -> bool:
-    """True when all zeros are finite and lie in the stable region."""
+    """True when all zeros are finite and lie in the stable region, off its boundary."""
     info = zeros(sys, tol=tol)
     return _all_stable(info.finite, info.infinite_count, sys.domain)
 

@@ -281,14 +281,15 @@ def _cmd_info(args, tol):
     g = read_system(args.system)
     gm, nf, ninf = analysis._reduce(g, tol)
     pz = analysis._poles(gm, nf, ninf)
-    zz = analysis._zeros(gm, tol)
+    *_, ks, r = analysis._structure(gm, tol)
+    zz = analysis._zeros(ks)
     rep = analysis.minimality_report(g, tol=tol)
     return [args.system], {
         "domain": g.domain.value,
         "order": g.n,
         "inputs_count": g.m,
         "outputs_count": g.p,
-        "normal_rank": analysis.normal_rank(g),
+        "normal_rank": r,
         "mcmillan_degree": pz.total,
         "poles": _pz_dict(pz),
         "zeros": _pz_dict(zz),

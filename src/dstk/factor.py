@@ -6,7 +6,8 @@ output injection, and inner-outer (and co-outer--co-inner) factorizations of
 stable proper full-rank systems via an algebraic Riccati equation solved on
 an extended structured pencil.  The same Riccati solver gives the
 dislocating feedback: with zero state weight its gain mirrors every bad
-eigenvalue into the region, so no random placement is involved.
+eigenvalue into the region, so no random placement is involved.  Both read
+:func:`minreal`'s split: no rank of ``E`` is decided again, and no QZ orders the poles.
 """
 
 from __future__ import annotations
@@ -25,18 +26,16 @@ from .exceptions import (
     RegionInvalid,
     UnstableInput,
 )
-from .analysis import StabilityRegion, _reduce, _zeros, minreal, normal_rank, stability_region
+from .analysis import StabilityRegion, _reduce, _structure, _zeros, minreal, stability_region
 from .kernels import (
     RESIDUAL_TOL,
     _diag2,
     _schur_ordered,
     _svd,
-    _svd_rank,
     _sylv_quasi,
     gschur_ordered,
     null_basis,
     rank_tol,
-    stair_tol,
 )
 from .ops import _static, concat_row, transpose_dual
 from .system import DescriptorSystem, TimeDomain, _trusted_system
@@ -121,48 +120,43 @@ def _additive_split(g, nf, ninf, region, improper_to_bad) -> FactorPair:
 # coprime factorizations
 
 
-def _dislocating_feedback(g, region, pole_set, tol):
+def _dislocating_feedback(g, nf, ninf, region, pole_set, tol):
     """State feedback making all infinite eigenvalues of ``A + BF - lam E``
-    simple and moving every finite eigenvalue outside ``region`` into it."""
-    n, m = g.n, g.m
-    A, E, B = g.A, g.E, g.B
-    F = np.zeros((m, n))
-
-    Ue, se, VeT = _svd(E)
-    e_tol = stair_tol(tol, n, E)
-    re = _svd_rank(se, E.shape, e_tol)
+    simple and moving every finite eigenvalue outside ``region`` into it, for
+    the output ``(g, nf, ninf)`` of :func:`_reduce`.  An improper ``g`` takes
+    one SVD of its trailing ``E`` block, split at its rank ``ninf``; an
+    index-reducing gain and one LU solve residualize the kernel states.  The
+    standard pair left (``(A, B)`` when proper) takes one ordered real Schur form."""
+    n, m, re = g.n, g.m, nf + ninf
+    F, As, Bs = np.zeros((m, n)), g.A, g.B
     if re < n:
-        # index reduction: make the trailing block of A + BF invertible in the
-        # orthogonal coordinates that compress E
-        Ap = Ue.T @ A @ VeT.T
-        Bp = Ue.T @ B
-        A22 = Ap[re:, re:]
-        B2 = Bp[re:, :]
+        U, s, Vh = _svd(g.E[nf:, nf:])
+        Ul, V = _diag2(np.eye(nf), U), _diag2(np.eye(nf), Vh.T)
+        Ap, Bp = Ul.T @ g.A @ V, Ul.T @ g.B
+        B2 = Bp[re:]
         if rank_tol(B2, tol) < n - re:
             raise PlacementFailure("infinite eigenvalues are not controllable")
-        scale = 1.0 + np.linalg.norm(A, 2)
-        T = scale * np.eye(n - re)
-        F2 = B2.T @ np.linalg.solve(B2 @ B2.T, T - A22)
-        F = np.hstack([np.zeros((m, re)), F2]) @ VeT
-        A = A + B @ F
+        target = (1.0 + np.linalg.norm(g.A, 2)) * np.eye(n - re)
+        F[:, re:] = B2.T @ np.linalg.solve(B2 @ B2.T, target - Ap[re:, re:])
+        Ap += Bp @ F
+        # x2 = -Ap22^-1 (Ap21 x1 + B2 u); E is diag(1, ..., 1, s) on the rest
+        P = Ap[:re, re:] @ np.linalg.solve(Ap[re:, re:], np.hstack([Ap[re:, :re], B2]))
+        d = np.r_[np.ones(nf), s[:ninf]][:, None]
+        As, Bs = (Ap[:re, :re] - P[:, :re]) / d, (Bp[:re] - P[:, re:]) / d
 
-    res = gschur_ordered(A, E, select=lambda a, b: b <= e_tol or region.contains(a / b))
-    k = res.selected_count
-    if k < n:
-        nb = n - k
-        Ab, Eb = res.S[k:, k:], res.T[k:, k:]
-        Bb = (res.Q.T @ B)[k:, :]
-        Abs = np.linalg.solve(Eb, Ab)
-        Bbs = np.linalg.solve(Eb, Bb)
+    T, Z, _, k = _schur_ordered(As, region.contains)
+    if k < re:
+        nb = re - k
+        Abs, Bbs = T[k:, k:], (Z.T @ Bs)[k:]
         if pole_set is None:
             # the zero-state-weight LQR gain mirrors every bad pole: about
             # Re z = alpha - 1/2, or about |z| = rho/sqrt(2) after scaling
             if region.is_half_plane:
-                As, Bs, kind = Abs - (region.alpha - 0.5) * np.eye(nb), Bbs, TimeDomain.CONTINUOUS
+                Am, Bm, kind = Abs - (region.alpha - 0.5) * np.eye(nb), Bbs, TimeDomain.CONTINUOUS
             else:
                 r = region.rho / np.sqrt(2.0)
-                As, Bs, kind = Abs / r, Bbs / r, TimeDomain.DISCRETE
-            Fb = _riccati_schur(As, Bs, np.zeros((nb, nb)), np.zeros((nb, m)), np.eye(m), kind)[1]
+                Am, Bm, kind = Abs / r, Bbs / r, TimeDomain.DISCRETE
+            Fb = _riccati_schur(Am, Bm, np.zeros((nb, nb)), np.zeros((nb, m)), np.eye(m), kind)[1]
         else:
             targets = [complex(z) for z in pole_set]
             for z in targets:
@@ -178,8 +172,8 @@ def _dislocating_feedback(g, region, pole_set, tol):
                 raise RegionInvalid(f"target poles cannot be placed: {exc}") from None
         if not all(region.contains(z) for z in np.linalg.eigvals(Abs + Bbs @ Fb)):
             raise PlacementFailure("closed-loop poles are not all in the region")
-        F = F + np.hstack([np.zeros((m, k)), Fb]) @ res.Z.T
-    return F
+        F[:, :re] += Fb @ Z[:, k:].T
+    return F if re == n else F @ V.T
 
 
 def rcf(sys: DescriptorSystem, region: StabilityRegion, pole_set=None, tol=None) -> FactorPair:
@@ -188,7 +182,8 @@ def rcf(sys: DescriptorSystem, region: StabilityRegion, pole_set=None, tol=None)
     A state feedback built on the minimal realization dislocates every bad
     finite eigenvalue into the region and reduces the infinite structure so
     that all infinite eigenvalues of the factor pencil are simple.  ``M`` is
-    square ``m x m`` with ``M(inf) = I``.
+    square ``m x m`` with ``M(inf) = I``.  The rank of ``E`` is read from
+    :func:`minreal`'s split, and ``tol`` acts there and in the index reduction.
 
     By default the feedback is the zero-state-weight LQR gain of the bad
     block, which puts each bad eigenvalue ``z`` at its mirror image
@@ -203,8 +198,8 @@ def rcf(sys: DescriptorSystem, region: StabilityRegion, pole_set=None, tol=None)
     """
     if not isinstance(region, StabilityRegion):
         raise RegionInvalid("region must be a StabilityRegion")
-    g = minreal(sys, tol=tol)
-    F = _dislocating_feedback(g, region, pole_set, tol)
+    g, nf, ninf = _reduce(sys, tol)
+    F = _dislocating_feedback(g, nf, ninf, region, pole_set, tol)
     Af = g.A + g.B @ F
     N = _trusted_system(Af, g.E, g.B, g.C - g.D @ F, g.D, g.domain)
     M = _trusted_system(Af, g.E, g.B, -F, np.eye(g.m), g.domain)
@@ -281,19 +276,20 @@ def _riccati_schur(A, B, Qc, Sc, Rc, domain):
 
 
 def _standard_stable_data(sys, tol):
-    """Minimal realization, validated for the inner-outer restricted scope.
-    The TFM is proper exactly when ``minreal``'s ``E`` is ``I``; then
-    ``(A, B, C, D)`` is a standard state-space model with poles ``eig(A)``."""
+    """Minimal realization and its normal rank (:func:`_structure`), validated
+    for the inner-outer restricted scope.  The TFM is proper exactly when
+    ``minreal``'s ``E`` is ``I``; then ``(A, B, C, D)`` is standard, poles ``eig(A)``."""
     g = minreal(sys, tol=tol)
     region = stability_region(g.domain)
     if not g.is_standard:
         raise ImproperInput("inner-outer factorization needs a proper system")
     if not all(region.contains(z) for z in np.linalg.eigvals(g.A)):
         raise UnstableInput("inner-outer factorization needs a stable system")
-    for z in _zeros(g, tol).finite:
+    *_, ks, r = _structure(g, tol)
+    for z in _zeros(ks).finite:
         if region.on_boundary(z):
             raise BoundaryZeros(f"zero {z} lies on the stability boundary")
-    return g
+    return g, r
 
 
 def inner_outer(sys: DescriptorSystem, tol=None) -> FactorPair:
@@ -306,11 +302,11 @@ def inner_outer(sys: DescriptorSystem, tol=None) -> FactorPair:
     infinity) fall outside the restricted scope and raise
     :class:`RankDeficiencyUnsupported`.
     """
-    g = _standard_stable_data(sys, tol)
+    g, r = _standard_stable_data(sys, tol)
     p, m = g.p, g.m
     if m == 0:
         return FactorPair(_static(np.eye(p), g.domain), _static(np.zeros((0, 0)), g.domain), "inner-outer", 0)
-    if normal_rank(g) < m:
+    if r < m:
         raise RankDeficiencyUnsupported("TFM must have full column normal rank")
     q1, R = _inner_outer_thin(g, tol)
     Q = concat_row(q1, _inner_complement(q1, g.domain)) if p > m else q1

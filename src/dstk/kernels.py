@@ -40,6 +40,7 @@ __all__ = [
 EPS = float(np.finfo(float).eps)
 RESIDUAL_TOL = 1e-6  # an equation solve is accepted at residual <= RESIDUAL_TOL * its Frobenius scale
 LYAP_RESIDUAL_TOL = 1e-7  # a Lyapunov solve is accepted at residual <= LYAP_RESIDUAL_TOL * its scale
+BOUNDARY_TOL = 1e-8  # lam is on a stability boundary within BOUNDARY_TOL * (1 + |lam|) of it
 
 def as_matrix(M, name="matrix") -> np.ndarray:
     """Coerce to a finite 2-d float array."""
@@ -415,19 +416,20 @@ def glyap(A, E, W, domain) -> np.ndarray:
 def _stable_lyap(M, W, domain, unstable) -> np.ndarray:
     """``X`` with ``M X + X M^T + W = 0`` (continuous) or ``M X M^T - X + W = 0``
     (discrete) for a symmetric ``W``.  One real Schur form ``M = Z T Z^T``
-    decides stability, raising ``unstable`` at ``Re lam >= 0`` or
-    ``|lam| >= 1``, and LAPACK ``dtrsyl`` solves ``T Y + Y T^T = -Z^T W Z``,
-    in discrete time after the Cayley map ``T -> I - 2 (T + I)^-1``;
+    decides stability, raising ``unstable`` at ``Re lam >= -b`` or ``|lam| >= 1 - b``
+    (``b = BOUNDARY_TOL (1 + |lam|)``), and LAPACK ``dtrsyl`` solves ``T Y + Y T^T =
+    -Z^T W Z``, in discrete time after the Cayley map ``T -> I - 2 (T + I)^-1``;
     ``X = Z Y Z^T`` is checked by :func:`_checked_lyap`."""
     kind, n = _domain_kind(domain), M.shape[0]
     if n == 0:
         return np.zeros((0, 0))
     T, Z, eigs, _ = _schur_ordered(M)
     for lam in eigs:
-        if kind == "continuous" and lam.real >= 0.0:
-            raise unstable(f"eigenvalue {lam} not in the open left half-plane")
-        if kind == "discrete" and abs(lam) >= 1.0:
-            raise unstable(f"eigenvalue {lam} not in the open unit disk")
+        margin = BOUNDARY_TOL * (1.0 + abs(lam))
+        if kind == "continuous" and lam.real >= -margin:
+            raise unstable(f"eigenvalue {lam} not in the open left half-plane, off its boundary")
+        if kind == "discrete" and abs(lam) >= 1.0 - margin:
+            raise unstable(f"eigenvalue {lam} not in the open unit disk, off its boundary")
     S, Wt = T, -Z.T @ W @ Z
     if kind == "discrete":
         # (T + I)^-1 has T's quasi-triangular blocks, and dtrsyl reads them

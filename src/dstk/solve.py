@@ -37,18 +37,17 @@ from .exceptions import (
 from .analysis import (
     _reduce,
     _strictly_proper,
+    _structure,
     _system_pencil,
     _zeros,
     h2_norm,
     is_stable,
     minreal,
-    normal_rank,
     stability_region,
 )
 from .factor import _additive_split, _inner_outer_thin, _riccati_schur
 from .kernels import _GOLDEN, _col_compress_null_first, _probe_rank, rank_tol
 from .ops import _static, concat_row, conjugate, inverse, parallel, series, transpose_dual
-from .pencil import klf
 from .system import DescriptorSystem, TimeDomain, _trusted_system, eval_tfm, probe_points
 
 __all__ = [
@@ -100,20 +99,19 @@ def right_nullspace(sys: DescriptorSystem, tol=None) -> DescriptorSystem:
     normal rank, and order equal to the sum of the right minimal indices.
     It is read off the leading right-singular block of the staircase form
     of the system pencil; its poles are placed by a stabilizing LQR gain.
-    Full-column-rank inputs yield an empty ``m x 0`` basis.  A staircase
-    whose count of right Kronecker blocks disagrees with ``m - r`` raises
-    :class:`IterationFailure` instead of returning a basis of the wrong width.
+    Full-column-rank inputs yield an empty ``m x 0`` basis.  The staircase
+    is the checked one of :func:`_structure`: Kronecker block counts other
+    than ``m - r`` right and ``p - r`` left raise :class:`IterationFailure`
+    instead of returning a basis of the wrong width.
     """
-    return _right_nullspace(minreal(sys, tol=tol), tol)
+    g = minreal(sys, tol=tol)
+    return _right_nullspace(g, _structure(g, tol))
 
 
-def _right_nullspace(g, tol) -> DescriptorSystem:
-    """:func:`right_nullspace` of a system ``g`` that is already minimal."""
-    Mk, Nk, _, V, ks = klf(*_system_pencil(g), tol=tol)
+def _right_nullspace(g, structure) -> DescriptorSystem:
+    """:func:`right_nullspace` of a minimal ``g`` from its :func:`_structure`."""
+    Mk, Nk, V, ks, _ = structure
     nr, nu = ks.nr, len(ks.right_indices)
-    width = g.m - normal_rank(g)
-    if nu != width:
-        raise IterationFailure(f"staircase found {nu} right Kronecker blocks where the normal rank leaves {width}")
     if nu == 0:
         return _static(np.zeros((g.m, 0)), g.domain)
     # the leading block has only right Kronecker structure, so its N part
@@ -181,7 +179,8 @@ def solve_right(G: DescriptorSystem, F: DescriptorSystem, tol=None) -> SolveResu
     if _probe_rank(Mgf, Ngf, tol) > _probe_rank(Mgf[:, :ng], Ngf[:, :ng], tol):
         raise Incompatible("[G F] has a larger normal rank than G")
 
-    r = normal_rank(g)
+    structure = _structure(g, tol)
+    r = structure[4]
     square = r == g.p == g.m
     probes = probe_points(gf, count=3)
     for attempt in range(1 if square else 5):
@@ -194,7 +193,7 @@ def solve_right(G: DescriptorSystem, F: DescriptorSystem, tol=None) -> SolveResu
             continue
         values = ((eval_tfm(g, lam) @ eval_tfm(X0, lam), eval_tfm(f, lam)) for lam in probes)
         if all(np.linalg.norm(lhs - rhs) <= 1e-7 * (1.0 + np.linalg.norm(rhs)) for lhs, rhs in values):
-            return SolveResult(X0, _right_nullspace(g, tol))
+            return SolveResult(X0, _right_nullspace(g, structure))
     raise IterationFailure("could not construct a particular solution (is the system compatible?)")
 
 
@@ -249,9 +248,10 @@ def l2_model_match(G: DescriptorSystem, F: DescriptorSystem, tol=None):
             raise UnstableInput(f"{name} must be stable and proper")
     if g.domain is TimeDomain.CONTINUOUS and not _strictly_proper(f):
         raise NonstrictlyProperF("continuous-time model matching needs a strictly proper F")
-    if normal_rank(g) < g.m:
+    *_, ks, r = _structure(g, tol)
+    if r < g.m:
         raise UnsupportedShape("G must have full column normal rank")
-    for z in _zeros(g, tol).finite:
+    for z in _zeros(ks).finite:
         if region.on_boundary(z):
             raise BoundaryZeros(f"zero {z} lies on the stability boundary")
     if g.domain is TimeDomain.CONTINUOUS and rank_tol(g.D.T @ g.D) < g.m:

@@ -22,8 +22,14 @@ from dstk.analysis import (
     stability_region,
     zeros,
 )
-from dstk.exceptions import IterationFailure, NonstrictlyProperContinuous, SpectraNotDisjoint, UnstableSystem
-from dstk.kernels import default_tol, gsylv_separation
+from dstk.exceptions import (
+    IterationFailure,
+    NonstrictlyProperContinuous,
+    SpectraNotDisjoint,
+    UnstablePair,
+    UnstableSystem,
+)
+from dstk.kernels import default_tol, glyap, gsylv_separation
 from dstk.ops import (
     RationalMatrixData,
     concat_col,
@@ -36,6 +42,7 @@ from dstk.ops import (
     transpose_dual,
 )
 from dstk.pencil import weierstrass_structure
+from dstk.solve import right_nullspace, solve_right
 from dstk.system import eval_tfm, make_system, random_system
 
 
@@ -220,11 +227,17 @@ class TestZeros:
         r = np.random.default_rng(seed)
         return series(random_system(10, 2, 3, "continuous", rng=r), random_system(10, 4, 2, "continuous", rng=r))
 
-    def test_misjudged_staircase_refused(self):
+    @pytest.mark.parametrize(
+        "query",
+        [zeros, right_nullspace, lambda g: solve_right(g, g)],
+        ids=["zeros", "right_nullspace", "solve_right"],
+    )
+    def test_misjudged_staircase_refused(self, query):
         # the staircase misreads the Kronecker structure of this product; it
-        # used to report 10 finite zeros with ranks (5, 0)
+        # used to report 10 finite zeros with ranks (5, 0).  Every reader of
+        # the system-pencil staircase goes through the same block-count check
         with pytest.raises(IterationFailure):
-            zeros(self._product(7))
+            query(self._product(7))
 
     def test_rank_deficient_product(self):
         info = zeros(self._product(0))
@@ -248,6 +261,25 @@ class TestDegreeAndPredicates:
         assert not is_stable(derivative_sys())
         g = make_system([[-2.0]], [[1.0]], [[1.0]], [[3.0]], [[1.0]], "continuous")  # (s-1)/(s+2)
         assert is_stable(g) and not is_minimum_phase(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            # 1/s once the pole at -1 cancels: minreal leaves A = [[-7.85e-17]]
+            make_system([[0.0, 1.0], [0.0, -1.0]], np.eye(2), [[1.0], [1.0]], [[1.0, 1.0]], [[0.0]], "continuous"),
+            make_system([[1.0 - 1e-9]], [[1.0]], [[1.0]], [[1.0]], [[0.0]], "discrete"),
+        ],
+        ids=["continuous-integrator", "discrete-near-unit-circle"],
+    )
+    def test_boundary_pole_refused(self, g):
+        # a pole within BOUNDARY_TOL of the boundary is not decided by the
+        # sign of its rounding error
+        assert not is_stable(g)
+        with pytest.raises(UnstableSystem):
+            h2_norm(g)
+        h = minreal(g)
+        with pytest.raises(UnstablePair):
+            glyap(h.A, h.E, h.B @ h.B.T, g.domain)
 
     def test_proper_no_infinite_poles(self, rng):
         for _ in range(5):

@@ -73,7 +73,7 @@ def test_cli_info_reduces_once_per_structure(calls, proper24, tmp_path, capsys):
     assert cli.run(["info", path]) == 0
     capsys.readouterr()
     assert calls["reduce"] == 1
-    assert calls["klf"] <= 1
+    assert calls["klf"] == 1
     assert calls["qz"] == 0
 
 
@@ -269,21 +269,80 @@ def test_structural_cuts_take_no_2_norm(norm2_calls, improper24, query):
     assert norm2_calls[0] == 0
 
 
-def test_rcf_takes_one_svd_of_E(monkeypatch, improper24):
-    # the rank of E, its compression and the QZ beta cut share one SVD
-    g = analysis.minreal(improper24)
-    assert kernels.rank_tol(g.E) < g.n
-    seen, svd, np_svd = Counter(), kernels._svd, np.linalg.svd
+@pytest.mark.filterwarnings("ignore:Convergence was not reached")
+@pytest.mark.parametrize(
+    "system, pole_set",
+    [("proper24", False), ("improper24", False), ("proper24", True)],
+    ids=["proper24", "improper24", "proper24-pole_set"],
+)
+def test_rcf_reads_the_split_of_minreal(calls, monkeypatch, request, system, pole_set):
+    # rcf reads the rank of E from minreal's split and takes no SVD of the
+    # n x n E: one real Schur form orders the standard pair, and the only QZ
+    # is the Riccati pencil of the default gain
+    sys_ = request.getfixturevalue(system)
+    g = analysis.minreal(sys_)
+    region = analysis.stability_region(g.domain)
+    targets = None
+    if pole_set:
+        nb = sum(not region.contains(z) for z in analysis.poles(g).finite)
+        targets = list(np.linspace(-1.0, -2.0, nb))
+    seen, svd = [], kernels._svd
 
-    def counted(fn, name):
-        def wrapper(M, *args, **kwargs):
-            seen[name] += np.shape(M) == g.E.shape and np.array_equal(M, g.E)
-            return fn(M, *args, **kwargs)
-
-        return wrapper
+    def counted(M, *args, **kwargs):
+        seen.append(np.shape(M) == g.E.shape and np.array_equal(M, g.E))
+        return svd(M, *args, **kwargs)
 
     for mod in (kernels, pencil, analysis, factor):
-        monkeypatch.setattr(mod, "_svd", counted(svd, "_svd"), raising=False)
-    monkeypatch.setattr(np.linalg, "svd", counted(np_svd, "numpy"))
-    factor.rcf(improper24, analysis.stability_region(g.domain))
-    assert (seen["_svd"], seen["numpy"]) == (1, 0)
+        monkeypatch.setattr(mod, "_svd", counted, raising=False)
+    calls.clear()
+    factor.rcf(sys_, region, pole_set=targets)
+    assert not any(seen)
+    assert calls["schur"] == 1
+    assert calls["qz"] == (0 if pole_set else 1)
+
+
+@pytest.fixture
+def probed(monkeypatch):
+    """The pencils ``M - lam N`` whose normal rank is probed, as ``M``."""
+    seen, fn = [], kernels._probe_rank
+
+    def wrapper(M, N, tol=None):
+        seen.append(M)
+        return fn(M, N, tol)
+
+    for mod in (kernels, pencil, solve):
+        monkeypatch.setattr(mod, "_probe_rank", wrapper, raising=False)
+    return seen
+
+
+def _info(path):
+    assert cli.run(["info", path]) == 0
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda G, F, X, path: analysis.zeros(G),
+        lambda G, F, X, path: factor.inner_outer(G),
+        lambda G, F, X, path: solve.l2_model_match(G, F),
+        lambda G, F, X, path: solve.solve_right(G, series(G, X)),
+        lambda G, F, X, path: _info(path),
+    ],
+    ids=["zeros", "inner_outer", "l2_model_match", "solve_right", "cli_info"],
+)
+def test_system_pencil_structure_is_decided_once(calls, probed, query, tmp_path, capsys):
+    # one checked staircase and one probe rank of the minimal G's system
+    # pencil serve every structural query of the pipeline
+    G = random_system(12, 2, 3, "continuous", stable=True, rng=np.random.default_rng(12))
+    F = random_system(6, 1, 3, "continuous", stable=True, rng=np.random.default_rng(27))
+    F = make_system(F.A, F.E, F.B, F.C, np.zeros_like(F.D), "continuous")
+    X = random_system(3, 1, 2, "continuous", rng=np.random.default_rng(3))
+    path = str(tmp_path / "g.dss")
+    write_system(path, G)
+    M = analysis._system_pencil(analysis.minreal(cli.read_system(path)))[0]
+    calls.clear()
+    probed.clear()
+    query(G, F, X, path)
+    capsys.readouterr()
+    assert calls["klf"] == 1
+    assert sum(P.shape == M.shape and np.array_equal(P, M) for P in probed) == 1

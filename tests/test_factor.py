@@ -216,16 +216,28 @@ class TestCoprime:
             rcf(unstable_lag(), LHP, pole_set=[2.0])
 
     @pytest.mark.parametrize("fn", [rcf, lcf], ids=["rcf", "lcf"])
-    @pytest.mark.parametrize("seed", range(10))
-    def test_continuous_order_40(self, fn, seed):
-        g = random_system(40, 2, 2, "continuous", rng=np.random.default_rng(1000 * seed + 40))
-        pair = fn(g, LHP)
+    @pytest.mark.parametrize(
+        "n, domain, proper, seed",
+        [(40, "continuous", True, s) for s in range(10)]
+        + [(24, d, False, s) for d in ("continuous", "discrete") for s in range(3)]
+        + [(24, "discrete", True, s) for s in range(3)],
+        ids=[str(s) for s in range(10)]
+        + [f"improper-{d}-24-{s}" for d in ("continuous", "discrete") for s in range(3)]
+        + [f"discrete-24-{s}" for s in range(3)],
+    )
+    def test_continuous_order_40(self, fn, n, domain, proper, seed):
+        # continuous proper inputs at order 40, and improper inputs in both
+        # domains and discrete proper ones at order 24
+        g = random_system(n, 2, 2, domain, proper=proper, rng=np.random.default_rng(1000 * seed + n))
+        region = stability_region(domain)
+        pair = fn(g, region)
         for fac in (pair.first, pair.second):
             info = poles(fac)
-            assert info.infinite_count == 0 and all(LHP.contains(z) for z in info.finite)
-        # probes in the right half-plane, away from every factor pole: the
-        # mirrored closed loops reach state-matrix norms near 5e6, and
-        # eval_tfm's conditioning guard refuses some left half-plane points
+            assert info.infinite_count == 0 and all(region.contains(z) for z in info.finite)
+        # probes in the right half-plane and outside |z| = 1.6, away from
+        # every factor pole and every discrete pole of G: the mirrored
+        # closed loops reach state-matrix norms near 5e6, and eval_tfm's
+        # conditioning guard refuses some left half-plane points
         for lam in (1.5 + 1.0j, 0.5 + 2.0j):
             nv, mv, gv = eval_tfm(pair.first, lam), eval_tfm(pair.second, lam), eval_tfm(g, lam)
             q = nv @ np.linalg.inv(mv) if fn is rcf else np.linalg.solve(mv, nv)
