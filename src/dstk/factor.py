@@ -26,7 +26,7 @@ from .exceptions import (
     RegionInvalid,
     UnstableInput,
 )
-from .analysis import StabilityRegion, _reduce, _structure, _zeros, minreal, stability_region
+from .analysis import StabilityRegion, _all_stable, _reduce, _structure, _zeros, minreal, stability_region
 from .kernels import (
     RESIDUAL_TOL,
     _diag2,
@@ -277,14 +277,16 @@ def _riccati_schur(A, B, Qc, Sc, Rc, domain):
 
 def _standard_stable_data(sys, tol):
     """Minimal realization and its normal rank (:func:`_structure`), validated
-    for the inner-outer restricted scope.  The TFM is proper exactly when
-    ``minreal``'s ``E`` is ``I``; then ``(A, B, C, D)`` is standard, poles ``eig(A)``."""
+    for the inner-outer restricted scope: proper, stable off the boundary
+    (:func:`_all_stable`) and free of boundary zeros.  The TFM is proper
+    exactly when ``minreal``'s ``E`` is ``I``; then ``(A, B, C, D)`` is
+    standard, poles ``eig(A)``."""
     g = minreal(sys, tol=tol)
     region = stability_region(g.domain)
     if not g.is_standard:
-        raise ImproperInput("inner-outer factorization needs a proper system")
-    if not all(region.contains(z) for z in np.linalg.eigvals(g.A)):
-        raise UnstableInput("inner-outer factorization needs a stable system")
+        raise ImproperInput("the system must be proper")
+    if not _all_stable(np.linalg.eigvals(g.A), 0, g.domain):
+        raise UnstableInput("the system must be stable")
     *_, ks, r = _structure(g, tol)
     for z in _zeros(ks).finite:
         if region.on_boundary(z):

@@ -41,6 +41,7 @@ EPS = float(np.finfo(float).eps)
 RESIDUAL_TOL = 1e-6  # an equation solve is accepted at residual <= RESIDUAL_TOL * its Frobenius scale
 LYAP_RESIDUAL_TOL = 1e-7  # a Lyapunov solve is accepted at residual <= LYAP_RESIDUAL_TOL * its scale
 BOUNDARY_TOL = 1e-8  # lam is on a stability boundary within BOUNDARY_TOL * (1 + |lam|) of it
+PROBE_RESIDUAL_TOL = 1e-7  # X solves G X = F where |G X - F| <= PROBE_RESIDUAL_TOL * (1 + |F|) at each probe point
 
 def as_matrix(M, name="matrix") -> np.ndarray:
     """Coerce to a finite 2-d float array."""

@@ -130,7 +130,7 @@ def inverse(sys: DescriptorSystem, mode: str = "general") -> DescriptorSystem:
     """
     if sys.p != sys.m:
         raise NotSquare(f"inverse needs a square TFM, got {sys.p}x{sys.m}")
-    m, n = sys.m, sys.n
+    m = sys.m
     if normal_rank(sys) < m:
         raise NotInvertibleTFM("TFM is rank deficient at the probe frequencies")
     if mode == "d-inverse":
@@ -143,6 +143,13 @@ def inverse(sys: DescriptorSystem, mode: str = "general") -> DescriptorSystem:
         return _trusted_system(A, sys.E, B, C, Dinv, sys.domain)
     if mode != "general":
         raise ValueError(f"unknown inverse mode {mode!r}")
+    return _pencil_inverse(sys)
+
+
+def _pencil_inverse(sys):
+    """``inverse(sys)`` of a square ``sys`` already known to be invertible:
+    the output equation appended to the pencil, at order ``n + m``."""
+    m, n = sys.m, sys.n
     A = np.zeros((n + m, n + m))
     A[:n, :n] = sys.A
     A[:n, n:] = sys.B

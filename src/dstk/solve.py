@@ -7,9 +7,9 @@ its leading right-singular block, compressed to ``[B1 | A1 - lam E1]`` with
 stabilizing LQR feedback on ``(A1, E1, B1)`` fixes its poles; the
 accumulated orthogonal transforms map it back to the input coordinates.
 No polynomial arithmetic is involved.  A particular solution of
-``G X = F`` is built from the library's own realization arithmetic:
-``inverse(G)`` in series with ``F``, on an invertible core ``P G T`` cut
-out by constant selectors when ``G`` is not square and invertible.  The
+``G X = F`` is built from the library's own realization arithmetic: the
+inverse of the invertible core ``G[rows, cols]``, whose indices pivoted
+QRs of ``G`` at a probe point pick, in series with ``F[rows]``.  The
 model-matching pipeline compresses the problem with the thin inner-outer
 factors ``G = Q1 R``, splits the transformed target ``Q1~ F`` into its
 causal part ``Ls`` and the rest, back-substitutes ``R X = Ls`` through a
@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from .exceptions import (
     BoundaryZeros,
@@ -30,24 +31,23 @@ from .exceptions import (
     Incompatible,
     IterationFailure,
     NonstrictlyProperF,
-    NotInvertibleTFM,
     UnstableInput,
     UnsupportedShape,
 )
 from .analysis import (
+    _all_stable,
     _reduce,
     _strictly_proper,
     _structure,
     _system_pencil,
-    _zeros,
     h2_norm,
     is_stable,
     minreal,
     stability_region,
 )
-from .factor import _additive_split, _inner_outer_thin, _riccati_schur
-from .kernels import _GOLDEN, _col_compress_null_first, _probe_rank, rank_tol
-from .ops import _static, concat_row, conjugate, inverse, parallel, series, transpose_dual
+from .factor import _additive_split, _inner_outer_thin, _riccati_schur, _standard_stable_data
+from .kernels import PROBE_RESIDUAL_TOL, _col_compress_null_first, _probe_rank, rank_tol
+from .ops import _pencil_inverse, _static, concat_row, conjugate, inverse, parallel, series, transpose_dual
 from .system import DescriptorSystem, TimeDomain, _trusted_system, eval_tfm, probe_points
 
 __all__ = [
@@ -139,15 +139,35 @@ def left_nullspace(sys: DescriptorSystem, tol=None) -> DescriptorSystem:
 # linear rational matrix equations
 
 
-def _selector(rows, cols, attempt):
-    """Fixed orthonormal ``rows x cols`` selector of the given attempt: the Q
-    factor of ``cos((attempt + 1) (i + 1) (j + 1) phi)`` with
-    ``phi = pi (sqrt(5) - 1)``.  Every entry moves with the attempt, so no
-    direction (such as the all-ones vector, which ``G`` may annihilate) is
-    shared by all attempts."""
-    i, j = np.ogrid[1 : rows + 1, 1 : max(cols, 1) + 1]
-    Q, _ = np.linalg.qr(np.cos((attempt + 1) * i * j * 2.0 * np.pi * _GOLDEN))
-    return Q[:, :cols]
+def _particular(g, f, r, tol) -> DescriptorSystem:
+    """Particular solution of ``G X = F`` for minimal ``g``, ``f`` and the
+    normal rank ``r`` of ``g``.
+
+    One pivoted QR of ``G`` at the first probe point picks ``r`` columns, and
+    one of those columns' transpose picks ``r`` rows, each kept in ascending
+    order (a square invertible ``G`` is its own core); the core
+    ``G[rows, cols]`` is cut out of the realization, so ``X[cols] =
+    core^-1 F[rows]`` and ``X`` is zero elsewhere.  ``G X = F`` must hold at
+    the three probe points within ``PROBE_RESIDUAL_TOL``; otherwise, or when
+    the core is not invertible, :class:`IterationFailure` is raised.
+    """
+    probes = probe_points(concat_row(g, f), count=3)
+    Gvs = [eval_tfm(g, lam) for lam in probes]
+    Gv = Gvs[0]
+    cols = np.sort(sla.qr(Gv, mode="r", pivoting=True)[1][:r])
+    rows = np.sort(sla.qr(Gv[:, cols].T, mode="r", pivoting=True)[1][:r])
+    if rank_tol(Gv[np.ix_(rows, cols)]) < r:
+        raise IterationFailure("the r x r core of G is singular at the probe point")
+    core = _trusted_system(g.A, g.E, g.B[:, cols], g.C[rows], g.D[np.ix_(rows, cols)], g.domain)
+    X2 = series(_pencil_inverse(core), _trusted_system(f.A, f.E, f.B, f.C[rows], f.D[rows], f.domain))
+    C, D = np.zeros((g.m, X2.n)), np.zeros((g.m, f.m))
+    C[cols], D[cols] = X2.C, X2.D
+    X0 = minreal(_trusted_system(X2.A, X2.E, X2.B, C, D, g.domain), tol=tol)
+    for lam, gv in zip(probes, Gvs):
+        lhs, rhs = gv @ eval_tfm(X0, lam), eval_tfm(f, lam)
+        if np.linalg.norm(lhs - rhs) > PROBE_RESIDUAL_TOL * (1.0 + np.linalg.norm(rhs)):
+            raise IterationFailure("could not construct a particular solution (is the system compatible?)")
+    return X0
 
 
 def solve_right(G: DescriptorSystem, F: DescriptorSystem, tol=None) -> SolveResult:
@@ -155,14 +175,13 @@ def solve_right(G: DescriptorSystem, F: DescriptorSystem, tol=None) -> SolveResu
 
     ``F`` is compatible when the system pencil of ``[G F]`` has no larger
     normal rank than that of ``G``, each the largest rank at three fixed
-    probe points; otherwise :class:`Incompatible` is raised.  When ``G`` is
-    invertible the particular solution is ``inverse(G)`` in series with
-    ``F``; otherwise fixed orthonormal row/column selectors ``P``, ``T``,
-    entered as static systems, reduce the problem to the invertible core
-    ``P G T X2 = P F`` with ``X = T X2``, trying up to five selector pairs
-    until ``G X = F`` holds at three probe points.  The returned nullspace
-    basis parameterizes all solutions.  The result depends on ``G``, ``F``
-    and ``tol`` alone.
+    probe points; otherwise :class:`Incompatible` is raised.  The particular
+    solution is ``inverse`` of an invertible ``r x r`` core ``G[rows, cols]``
+    (``r`` the normal rank of ``G``) in series with ``F[rows]``, placed in
+    the rows ``cols``; pivoted QRs of ``G`` at a probe point pick both
+    index sets once.  The result is checked, ``G X = F`` at three probe
+    points.  The returned nullspace basis parameterizes all solutions.  The
+    result depends on ``G``, ``F`` and ``tol`` alone.
     """
     if G.domain is not F.domain:
         raise DomainMismatch("G and F must share a time domain")
@@ -180,21 +199,7 @@ def solve_right(G: DescriptorSystem, F: DescriptorSystem, tol=None) -> SolveResu
         raise Incompatible("[G F] has a larger normal rank than G")
 
     structure = _structure(g, tol)
-    r = structure[4]
-    square = r == g.p == g.m
-    probes = probe_points(gf, count=3)
-    for attempt in range(1 if square else 5):
-        # the invertible core P G T X2 = P F, with X = T X2 (P = T = I for a square invertible G)
-        P, T = (np.eye(k) if square else _selector(k, r, attempt) for k in (g.p, g.m))
-        P, T = _static(P.T, g.domain), _static(T, g.domain)
-        try:
-            X0 = minreal(series(T, series(inverse(series(P, series(g, T))), series(P, f))), tol=tol)
-        except NotInvertibleTFM:
-            continue
-        values = ((eval_tfm(g, lam) @ eval_tfm(X0, lam), eval_tfm(f, lam)) for lam in probes)
-        if all(np.linalg.norm(lhs - rhs) <= 1e-7 * (1.0 + np.linalg.norm(rhs)) for lhs, rhs in values):
-            return SolveResult(X0, _right_nullspace(g, structure))
-    raise IterationFailure("could not construct a particular solution (is the system compatible?)")
+    return SolveResult(_particular(g, f, structure[4], tol), _right_nullspace(g, structure))
 
 
 def solve_left(G: DescriptorSystem, F: DescriptorSystem, tol=None) -> SolveResult:
@@ -240,26 +245,20 @@ def l2_model_match(G: DescriptorSystem, F: DescriptorSystem, tol=None):
         raise DomainMismatch("G and F must share a time domain")
     if G.p != F.p:
         raise DimensionMismatch(f"G and F must have equal output counts, got {G.p} and {F.p}")
-    g = minreal(G, tol=tol)
+    g, r = _standard_stable_data(G, tol)
     f = minreal(F, tol=tol)
-    region = stability_region(g.domain)
-    for h, name in ((g, "G"), (f, "F")):
-        if not (h.is_standard and all(region.contains(z) for z in np.linalg.eigvals(h.A))):
-            raise UnstableInput(f"{name} must be stable and proper")
+    if not (f.is_standard and _all_stable(np.linalg.eigvals(f.A), 0, f.domain)):
+        raise UnstableInput("F must be stable and proper")
     if g.domain is TimeDomain.CONTINUOUS and not _strictly_proper(f):
         raise NonstrictlyProperF("continuous-time model matching needs a strictly proper F")
-    *_, ks, r = _structure(g, tol)
     if r < g.m:
         raise UnsupportedShape("G must have full column normal rank")
-    for z in _zeros(ks).finite:
-        if region.on_boundary(z):
-            raise BoundaryZeros(f"zero {z} lies on the stability boundary")
     if g.domain is TimeDomain.CONTINUOUS and rank_tol(g.D.T @ g.D) < g.m:
         # zeros at infinity: outside the restricted inner-outer scope, but a
         # square G with an exact stable solution needs no compression at all
         # (take the identity as the inner factor and G itself as the outer)
         if g.p == g.m:
-            X0 = solve_right(g, f, tol=tol).particular
+            X0 = _particular(g, f, r, tol)
             if is_stable(X0, tol=tol):
                 zero_sys = _static(np.zeros((g.m, f.m)), g.domain)
                 parts = LdpParts(

@@ -320,23 +320,29 @@ def _info(path):
 
 
 @pytest.mark.parametrize(
-    "query",
+    "query, square",
     [
-        lambda G, F, X, path: analysis.zeros(G),
-        lambda G, F, X, path: factor.inner_outer(G),
-        lambda G, F, X, path: solve.l2_model_match(G, F),
-        lambda G, F, X, path: solve.solve_right(G, series(G, X)),
-        lambda G, F, X, path: _info(path),
+        (lambda G, F, X, path: analysis.zeros(G), False),
+        (lambda G, F, X, path: factor.inner_outer(G), False),
+        (lambda G, F, X, path: solve.l2_model_match(G, F), False),
+        (lambda G, F, X, path: solve.l2_model_match(G, F), True),
+        (lambda G, F, X, path: solve.solve_right(G, series(G, X)), False),
+        (lambda G, F, X, path: _info(path), False),
     ],
-    ids=["zeros", "inner_outer", "l2_model_match", "solve_right", "cli_info"],
+    ids=["zeros", "inner_outer", "l2_model_match", "l2_model_match_exact", "solve_right", "cli_info"],
 )
-def test_system_pencil_structure_is_decided_once(calls, probed, query, tmp_path, capsys):
+def test_system_pencil_structure_is_decided_once(calls, probed, query, square, tmp_path, capsys):
     # one checked staircase and one probe rank of the minimal G's system
     # pencil serve every structural query of the pipeline
     G = random_system(12, 2, 3, "continuous", stable=True, rng=np.random.default_rng(12))
     F = random_system(6, 1, 3, "continuous", stable=True, rng=np.random.default_rng(27))
     F = make_system(F.A, F.E, F.B, F.C, np.zeros_like(F.D), "continuous")
     X = random_system(3, 1, 2, "continuous", rng=np.random.default_rng(3))
+    if square:
+        # D = 0 puts the zeros of a square G at infinity: model matching
+        # takes its exact branch on F = G X with a stable X
+        G = make_system(G.A, G.E, G.B, G.C[:2], np.zeros((2, 2)), "continuous")
+        F = series(G, random_system(3, 1, 2, "continuous", stable=True, rng=np.random.default_rng(3)))
     path = str(tmp_path / "g.dss")
     write_system(path, G)
     M = analysis._system_pencil(analysis.minreal(cli.read_system(path)))[0]
@@ -346,3 +352,6 @@ def test_system_pencil_structure_is_decided_once(calls, probed, query, tmp_path,
     capsys.readouterr()
     assert calls["klf"] == 1
     assert sum(P.shape == M.shape and np.array_equal(P, M) for P in probed) == 1
+    if square:
+        # G, F, the particular solution and its stability test once each
+        assert calls["reduce"] == 4

@@ -39,8 +39,8 @@ def test_no_random_state_outside_random_system():
 
 
 def test_cli_solve_ignores_seed(tmp_path, capsys, monkeypatch):
-    # G = G1 G2 is 3 x 3 of normal rank 2, so solve_right goes through its
-    # row/column selectors; F = G X0 is compatible
+    # G = G1 G2 is 3 x 3 of normal rank 2, so solve_right cuts a 2 x 2 core
+    # out of it by pivoted QR; F = G X0 is compatible
     monkeypatch.delenv("DSTK_SEED", raising=False)
     r = np.random.default_rng(8)
     G = series(random_system(4, 2, 3, "continuous", rng=r), random_system(4, 3, 2, "continuous", rng=r))

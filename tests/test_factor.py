@@ -399,6 +399,16 @@ class TestInnerOuter:
             assert np.linalg.norm(X - Xs) <= 1e-7 * (1 + np.linalg.norm(Xs))
             assert np.linalg.norm(F - Fs) <= 1e-7 * (1 + np.linalg.norm(Fs))
 
+    @pytest.mark.parametrize("fn", [inner_outer, co_outer_co_inner])
+    @pytest.mark.parametrize("a, domain", [(-1e-10, "continuous"), (1.0 - 1e-10, "discrete")])
+    def test_near_boundary_pole_is_unstable(self, fn, a, domain):
+        # a pole within BOUNDARY_TOL of the boundary is unstable here as it
+        # is for is_stable
+        g = make_system([[a]], [[1.0]], [[1.0]], [[1.0]], [[1.0]], domain)
+        assert not is_stable(g)
+        with pytest.raises(UnstableInput):
+            fn(g)
+
     def test_errors(self, rng):
         gs = make_system(np.eye(2), [[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]], "continuous")
         with pytest.raises(ImproperInput):

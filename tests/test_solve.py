@@ -5,7 +5,7 @@ import scipy.linalg
 from conftest import oracle_points, safe_eval
 
 from dstk.analysis import h2_norm, is_stable, normal_rank, poles, stability_region
-from dstk.exceptions import Incompatible, IterationFailure, NonstrictlyProperF, UnstableInput, UnsupportedShape
+from dstk.exceptions import ImproperInput, Incompatible, IterationFailure, NonstrictlyProperF, UnstableInput, UnsupportedShape
 from dstk.ops import RationalMatrixData, concat_col, concat_row, conjugate, realize_rational, series, transpose_dual
 from dstk.solve import l2_model_match, left_nullspace, right_nullspace, solve_left, solve_right
 from dstk.system import eval_tfm, make_system, random_system
@@ -213,8 +213,8 @@ class TestSolve:
 
     @pytest.mark.parametrize("dom", ["continuous", "discrete"])
     def test_annihilated_ones_direction(self, rng, dom):
-        # G = [g -g] and its dual annihilate the all-ones vector; no row or
-        # column selector may keep that direction on every attempt
+        # G = [g -g] and its dual annihilate the all-ones vector; the pivoted
+        # QR picks rows and columns, so no core mixes g with -g
         g = random_system(3, 1, 3, dom, rng=rng)
         neg = make_system(g.A, g.E, g.B, -g.C, -g.D, dom)
         G = concat_row(g, neg)
@@ -353,10 +353,23 @@ class TestModelMatch:
         want = match_error(G, F, X)
         assert abs(parts.error_norm - want) <= 1e-8 * want
 
+    @pytest.mark.parametrize("a, domain", [(-1e-10, "continuous"), (1.0 - 1e-10, "discrete")])
+    def test_near_boundary_pole_is_unstable(self, a, domain):
+        # G and F are held to the stability rule of is_stable, margin included
+        near = make_system([[a]], [[1.0]], [[1.0]], [[1.0]], [[1.0]], domain)
+        g = make_system([[-0.5]], [[1.0]], [[1.0]], [[1.0]], [[1.0]], domain)
+        with pytest.raises(UnstableInput):
+            l2_model_match(near, lag(0.5, domain))
+        with pytest.raises(UnstableInput):
+            l2_model_match(g, make_system([[a]], [[1.0]], [[1.0]], [[1.0]], [[0.0]], domain))
+
     def test_errors(self, rng):
         g = make_system([[-1.0]], [[1.0]], [[1.0]], [[2.0]], [[1.0]], "continuous")
         with pytest.raises(UnstableInput):
             l2_model_match(make_system([[1.0]], [[1.0]], [[1.0]], [[-1.0]], [[0.0]], "continuous"), lag())
+        improper = make_system(np.eye(2), [[0.0, 1.0], [0.0, 0.0]], [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]], "continuous")
+        with pytest.raises(ImproperInput):
+            l2_model_match(improper, lag())
         with pytest.raises(NonstrictlyProperF):
             l2_model_match(g, g)
         wide = concat_col(g, g)  # 2x1 rank 1: fine
