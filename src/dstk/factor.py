@@ -4,7 +4,10 @@ Additive decomposition over a good/bad split of the complex plane, right and
 left coprime factorizations by eigenvalue dislocation with state feedback /
 output injection, and inner-outer (and co-outer--co-inner) factorizations of
 stable proper full-rank systems via an algebraic Riccati equation solved on
-an extended structured pencil.  The same Riccati solver gives the
+an extended structured pencil: one sorted LAPACK ``dgges`` with right Schur
+vectors only orders ``M - s N`` in continuous time, and the reversed
+``N - mu M`` (``mu = 1/z``) in discrete time, whose QZ already leaves the
+stable set in front.  The same Riccati solver gives the
 dislocating feedback: with zero state weight its gain mirrors every bad
 eigenvalue into the region, so no random placement is involved.  Both read
 :func:`minreal`'s split: no rank of ``E`` is decided again, and no QZ orders the poles.
@@ -28,12 +31,13 @@ from .exceptions import (
 )
 from .analysis import StabilityRegion, _all_stable, _reduce, _structure, _zeros, minreal, stability_region
 from .kernels import (
+    INFINITE_EIG_TOL,
     RESIDUAL_TOL,
     _diag2,
+    _qz_leading,
     _schur_ordered,
     _svd,
     _sylv_quasi,
-    gschur_ordered,
     null_basis,
     rank_tol,
 )
@@ -227,48 +231,41 @@ def _psd_sqrt(W, what):
 
 def _riccati_schur(A, B, Qc, Sc, Rc, domain):
     """Stabilizing Riccati solution ``X`` and its gain ``F`` (closed loop
-    ``A + B F``) via the ordered Schur form of the extended structured
-    pencil (size 2n + m)."""
+    ``A + B F``) from the stable right deflating subspace of the extended
+    pencil ``M - z N`` (size 2n + m), put first by one :func:`_qz_leading`.
+    Discrete time orders the reversed pencil ``N - mu M`` (``mu = 1/z``, the
+    same subspaces), whose QZ leaves the stable set ``|mu| > 1`` (``z = 0`` at
+    ``mu = inf``) in front, where that of ``M - z N`` leaves it last."""
     n, m = B.shape
     Zn = np.zeros((n, n))
     Znm = np.zeros((n, m))
     if domain is TimeDomain.CONTINUOUS:
         M = np.block([[A, Zn, B], [Qc, A.T, Sc], [Sc.T, B.T, Rc]])
-        N = np.zeros((2 * n + m, 2 * n + m))
-        N[:n, :n] = np.eye(n)
-        N[n : 2 * n, n : 2 * n] = -np.eye(n)
-
-        def sel(a, b):
-            return b > 1e-8 * (abs(a) + b + 1e-300) and (a / b).real < 0.0
-
+        N = np.diag(np.r_[np.ones(n), -np.ones(n), np.zeros(m)])
+        Z, k = _qz_leading(M, N, lambda a, b: b > INFINITE_EIG_TOL * (abs(a) + b) and (a / b).real < 0.0)
     else:
         M = np.block([[A, Zn, B], [Qc, -np.eye(n), Sc], [Sc.T, Znm.T, Rc]])
-        N = np.zeros((2 * n + m, 2 * n + m))
-        N[:n, :n] = np.eye(n)
-        N[n : 2 * n, n : 2 * n] = -A.T
-        N[2 * n :, n : 2 * n] = -B.T
-
-        def sel(a, b):
-            return b > 1e-8 * (abs(a) + b + 1e-300) and abs(a / b) < 1.0
-
-    res = gschur_ordered(M, N, select=sel)
-    if res.selected_count != n:
+        N = np.block([[np.eye(n), Zn, Znm], [Zn, -A.T, Znm], [Znm.T, -B.T, np.zeros((m, m))]])
+        # z = b / a is finite and inside the unit disk
+        Z, k = _qz_leading(N, M, lambda a, b: abs(a) > INFINITE_EIG_TOL * (abs(a) + b) and b < abs(a))
+    if k != n:
         raise IterationFailure("Riccati pencil did not split into n stable directions")
-    Z1 = res.Z[:n, :n]
-    Z2 = res.Z[n : 2 * n, :n]
+    Z1 = Z[:n, :n]
+    Z2 = Z[n : 2 * n, :n]
+    # no regularity probe: a singular pencil fails the count, the graph or
+    # the gain solve, or the residual test
     try:
         X = np.linalg.solve(Z1.T, Z2.T).T
+        X = 0.5 * (X + X.T)
+        if domain is TimeDomain.CONTINUOUS:
+            gain = np.linalg.solve(Rc, B.T @ X + Sc.T)
+            resid = A.T @ X + X @ A + Qc - (X @ B + Sc) @ gain
+        else:
+            Wd = Rc + B.T @ X @ B
+            gain = np.linalg.solve(Wd, B.T @ X @ A + Sc.T)
+            resid = A.T @ X @ A - X + Qc - (A.T @ X @ B + Sc) @ gain
     except np.linalg.LinAlgError:
-        raise IterationFailure("Riccati deflating subspace is not a graph") from None
-    X = 0.5 * (X + X.T)
-
-    if domain is TimeDomain.CONTINUOUS:
-        gain = np.linalg.solve(Rc, B.T @ X + Sc.T)
-        resid = A.T @ X + X @ A + Qc - (X @ B + Sc) @ gain
-    else:
-        Wd = Rc + B.T @ X @ B
-        gain = np.linalg.solve(Wd, B.T @ X @ A + Sc.T)
-        resid = A.T @ X @ A - X + Qc - (A.T @ X @ B + Sc) @ gain
+        raise IterationFailure("Riccati deflating subspace is not a graph, or its gain weight is singular") from None
     scale = 1.0 + np.linalg.norm(Qc) + (1.0 + np.linalg.norm(A)) ** 2 * (1.0 + np.linalg.norm(X))
     if np.linalg.norm(resid) > RESIDUAL_TOL * scale:
         raise IterationFailure("Riccati residual too large")

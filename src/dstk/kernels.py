@@ -5,7 +5,8 @@ SVD entry point (``_svd``: one LAPACK ``gesdd`` call), then Schur forms and
 the equations solved on them: one real Schur form and LAPACK ``dtrsyl`` for
 the block decoupling and the Lyapunov equation of a standard block (Bartels
 & Stewart, 1972), the ordered QZ form and ``dtgsyl`` for general pencils,
-whose Lyapunov equation is standardized onto the same solver.
+whose Lyapunov equation is standardized onto the same solver, and one sorted
+``dgges`` with right Schur vectors only for the Riccati pencils.
 
 Point ranks (``rank_tol``, ``null_basis``, probes) are relative to
 ``sigma_max``; structural cuts (staircase, deflation, QZ beta) are absolute,
@@ -42,6 +43,7 @@ RESIDUAL_TOL = 1e-6  # an equation solve is accepted at residual <= RESIDUAL_TOL
 LYAP_RESIDUAL_TOL = 1e-7  # a Lyapunov solve is accepted at residual <= LYAP_RESIDUAL_TOL * its scale
 BOUNDARY_TOL = 1e-8  # lam is on a stability boundary within BOUNDARY_TOL * (1 + |lam|) of it
 PROBE_RESIDUAL_TOL = 1e-7  # X solves G X = F where |G X - F| <= PROBE_RESIDUAL_TOL * (1 + |F|) at each probe point
+INFINITE_EIG_TOL = 1e-8  # alpha/beta is infinite at |beta| <= INFINITE_EIG_TOL * (|alpha| + |beta|), zero at that |alpha|
 
 def as_matrix(M, name="matrix") -> np.ndarray:
     """Coerce to a finite 2-d float array."""
@@ -287,6 +289,20 @@ def gschur_ordered(A, B, select: Callable | None = None) -> GschurResult:
         selected = sum(size for (_, size), f in zip(blocks, flags) if f)
 
     return GschurResult(S, T, Q, Z, eigs, selected)
+
+
+def _qz_leading(M, N, select: Callable):
+    """``(Z, k)``: right Schur vectors of the real QZ form of ``M - lam*N``,
+    the first ``k`` spanning the eigenvalues with ``select(alpha, |beta|)`` (a
+    conjugate pair moves together), from one LAPACK ``dgges`` call that sorts
+    and forms no left vectors.  A nonzero ``info`` raises ``IterationFailure``."""
+    def sort(alphar, alphai, beta):
+        return select(complex(alphar, alphai), abs(beta))
+
+    _, _, k, _, _, _, _, Z, _, info = sla.lapack.dgges(sort, M, N, jobvsl=0, sort_t=1)
+    if info:
+        raise IterationFailure(f"QZ iteration or reordering failed (dgges info {info})")
+    return Z, k
 
 
 def _schur_ordered(A, select: Callable | None = None):

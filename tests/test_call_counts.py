@@ -19,12 +19,13 @@ from dstk.cli import write_system
 from dstk.exceptions import DstkError
 from dstk.ops import series
 from dstk.pencil import weierstrass_structure
-from dstk.system import make_system, random_system
+from dstk.system import TimeDomain, make_system, random_system
 
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Calls of the QZ, of the real Schur form, of ``klf``, of
+    """Calls of the QZ (``scipy.linalg.qz``/``ordqz`` and the ``dgges``
+    kernel ``kernels._qz_leading``), of the real Schur form, of ``klf``, of
     ``weierstrass_structure`` and of the reduction ``analysis._reduce``
     (which ``minreal`` runs), counted wherever a dstk module binds them."""
     counts = Counter()
@@ -37,8 +38,13 @@ def calls(monkeypatch):
         return wrapper
 
     targets = [(scipy.linalg, "qz", "qz"), (scipy.linalg, "ordqz", "qz"), (scipy.linalg, "schur", "schur")]
-    for attr, name in [("klf", "klf"), ("weierstrass_structure", "weierstrass"), ("_reduce", "reduce")]:
-        targets += [(mod, attr, name) for mod in (pencil, analysis, factor, solve, cli) if hasattr(mod, attr)]
+    for attr, name in [
+        ("_qz_leading", "qz"),
+        ("klf", "klf"),
+        ("weierstrass_structure", "weierstrass"),
+        ("_reduce", "reduce"),
+    ]:
+        targets += [(mod, attr, name) for mod in (kernels, pencil, analysis, factor, solve, cli) if hasattr(mod, attr)]
     for mod, attr, name in targets:
         monkeypatch.setattr(mod, attr, counted(name, getattr(mod, attr)))
     return counts
@@ -313,6 +319,24 @@ def probed(monkeypatch):
     for mod in (kernels, pencil, solve):
         monkeypatch.setattr(mod, "_probe_rank", wrapper, raising=False)
     return seen
+
+
+@pytest.mark.parametrize("domain", [TimeDomain.CONTINUOUS, TimeDomain.DISCRETE], ids=["continuous", "discrete"])
+def test_riccati_takes_one_right_vectors_dgges(monkeypatch, probed, domain):
+    # one sorted dgges forms the right Schur vectors alone: no left vectors,
+    # no separate reordering and no regularity probe of the extended pencil
+    jobvsl, dgges = [], scipy.linalg.lapack.dgges
+
+    def counted(*args, **kwargs):
+        jobvsl.append(kwargs.get("jobvsl", 1))
+        return dgges(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgges", counted)
+    rng = np.random.default_rng(12)
+    A, B, C, D = rng.normal(size=(12, 12)), rng.normal(size=(12, 2)), rng.normal(size=(3, 12)), rng.normal(size=(3, 2))
+    factor._riccati_schur(A, B, C.T @ C, C.T @ D, D.T @ D + np.eye(2), domain)
+    assert jobvsl == [0]
+    assert probed == []
 
 
 def _info(path):

@@ -23,6 +23,7 @@ from dstk.analysis import (
 from dstk.exceptions import (
     BoundaryZeros,
     ImproperInput,
+    IterationFailure,
     PoleOnBoundary,
     RankDeficiencyUnsupported,
     RegionInvalid,
@@ -299,6 +300,19 @@ def inner_grid_error(Q, region, count=20):
     return err
 
 
+def assert_riccati_matches_scipy(A, B, Qc, Sc, Rc, domain, tol=1e-10):
+    """``_riccati_schur``'s ``X`` and ``F`` agree with scipy's to ``tol`` relative."""
+    X, F = _riccati_schur(A, B, Qc, Sc, Rc, domain)
+    if domain is TimeDomain.CONTINUOUS:
+        Xs = sla.solve_continuous_are(A, B, Qc, Rc, s=Sc)
+        Fs = -np.linalg.solve(Rc, B.T @ Xs + Sc.T)
+    else:
+        Xs = sla.solve_discrete_are(A, B, Qc, Rc, s=Sc)
+        Fs = -np.linalg.solve(Rc + B.T @ Xs @ B, B.T @ Xs @ A + Sc.T)
+    assert np.linalg.norm(X - Xs) <= tol * (1 + np.linalg.norm(Xs))
+    assert np.linalg.norm(F - Fs) <= tol * (1 + np.linalg.norm(Fs))
+
+
 class TestInnerOuter:
     def test_already_inner(self, rng):
         # (s-1)/(s+1): conjugate times itself is the identity
@@ -398,6 +412,45 @@ class TestInnerOuter:
                 Fs = -np.linalg.solve(Rc + B.T @ Xs @ B, B.T @ Xs @ A + Sc.T)
             assert np.linalg.norm(X - Xs) <= 1e-7 * (1 + np.linalg.norm(Xs))
             assert np.linalg.norm(F - Fs) <= 1e-7 * (1 + np.linalg.norm(Fs))
+
+    @pytest.mark.parametrize("domain", [TimeDomain.CONTINUOUS, TimeDomain.DISCRETE], ids=["continuous", "discrete"])
+    def test_riccati_order_40(self, domain):
+        # the stable set of each domain's pencil (the reversed one in
+        # discrete time) is the one selected at a real order
+        rng = np.random.default_rng(40)
+        n, m = 40, 2
+        A = rng.normal(size=(n, n)) / np.sqrt(n)
+        if domain is TimeDomain.CONTINUOUS:
+            A -= (np.linalg.eigvals(A).real.max() + 0.5) * np.eye(n)
+        else:
+            A *= 0.9 / np.abs(np.linalg.eigvals(A)).max()
+        B, C, D = rng.normal(size=(n, m)), rng.normal(size=(3, n)), rng.normal(size=(3, m))
+        assert_riccati_matches_scipy(A, B, C.T @ C, C.T @ D, D.T @ D + np.eye(m), domain)
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["zero_weight", "output_weight"])
+    def test_riccati_discrete_nilpotent_order_48(self, weighted):
+        # every pole of A is at z = 0; with zero state weight the closed loop
+        # keeps them, so every stable eigenvalue mu = 1/z of the reversed
+        # pencil is infinite and must still be selected
+        rng = np.random.default_rng(48)
+        n, m = 48, 2
+        A = np.triu(rng.normal(size=(n, n)), 1) / np.sqrt(n)
+        B, C, D = rng.normal(size=(n, m)), rng.normal(size=(3, n)), rng.normal(size=(3, m))
+        if weighted:
+            Qc, Sc, Rc = C.T @ C, C.T @ D, D.T @ D + np.eye(m)
+        else:
+            Qc, Sc, Rc = np.zeros((n, n)), np.zeros((n, m)), np.eye(m)
+        assert_riccati_matches_scipy(A, B, Qc, Sc, Rc, TimeDomain.DISCRETE)
+
+    @pytest.mark.parametrize("domain", [TimeDomain.CONTINUOUS, TimeDomain.DISCRETE], ids=["continuous", "discrete"])
+    def test_riccati_singular_pencil_is_refused(self, domain):
+        # an all-zero problem has a singular extended pencil: without a
+        # regularity probe the split count (continuous) or the singular gain
+        # weight (discrete, where the pencil still yields n stable directions)
+        # refuses it with a typed error
+        n, m = 2, 1
+        with pytest.raises(IterationFailure):
+            _riccati_schur(np.zeros((n, n)), np.zeros((n, m)), np.zeros((n, n)), np.zeros((n, m)), np.zeros((m, m)), domain)
 
     @pytest.mark.parametrize("fn", [inner_outer, co_outer_co_inner])
     @pytest.mark.parametrize("a, domain", [(-1e-10, "continuous"), (1.0 - 1e-10, "discrete")])
