@@ -3,11 +3,14 @@
 Additive decomposition over a good/bad split of the complex plane, right and
 left coprime factorizations by eigenvalue dislocation with state feedback /
 output injection, and inner-outer (and co-outer--co-inner) factorizations of
-stable proper full-rank systems via an algebraic Riccati equation solved on
-an extended structured pencil: one sorted LAPACK ``dgges`` with right Schur
-vectors only orders ``M - s N`` in continuous time, and the reversed
+stable proper full-rank systems via an algebraic Riccati equation.  For a
+square system with a well-conditioned ``D`` it has no state weight: one
+ordered real Schur form of the zero dynamics ``A + B D^-1 C`` decides the
+zeros, and a Lyapunov (Stein) equation on its antistable block solves it.
+Otherwise one sorted LAPACK ``dgges`` with right Schur vectors only orders
+the extended pencil ``M - s N`` in continuous time, and the reversed
 ``N - mu M`` (``mu = 1/z``) in discrete time, whose QZ already leaves the
-stable set in front.  The same Riccati solver gives the
+stable set in front.  The same pencil solver gives the
 dislocating feedback: with zero state weight its gain mirrors every bad
 eigenvalue into the region, so no random placement is involved.  Both read
 :func:`minreal`'s split: no rank of ``E`` is decided again, and no QZ orders the poles.
@@ -30,12 +33,12 @@ from .exceptions import (
     UnstableInput,
 )
 from .analysis import StabilityRegion, _all_stable, _reduce, _structure, _zeros, minreal, stability_region
+from .kernels import DEFICIENCY_RCOND, FEEDTHROUGH_RCOND, GRAMIAN_FLOOR, INFINITE_EIG_TOL, RESIDUAL_TOL
 from .kernels import (
-    INFINITE_EIG_TOL,
-    RESIDUAL_TOL,
     _diag2,
     _qz_leading,
     _schur_ordered,
+    _stable_lyap,
     _svd,
     _sylv_quasi,
     null_basis,
@@ -220,13 +223,14 @@ def lcf(sys: DescriptorSystem, region: StabilityRegion, pole_set=None, tol=None)
 # inner-outer machinery
 
 
-def _psd_sqrt(W, what):
+def _psd_sqrt(W, what=None):
+    """``(W^1/2, W^-1/2)``; a deficient ``W`` raises, or without ``what`` is clipped at ``GRAMIAN_FLOOR``."""
     w, V = np.linalg.eigh(0.5 * (W + W.T))
-    if w.size and w.min() <= 1e-10 * max(w.max(), 1.0):
+    if what is None:
+        w = np.clip(w, GRAMIAN_FLOOR * max(w.max(), 1.0), None)
+    elif w.size and w.min() <= DEFICIENCY_RCOND * max(w.max(), 1.0):
         raise RankDeficiencyUnsupported(f"{what} is numerically rank deficient")
-    root = V @ np.diag(np.sqrt(w)) @ V.T
-    inv_root = V @ np.diag(1.0 / np.sqrt(w)) @ V.T
-    return root, inv_root
+    return V @ np.diag(np.sqrt(w)) @ V.T, V @ np.diag(1.0 / np.sqrt(w)) @ V.T
 
 
 def _riccati_schur(A, B, Qc, Sc, Rc, domain):
@@ -250,22 +254,43 @@ def _riccati_schur(A, B, Qc, Sc, Rc, domain):
         Z, k = _qz_leading(N, M, lambda a, b: abs(a) > INFINITE_EIG_TOL * (abs(a) + b) and b < abs(a))
     if k != n:
         raise IterationFailure("Riccati pencil did not split into n stable directions")
-    Z1 = Z[:n, :n]
-    Z2 = Z[n : 2 * n, :n]
     # no regularity probe: a singular pencil fails the count, the graph or
     # the gain solve, or the residual test
     try:
-        X = np.linalg.solve(Z1.T, Z2.T).T
-        X = 0.5 * (X + X.T)
+        X = np.linalg.solve(Z[:n, :n].T, Z[n : 2 * n, :n].T).T
+    except np.linalg.LinAlgError:
+        raise IterationFailure("Riccati deflating subspace is not a graph") from None
+    return _riccati_gain(A, B, Qc, Sc, Rc, X, domain)
+
+
+def _bernoulli(zd, B, D, domain):
+    """Stabilizing Riccati solution of :func:`_inner_outer_thin` for a square
+    ``G``: with zero dynamics ``A + B D^-1 C = Z T Z^T`` (``zd = (T, Z, k)``,
+    stable block first) it is ``X = Z2 Y^-1 Z2^T``, ``T22 Y + Y T22^T = W``
+    (continuous) or ``T22 Y T22^T - Y = W`` (discrete), ``W = Bt Bt^T``, ``Bt = Z2^T B D^-1``."""
+    T, Z, k = zd
+    Z2, Bt = Z[:, k:], np.linalg.solve(D.T, B.T @ Z[:, k:]).T
+    M = -T[k:, k:] if domain is TimeDomain.CONTINUOUS else np.linalg.inv(T[k:, k:])
+    Bt = Bt if domain is TimeDomain.CONTINUOUS else M @ Bt
+    try:
+        return Z2 @ np.linalg.solve(_stable_lyap(M, Bt @ Bt.T, domain, IterationFailure), Z2.T)
+    except np.linalg.LinAlgError:
+        raise IterationFailure("Bernoulli solution is singular") from None
+
+
+def _riccati_gain(A, B, Qc, Sc, Rc, X, domain):
+    """``(X, F)``: the symmetrized Riccati solution ``X`` and its gain, at
+    residual at most ``RESIDUAL_TOL`` times its scale."""
+    X = 0.5 * (X + X.T)
+    try:
         if domain is TimeDomain.CONTINUOUS:
             gain = np.linalg.solve(Rc, B.T @ X + Sc.T)
             resid = A.T @ X + X @ A + Qc - (X @ B + Sc) @ gain
         else:
-            Wd = Rc + B.T @ X @ B
-            gain = np.linalg.solve(Wd, B.T @ X @ A + Sc.T)
+            gain = np.linalg.solve(Rc + B.T @ X @ B, B.T @ X @ A + Sc.T)
             resid = A.T @ X @ A - X + Qc - (A.T @ X @ B + Sc) @ gain
     except np.linalg.LinAlgError:
-        raise IterationFailure("Riccati deflating subspace is not a graph, or its gain weight is singular") from None
+        raise IterationFailure("Riccati gain weight is singular") from None
     scale = 1.0 + np.linalg.norm(Qc) + (1.0 + np.linalg.norm(A)) ** 2 * (1.0 + np.linalg.norm(X))
     if np.linalg.norm(resid) > RESIDUAL_TOL * scale:
         raise IterationFailure("Riccati residual too large")
@@ -273,22 +298,28 @@ def _riccati_schur(A, B, Qc, Sc, Rc, domain):
 
 
 def _standard_stable_data(sys, tol):
-    """Minimal realization and its normal rank (:func:`_structure`), validated
-    for the inner-outer restricted scope: proper, stable off the boundary
-    (:func:`_all_stable`) and free of boundary zeros.  The TFM is proper
-    exactly when ``minreal``'s ``E`` is ``I``; then ``(A, B, C, D)`` is
-    standard, poles ``eig(A)``."""
+    """Minimal realization, normal rank ``r`` and zero dynamics ``zd``,
+    validated for the inner-outer scope: proper (``minreal``'s ``E`` is ``I``),
+    stable off the boundary, no boundary zeros.  A square ``D = G(inf)`` with
+    ``sigma_min >= FEEDTHROUGH_RCOND sigma_max`` gives ``r = m``, and the zeros
+    ``eig(A + B D^-1 C)`` ordered into ``zd`` for :func:`_bernoulli`; else :func:`_structure` decides."""
     g = minreal(sys, tol=tol)
     region = stability_region(g.domain)
     if not g.is_standard:
         raise ImproperInput("the system must be proper")
     if not _all_stable(np.linalg.eigvals(g.A), 0, g.domain):
         raise UnstableInput("the system must be stable")
-    *_, ks, r = _structure(g, tol)
-    for z in _zeros(ks).finite:
+    sv = _svd(g.D, vectors=False)
+    if g.p == g.m and sv.size and sv[-1] >= FEEDTHROUGH_RCOND * sv[0] > 0.0:
+        T, Z, zs, k = _schur_ordered(g.A + g.B @ np.linalg.solve(g.D, g.C), region.contains)
+        r, zd = g.m, (T, Z, k)
+    else:
+        *_, ks, r = _structure(g, tol)
+        zs, zd = _zeros(ks).finite, None
+    for z in zs:
         if region.on_boundary(z):
             raise BoundaryZeros(f"zero {z} lies on the stability boundary")
-    return g, r
+    return g, r, zd
 
 
 def inner_outer(sys: DescriptorSystem, tol=None) -> FactorPair:
@@ -301,34 +332,35 @@ def inner_outer(sys: DescriptorSystem, tol=None) -> FactorPair:
     infinity) fall outside the restricted scope and raise
     :class:`RankDeficiencyUnsupported`.
     """
-    g, r = _standard_stable_data(sys, tol)
+    g, r, zd = _standard_stable_data(sys, tol)
     p, m = g.p, g.m
     if m == 0:
         return FactorPair(_static(np.eye(p), g.domain), _static(np.zeros((0, 0)), g.domain), "inner-outer", 0)
     if r < m:
         raise RankDeficiencyUnsupported("TFM must have full column normal rank")
-    q1, R = _inner_outer_thin(g, tol)
+    q1, R = _inner_outer_thin(g, tol, zd)
     Q = concat_row(q1, _inner_complement(q1, g.domain)) if p > m else q1
     return FactorPair(Q, R, "inner-outer", inner_columns=m)
 
 
-def _inner_outer_thin(g, tol):
+def _inner_outer_thin(g, tol, zd=None):
     """Thin factors ``(Q1, R)`` of ``G = Q1 R`` for a minimal, validated
     ``g`` (stable, proper, ``E = I``) of full column normal rank ``m``:
-    ``Q1`` is ``p x m`` inner and minimal, ``R`` square outer."""
+    ``Q1`` is ``p x m`` inner and minimal, ``R`` square outer.  Given zero
+    dynamics ``zd``, the Riccati takes :func:`_bernoulli`, not the pencil."""
     As, Bs, C, D = g.A, g.B, g.C, g.D
     n, m = g.n, g.m
-    Qc = C.T @ C
-    Sc = -C.T @ D
-    Rc = D.T @ D
+    Qc, Sc, Rc = C.T @ C, -C.T @ D, D.T @ D
     if g.domain is TimeDomain.CONTINUOUS:
-        _psd_sqrt(Rc, "D^T D")  # zeros at infinity are out of scope
-    if n:
+        W12, W12i = _psd_sqrt(Rc, "D^T D")  # zeros at infinity are out of scope
+    if not n:
+        X, F = np.zeros((0, 0)), np.zeros((m, 0))
+    elif zd is None:
         X, F = _riccati_schur(As, Bs, Qc, Sc, Rc, g.domain)
     else:
-        X, F = np.zeros((0, 0)), np.zeros((m, 0))
-    W = Rc if g.domain is TimeDomain.CONTINUOUS else Rc + Bs.T @ X @ Bs
-    W12, W12i = _psd_sqrt(W, "spectral-factor weight")
+        X, F = _riccati_gain(As, Bs, Qc, Sc, Rc, _bernoulli(zd, Bs, D, g.domain), g.domain)
+    if g.domain is TimeDomain.DISCRETE:
+        W12, W12i = _psd_sqrt(Rc + Bs.T @ X @ Bs, "spectral-factor weight")
 
     R = _trusted_system(As, np.eye(n), Bs, W12 @ F, W12, g.domain)
     Q1 = _trusted_system(As + Bs @ F, np.eye(n), Bs @ W12i, C - D @ F, D @ W12i, g.domain)
@@ -340,8 +372,7 @@ def _inner_complement(q1, domain):
     A, C, D = q1.A, q1.C, q1.D
     n, p, m = q1.n, q1.p, q1.m
     if n == 0:
-        Dp = null_basis(D.T)
-        return _static(Dp, domain)
+        return _static(null_basis(D.T), domain)
     # observability Gramian X1 of Q1 by an O(n^6) Kronecker solve: X1 is as
     # ill-conditioned as Q1's Hankel singular values decay, and the X1^-1
     # below keeps its digits with this solve but not with glyap's
@@ -362,20 +393,16 @@ def _inner_complement(q1, domain):
     NK = null_basis(Kmat)
     if NK.shape[1] != p:
         raise IterationFailure("inner completion kernel has unexpected dimension")
-    w, V = np.linalg.eigh(X1)
-    w = np.clip(w, 1e-14 * max(w.max(), 1.0), None)
-    Xh = V @ np.diag(np.sqrt(w)) @ V.T
-    Xhi = V @ np.diag(1.0 / np.sqrt(w)) @ V.T
+    Xh, Xhi = _psd_sqrt(X1)
     Mhalf = _diag2(Xh, np.eye(p))
-    Mhalfi = _diag2(Xhi, np.eye(p))
     T1 = Mhalf @ np.vstack([q1.B, D])
     Kt = Mhalf @ NK
     P = Kt - T1 @ (T1.T @ Kt)
     U, s, _ = _svd(P, full=False)
     keep = U[:, : p - m]
-    if s.size < p - m or (p > m and s[p - m - 1] <= 1e-10 * max(s[0], 1.0)):
+    if s.size < p - m or (p > m and s[p - m - 1] <= DEFICIENCY_RCOND * max(s[0], 1.0)):
         raise IterationFailure("inner completion basis is numerically deficient")
-    BD = Mhalfi @ keep
+    BD = _diag2(Xhi, np.eye(p)) @ keep
     return _trusted_system(A, np.eye(n), BD[:n, :], C, BD[n:, :], domain)
 
 

@@ -44,6 +44,9 @@ LYAP_RESIDUAL_TOL = 1e-7  # a Lyapunov solve is accepted at residual <= LYAP_RES
 BOUNDARY_TOL = 1e-8  # lam is on a stability boundary within BOUNDARY_TOL * (1 + |lam|) of it
 PROBE_RESIDUAL_TOL = 1e-7  # X solves G X = F where |G X - F| <= PROBE_RESIDUAL_TOL * (1 + |F|) at each probe point
 INFINITE_EIG_TOL = 1e-8  # alpha/beta is infinite at |beta| <= INFINITE_EIG_TOL * (|alpha| + |beta|), zero at that |alpha|
+FEEDTHROUGH_RCOND = 0.1  # a square D is well conditioned at sigma_min >= FEEDTHROUGH_RCOND * sigma_max
+DEFICIENCY_RCOND = 1e-10  # a weight (basis) is numerically deficient at eigenvalue (sigma) <= DEFICIENCY_RCOND * max(largest, 1)
+GRAMIAN_FLOOR = 1e-14  # a Gramian's eigenvalues are clipped at GRAMIAN_FLOOR * max(largest, 1) before its square root
 
 def as_matrix(M, name="matrix") -> np.ndarray:
     """Coerce to a finite 2-d float array."""

@@ -245,7 +245,7 @@ def l2_model_match(G: DescriptorSystem, F: DescriptorSystem, tol=None):
         raise DomainMismatch("G and F must share a time domain")
     if G.p != F.p:
         raise DimensionMismatch(f"G and F must have equal output counts, got {G.p} and {F.p}")
-    g, r = _standard_stable_data(G, tol)
+    g, r, zd = _standard_stable_data(G, tol)
     f = minreal(F, tol=tol)
     if not (f.is_standard and _all_stable(np.linalg.eigvals(f.A), 0, f.domain)):
         raise UnstableInput("F must be stable and proper")
@@ -270,7 +270,7 @@ def l2_model_match(G: DescriptorSystem, F: DescriptorSystem, tol=None):
                 return X0, parts
         raise BoundaryZeros("G has zeros at infinity on the stability boundary")
 
-    q1, R = _inner_outer_thin(g, tol)
+    q1, R = _inner_outer_thin(g, tol, zd)
     f1t, nf, ninf = _reduce(series(conjugate(q1), f), tol)
 
     # the optimal stable correction is the causal projection of the

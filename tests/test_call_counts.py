@@ -17,7 +17,7 @@ import scipy.linalg
 from dstk import analysis, cli, factor, kernels, pencil, solve
 from dstk.cli import write_system
 from dstk.exceptions import DstkError
-from dstk.ops import series
+from dstk.ops import series, transpose_dual
 from dstk.pencil import weierstrass_structure
 from dstk.system import TimeDomain, make_system, random_system
 
@@ -190,6 +190,39 @@ def test_model_match_takes_one_qz(calls):
     F = random_system(6, 1, 4, "continuous", stable=True, rng=np.random.default_rng(27))
     solve.l2_model_match(G, make_system(F.A, F.E, F.B, F.C, np.zeros_like(F.D), "continuous"))
     assert calls["qz"] == 1
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda G, F: factor.inner_outer(G),
+        lambda G, F: factor.co_outer_co_inner(transpose_dual(G)),
+        solve.l2_model_match,
+    ],
+    ids=["inner_outer", "co_outer_co_inner", "l2_model_match"],
+)
+@pytest.mark.parametrize("domain", ["continuous", "discrete"])
+@pytest.mark.parametrize(
+    "cond, pencils", [(1.0, 0), (8.0, 0), (1e3, 1), (None, 1)], ids=["cond1", "cond8", "cond1e3", "tall"]
+)
+def test_square_factor_reads_zero_dynamics(calls, probed, query, domain, cond, pencils):
+    # a square G whose D is within cond 10 (1 / FEEDTHROUGH_RCOND) takes its
+    # zeros and its Riccati from one Schur form of A + B D^-1 C: no staircase,
+    # no probe rank of the system pencil and no extended-pencil QZ; tall G and
+    # an ill-conditioned D keep one of each
+    G = random_system(12, 2, 2 if cond else 3, domain, stable=True, rng=np.random.default_rng(12))
+    if cond:
+        U = np.linalg.qr(np.random.default_rng(12).normal(size=(2, 2)))[0]
+        G = make_system(G.A, G.E, G.B, G.C, U @ np.diag([1.0, 1.0 / cond]) @ U.T, domain)
+    F = random_system(6, 1, G.p, domain, stable=True, rng=np.random.default_rng(27))
+    F = make_system(F.A, F.E, F.B, F.C, np.zeros_like(F.D), domain)
+    # co_outer_co_inner factors the dual of its input, here G itself
+    M = analysis._system_pencil(analysis.minreal(G))[0]
+    calls.clear()
+    probed.clear()
+    query(G, F)
+    assert (calls["klf"], calls["qz"]) == (pencils, pencils)
+    assert sum(P.shape == M.shape and np.array_equal(P, M) for P in probed) == pencils
 
 
 @pytest.mark.parametrize(

@@ -30,7 +30,8 @@ from dstk.exceptions import (
     UnstableInput,
 )
 from dstk.factor import additive_decompose, co_outer_co_inner, inner_outer, lcf, rcf
-from dstk.factor import _riccati_schur
+from dstk.factor import _bernoulli, _inner_outer_thin, _riccati_gain, _riccati_schur
+from dstk.kernels import _schur_ordered
 from dstk.ops import parallel, transpose_dual
 from dstk.system import TimeDomain, eval_tfm, make_system, random_system
 
@@ -472,6 +473,12 @@ class TestInnerOuter:
         gz = make_system([[-1.0]], [[1.0]], [[1.0]], [[1.0]], [[1.0]], "continuous")
         with pytest.raises(BoundaryZeros):
             inner_outer(gz)
+        # 1 + c / (z - 0.5) has its zero at z = 0.5 + c: 1 and -1 here
+        for c in (0.5, -1.5):
+            gz = make_system([[0.5]], [[1.0]], [[1.0]], [[c]], [[1.0]], "discrete")
+            for fn in (inner_outer, co_outer_co_inner):
+                with pytest.raises(BoundaryZeros):
+                    fn(gz)
         # rank-deficient TFM: two identical columns
         g = stable_clean_system(rng, "continuous", 2, 1, 2)
         from dstk.ops import concat_row
@@ -479,3 +486,33 @@ class TestInnerOuter:
         gg = concat_row(g, g)
         with pytest.raises(RankDeficiencyUnsupported):
             inner_outer(gg)
+
+    @pytest.mark.parametrize("cond", [1.0, 10.0])
+    @pytest.mark.parametrize("n", [8, 24, 48])
+    @pytest.mark.parametrize("domain", ["continuous", "discrete"])
+    def test_zero_dynamics_riccati_matches_pencil(self, domain, n, cond):
+        # for a square G with invertible D the Riccati solution from one Schur
+        # form of A + B D^-1 C agrees with the extended pencil's
+        g = random_system(n, 2, 2, domain, stable=True, rng=np.random.default_rng(2000 + n))
+        U = np.linalg.qr(np.random.default_rng(2).normal(size=(2, 2)))[0]
+        g = minreal(make_system(g.A, g.E, g.B, g.C, U @ np.diag([1.0, 1.0 / cond]) @ U.T, domain))
+        A, B, C, D = g.A, g.B, g.C, g.D
+        T, Z, _, k = _schur_ordered(A + B @ np.linalg.solve(D, C), stability_region(domain).contains)
+        assert k < g.n  # some zero is antistable: the Lyapunov equation is not empty
+        weights = (A, B, C.T @ C, -C.T @ D, D.T @ D)
+        X, F = _riccati_gain(*weights, _bernoulli((T, Z, k), B, D, g.domain), g.domain)
+        Xp, Fp = _riccati_schur(*weights, g.domain)
+        assert np.linalg.norm(X - Xp) <= 1e-8 * np.linalg.norm(Xp)
+        assert np.linalg.norm(F - Fp) <= 1e-8 * np.linalg.norm(Fp)
+        if n < 48:
+            return
+        q1, R = _inner_outer_thin(g, None, (T, Z, k))
+        region = stability_region(domain)
+        for lam in region.boundary_points(8):
+            q = eval_tfm(q1, lam)
+            assert np.linalg.norm(q.conj().T @ q - np.eye(2)) <= 1e-8
+        for lam in oracle_points(np.random.default_rng(n), 4):
+            resolvent = np.linalg.solve(A - lam * np.eye(g.n), B)
+            gv = C @ resolvent + D
+            scale = np.linalg.norm(D) + np.linalg.norm(C) * np.linalg.norm(resolvent)
+            assert np.linalg.norm(eval_tfm(q1, lam) @ eval_tfm(R, lam) - gv) <= 1e-8 * scale
