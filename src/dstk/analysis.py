@@ -22,9 +22,12 @@ from .exceptions import (
 from .kernels import (
     BOUNDARY_TOL,
     EPS,
+    FEEDTHROUGH_ZERO_TOL,
+    REAL_TOL,
     _checked_decoupling,
     _diag2,
-    _stable_lyap,
+    _lyap_quasi,
+    _schur_ordered,
     _svd,
     _svd_rank,
     default_tol,
@@ -184,7 +187,7 @@ def _value_info(vals, inf_count, kronecker_ranks=None) -> PoleZeroInfo:
     finite = []
     for v in vals:
         v = complex(v)
-        if abs(v.imag) <= 1e-10 * max(1.0, abs(v)):
+        if abs(v.imag) <= REAL_TOL * max(1.0, abs(v)):
             v = complex(v.real)
         finite.append(v)
     return PoleZeroInfo(finite, inf_count, len(finite) + inf_count, kronecker_ranks)
@@ -449,7 +452,7 @@ def minimality_report(sys: DescriptorSystem, tol=None) -> MinimalityReport:
 
 def _strictly_proper(g) -> bool:
     """Whether the feedthrough of ``g`` vanishes beside ``||B|| ||C||``."""
-    return np.linalg.norm(g.D) <= 1e-10 * (1.0 + np.linalg.norm(g.B) * np.linalg.norm(g.C))
+    return np.linalg.norm(g.D) <= FEEDTHROUGH_ZERO_TOL * (1.0 + np.linalg.norm(g.B) * np.linalg.norm(g.C))
 
 
 def h2_norm(sys: DescriptorSystem, tol=None) -> float:
@@ -457,18 +460,20 @@ def h2_norm(sys: DescriptorSystem, tol=None) -> float:
 
     An improper TFM (``minreal(sys)`` has ``E != I``) raises
     :class:`UnstableSystem`, and so does a pole outside the stable region,
-    read off the one real Schur form of ``A`` that also solves the Lyapunov
-    equation of the Gramian.  Continuous time requires a strictly proper TFM
-    (``D = 0`` after reduction); in discrete time the feedthrough contributes
-    ``trace(D D^T)``.
+    read off the one real Schur form ``A = Z T Z^T`` on which the Lyapunov
+    equation of the Gramian ``Z Y Z^T`` is solved.  Continuous time requires
+    a strictly proper TFM (``D = 0`` after reduction); in discrete time the
+    feedthrough contributes ``trace(D D^T)``.
     """
     g = minreal(sys, tol=tol)
     if not g.is_standard:
         raise UnstableSystem("H2 norm requires all poles in the stable region")
-    X = _stable_lyap(g.A, g.B @ g.B.T, g.domain, UnstableSystem)
+    T, Z, eigs, _ = _schur_ordered(g.A)
+    Bz, Cz = Z.T @ g.B, g.C @ Z
+    Y = _lyap_quasi(T, eigs, Bz @ Bz.T, g.domain, UnstableSystem)
     if g.domain is TimeDomain.CONTINUOUS and not _strictly_proper(g):
         raise NonstrictlyProperContinuous("continuous-time H2 norm needs a strictly proper system")
-    val = float(np.trace(g.C @ X @ g.C.T))
+    val = float(np.trace(Cz @ Y @ Cz.T))
     if g.domain is TimeDomain.DISCRETE:
         val += float(np.trace(g.D @ g.D.T))
     return float(np.sqrt(max(val, 0.0)))

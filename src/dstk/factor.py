@@ -6,14 +6,15 @@ output injection, and inner-outer (and co-outer--co-inner) factorizations of
 stable proper full-rank systems via an algebraic Riccati equation.  For a
 square system with a well-conditioned ``D`` it has no state weight: one
 ordered real Schur form of the zero dynamics ``A + B D^-1 C`` decides the
-zeros, and a Lyapunov (Stein) equation on its antistable block solves it.
-Otherwise one sorted LAPACK ``dgges`` with right Schur vectors only orders
-the extended pencil ``M - s N`` in continuous time, and the reversed
-``N - mu M`` (``mu = 1/z``) in discrete time, whose QZ already leaves the
-stable set in front.  The same pencil solver gives the
+zeros, and a Lyapunov (Stein) equation on the antistable block of that same
+form solves it.  Otherwise one sorted LAPACK ``dgges`` with right Schur
+vectors only orders the extended pencil ``M - s N`` in continuous time, and
+the reversed ``N - mu M`` (``mu = 1/z``) in discrete time, whose QZ already
+leaves the stable set in front.  The same pencil solver gives the
 dislocating feedback: with zero state weight its gain mirrors every bad
 eigenvalue into the region, so no random placement is involved.  Both read
-:func:`minreal`'s split: no rank of ``E`` is decided again, and no QZ orders the poles.
+:func:`minreal`'s split: no rank of ``E`` is decided again, and no QZ orders
+the poles.
 """
 
 from __future__ import annotations
@@ -36,9 +37,10 @@ from .analysis import StabilityRegion, _all_stable, _reduce, _structure, _zeros,
 from .kernels import DEFICIENCY_RCOND, FEEDTHROUGH_RCOND, GRAMIAN_FLOOR, INFINITE_EIG_TOL, RESIDUAL_TOL
 from .kernels import (
     _diag2,
-    _qz_leading,
+    _gges,
+    _lyap_quasi,
+    _quasi_inv,
     _schur_ordered,
-    _stable_lyap,
     _svd,
     _sylv_quasi,
     null_basis,
@@ -236,22 +238,24 @@ def _psd_sqrt(W, what=None):
 def _riccati_schur(A, B, Qc, Sc, Rc, domain):
     """Stabilizing Riccati solution ``X`` and its gain ``F`` (closed loop
     ``A + B F``) from the stable right deflating subspace of the extended
-    pencil ``M - z N`` (size 2n + m), put first by one :func:`_qz_leading`.
-    Discrete time orders the reversed pencil ``N - mu M`` (``mu = 1/z``, the
-    same subspaces), whose QZ leaves the stable set ``|mu| > 1`` (``z = 0`` at
-    ``mu = inf``) in front, where that of ``M - z N`` leaves it last."""
+    pencil ``M - z N`` (size 2n + m), put first by one sorted :func:`_gges`
+    that forms no left Schur vectors.  Discrete time orders the reversed
+    pencil ``N - mu M`` (``mu = 1/z``, the same subspaces), whose QZ leaves
+    the stable set ``|mu| > 1`` (``z = 0`` at ``mu = inf``) in front, where
+    that of ``M - z N`` leaves it last."""
     n, m = B.shape
     Zn = np.zeros((n, n))
     Znm = np.zeros((n, m))
     if domain is TimeDomain.CONTINUOUS:
         M = np.block([[A, Zn, B], [Qc, A.T, Sc], [Sc.T, B.T, Rc]])
         N = np.diag(np.r_[np.ones(n), -np.ones(n), np.zeros(m)])
-        Z, k = _qz_leading(M, N, lambda a, b: b > INFINITE_EIG_TOL * (abs(a) + b) and (a / b).real < 0.0)
+        pencil, stable = (M, N), lambda a, b: b > INFINITE_EIG_TOL * (abs(a) + b) and (a / b).real < 0.0
     else:
         M = np.block([[A, Zn, B], [Qc, -np.eye(n), Sc], [Sc.T, Znm.T, Rc]])
         N = np.block([[np.eye(n), Zn, Znm], [Zn, -A.T, Znm], [Znm.T, -B.T, np.zeros((m, m))]])
         # z = b / a is finite and inside the unit disk
-        Z, k = _qz_leading(N, M, lambda a, b: abs(a) > INFINITE_EIG_TOL * (abs(a) + b) and b < abs(a))
+        pencil, stable = (N, M), lambda a, b: abs(a) > INFINITE_EIG_TOL * (abs(a) + b) and b < abs(a)
+    _, _, _, Z, _, _, k = _gges(*pencil, stable, left=False)
     if k != n:
         raise IterationFailure("Riccati pencil did not split into n stable directions")
     # no regularity probe: a singular pencil fails the count, the graph or
@@ -265,15 +269,21 @@ def _riccati_schur(A, B, Qc, Sc, Rc, domain):
 
 def _bernoulli(zd, B, D, domain):
     """Stabilizing Riccati solution of :func:`_inner_outer_thin` for a square
-    ``G``: with zero dynamics ``A + B D^-1 C = Z T Z^T`` (``zd = (T, Z, k)``,
-    stable block first) it is ``X = Z2 Y^-1 Z2^T``, ``T22 Y + Y T22^T = W``
-    (continuous) or ``T22 Y T22^T - Y = W`` (discrete), ``W = Bt Bt^T``, ``Bt = Z2^T B D^-1``."""
-    T, Z, k = zd
+    ``G``: with zero dynamics ``A + B D^-1 C = Z T Z^T`` (``zd = (T, Z,
+    zeros, k)`` from :func:`_schur_ordered`, stable block first) it is
+    ``X = Z2 Y^-1 Z2^T``, ``T22 Y + Y T22^T = W`` (continuous) or
+    ``T22 Y T22^T - Y = W`` (discrete), ``W = Bt Bt^T``, ``Bt = Z2^T B D^-1``,
+    solved by :func:`_lyap_quasi` on ``-T22`` or ``T22^-1`` and their
+    eigenvalues, read off ``zeros``: no second Schur form."""
+    T, Z, zs, k = zd
     Z2, Bt = Z[:, k:], np.linalg.solve(D.T, B.T @ Z[:, k:]).T
-    M = -T[k:, k:] if domain is TimeDomain.CONTINUOUS else np.linalg.inv(T[k:, k:])
-    Bt = Bt if domain is TimeDomain.CONTINUOUS else M @ Bt
+    if domain is TimeDomain.CONTINUOUS:
+        M, eigs = -T[k:, k:], [-z for z in zs[k:]]
+    else:
+        M, eigs = _quasi_inv(T[k:, k:]), [1.0 / z for z in zs[k:]]
+        Bt = M @ Bt
     try:
-        return Z2 @ np.linalg.solve(_stable_lyap(M, Bt @ Bt.T, domain, IterationFailure), Z2.T)
+        return Z2 @ np.linalg.solve(_lyap_quasi(M, eigs, Bt @ Bt.T, domain, IterationFailure), Z2.T)
     except np.linalg.LinAlgError:
         raise IterationFailure("Bernoulli solution is singular") from None
 
@@ -311,8 +321,8 @@ def _standard_stable_data(sys, tol):
         raise UnstableInput("the system must be stable")
     sv = _svd(g.D, vectors=False)
     if g.p == g.m and sv.size and sv[-1] >= FEEDTHROUGH_RCOND * sv[0] > 0.0:
-        T, Z, zs, k = _schur_ordered(g.A + g.B @ np.linalg.solve(g.D, g.C), region.contains)
-        r, zd = g.m, (T, Z, k)
+        zd = _schur_ordered(g.A + g.B @ np.linalg.solve(g.D, g.C), region.contains)
+        r, zs = g.m, zd[2]
     else:
         *_, ks, r = _structure(g, tol)
         zs, zd = _zeros(ks).finite, None

@@ -4,9 +4,12 @@ Tolerance-based rank decisions and orthonormal nullspace bases, all from one
 SVD entry point (``_svd``: one LAPACK ``gesdd`` call), then Schur forms and
 the equations solved on them: one real Schur form and LAPACK ``dtrsyl`` for
 the block decoupling and the Lyapunov equation of a standard block (Bartels
-& Stewart, 1972), the ordered QZ form and ``dtgsyl`` for general pencils,
-whose Lyapunov equation is standardized onto the same solver, and one sorted
-``dgges`` with right Schur vectors only for the Riccati pencils.
+& Stewart, 1972), and the QZ form and ``dtgsyl`` for general pencils.
+Every QZ is one LAPACK ``dgges`` call (``_gges``) that sorts only given a
+selector and forms left Schur vectors only on request.  The Lyapunov core
+(``_lyap_quasi``) takes its caller's quasi-triangular form and eigenvalues,
+so no form is reduced twice.  A square matrix factored to solve with it
+takes one LU, whose ``gecon`` reciprocal condition decides it singular.
 
 Point ranks (``rank_tol``, ``null_basis``, probes) are relative to
 ``sigma_max``; structural cuts (staircase, deflation, QZ beta) are absolute,
@@ -47,6 +50,14 @@ INFINITE_EIG_TOL = 1e-8  # alpha/beta is infinite at |beta| <= INFINITE_EIG_TOL 
 FEEDTHROUGH_RCOND = 0.1  # a square D is well conditioned at sigma_min >= FEEDTHROUGH_RCOND * sigma_max
 DEFICIENCY_RCOND = 1e-10  # a weight (basis) is numerically deficient at eigenvalue (sigma) <= DEFICIENCY_RCOND * max(largest, 1)
 GRAMIAN_FLOOR = 1e-14  # a Gramian's eigenvalues are clipped at GRAMIAN_FLOOR * max(largest, 1) before its square root
+SINGULAR_RCOND = 10.0 * EPS  # an order-n LU is numerically singular at reciprocal condition <= n * SINGULAR_RCOND
+PROBE_RCOND = 1e-8  # a probe point is next to a pole at LU reciprocal condition <= PROBE_RCOND against max(||A - lam E||, 1)
+SYMMETRY_TOL = 1e-8  # W is symmetric at ||W - W^T|| <= SYMMETRY_TOL * (1 + ||W||)
+REAL_TOL = 1e-10  # a computed eigenvalue v is real at |Im v| <= REAL_TOL * max(1, |v|)
+FEEDTHROUGH_ZERO_TOL = 1e-10  # D vanishes at ||D|| <= FEEDTHROUGH_ZERO_TOL * (1 + ||B|| ||C||)
+COEFF_TRIM_TOL = 1e-12  # a polynomial coefficient is zero at |c| <= COEFF_TRIM_TOL * the largest coefficient
+RING_NORM_FLOOR = 1e-12  # the probe ring's radius divides ||A|| by max(||B||, RING_NORM_FLOOR)
+SPECTRAL_RADIUS_FLOOR = 1e-6  # random_system rescales A by target / max(rho(A), SPECTRAL_RADIUS_FLOOR)
 
 def as_matrix(M, name="matrix") -> np.ndarray:
     """Coerce to a finite 2-d float array."""
@@ -122,6 +133,20 @@ def null_basis(M, tol=None) -> np.ndarray:
     return Vh[_svd_rank(s, M.shape, tol) :].conj().T
 
 
+def _lu_solve(M, B, rcond, floor=0.0):
+    """``M^-1 B`` from one LU of the square ``M`` (LAPACK ``getrf`` and
+    ``getrs``, real or complex); ``None`` when ``M`` is numerically singular:
+    the reciprocal 1-norm condition of that same LU (``gecon``, against
+    ``max(||M||_1, floor)``) is at most ``rcond``."""
+    if not M.size:
+        return np.zeros(B.shape, dtype=np.result_type(M, B))
+    getrf, gecon, getrs = sla.get_lapack_funcs(("getrf", "gecon", "getrs"), (M, B))
+    lu, piv, info = getrf(M)
+    if info == 0:
+        rc, info = gecon(lu, max(np.linalg.norm(M, 1), floor))
+    return getrs(lu, piv, B)[0] if info == 0 and rc > rcond else None
+
+
 def _row_compress(M, tol_abs, rank=None):
     """Orthogonal U with ``U.T @ M = [full-row-rank; 0]``; returns (U, rank).
 
@@ -173,31 +198,6 @@ class GschurResult:
     selected_count: int
 
 
-def _quasi_blocks(S):
-    """Positions (start, size) of the 1x1 / 2x2 diagonal blocks of S."""
-    blocks, i, n = [], 0, S.shape[0]
-    while i < n:
-        blocks.append((i, 2 if i + 1 < n and S[i + 1, i] != 0.0 else 1))
-        i += blocks[-1][1]
-    return blocks
-
-
-def _block_eigenvalues(S, T, blocks):
-    # standardized 2x2 blocks carry finite conjugate pairs: one batched
-    # eigenvalue call on the stacked T_b^-1 S_b, positive imaginary part first
-    sel = np.array([start for start, size in blocks if size == 2], dtype=int)[:, None] + np.arange(2)
-    rows, cols = sel[:, :, None], sel[:, None, :]
-    vals = np.linalg.eigvals(np.linalg.solve(T[rows, cols], S[rows, cols]))
-    pairs = iter(np.take_along_axis(vals, np.argsort(-vals.imag, axis=1), axis=1).tolist())
-    eigs = []
-    for start, size in blocks:
-        if size == 1:
-            eigs.append((complex(S[start, start]), float(T[start, start])))
-        else:
-            eigs.extend((complex(v), 1.0) for v in next(pairs))
-    return eigs
-
-
 # golden-ratio fraction: its multiples mod 1 spread the probe angles evenly
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -212,7 +212,7 @@ def _ring_points(A, B, count):
     alternating from point to point.
     """
     nb = np.linalg.norm(B)
-    radius = 1.0 + (min(np.linalg.norm(A) / max(nb, 1e-12), 1e6) if nb > 0 else 1.0)
+    radius = 1.0 + (min(np.linalg.norm(A) / max(nb, RING_NORM_FLOOR), 1e6) if nb > 0 else 1.0)
     k = np.arange(count)
     theta = 0.15 + (np.pi - 0.3) * ((k + 1) * _GOLDEN % 1.0)
     return list(radius * np.exp(1j * np.where(k % 2, -theta, theta)))
@@ -241,7 +241,7 @@ def gschur_ordered(A, B, select: Callable | None = None) -> GschurResult:
         Predicate ``select(alpha, beta) -> bool`` over generalized eigenvalue
         representations.  Selected eigenvalues are moved to the leading
         positions.  Within a complex-conjugate 2x2 block the pair moves
-        together (selected if either member is).
+        together (selected, and counted 2, if either member is).
 
     Raises
     ------
@@ -260,52 +260,25 @@ def gschur_ordered(A, B, select: Callable | None = None) -> GschurResult:
     if _probe_rank(A, B) < n:
         raise SingularPencil("pencil A - lambda*B is numerically singular")
 
-    try:
-        if select is None:
-            S, T, Q, Z = sla.qz(A, B, output="real")
-        else:
-            def _sort(alpha, beta):
-                alpha = np.atleast_1d(alpha)
-                beta = np.atleast_1d(beta)
-                return np.array([bool(select(complex(a), float(abs(b)))) for a, b in zip(alpha, beta)])
-
-            S, T, _, _, Q, Z = sla.ordqz(A, B, sort=_sort, output="real")
-    except (np.linalg.LinAlgError, sla.LinAlgError, ValueError) as exc:
-        raise IterationFailure(f"QZ iteration failed: {exc}") from None
-
-    # normalize: nonnegative diagonal of T on 1x1 blocks
-    blocks = _quasi_blocks(S)
-    for start, size in blocks:
-        if size == 1 and T[start, start] < 0.0:
-            S[start, :] = -S[start, :]
-            T[start, :] = -T[start, :]
-            Q[:, start] = -Q[:, start]
-
-    eigs = _block_eigenvalues(S, T, blocks)
-
-    selected = 0
-    if select is not None:
-        # a block is selected if either eigenvalue is; the selected ones lead
-        flags = [any(select(a, b) for a, b in eigs[start : start + size]) for start, size in blocks]
-        if flags != sorted(flags, reverse=True):
-            raise IterationFailure("eigenvalue reordering produced an inconsistent leading block")
-        selected = sum(size for (_, size), f in zip(blocks, flags) if f)
-
-    return GschurResult(S, T, Q, Z, eigs, selected)
+    S, T, Q, Z, alpha, beta, k = _gges(A, B, select)
+    return GschurResult(S, T, Q, Z, list(zip(alpha.tolist(), beta.tolist())), k)
 
 
-def _qz_leading(M, N, select: Callable):
-    """``(Z, k)``: right Schur vectors of the real QZ form of ``M - lam*N``,
-    the first ``k`` spanning the eigenvalues with ``select(alpha, |beta|)`` (a
-    conjugate pair moves together), from one LAPACK ``dgges`` call that sorts
-    and forms no left vectors.  A nonzero ``info`` raises ``IterationFailure``."""
+def _gges(A, B, select: Callable | None = None, left=True):
+    """``(S, T, Q, Z, alpha, beta, k)``: the real QZ form ``Q.T @ A @ Z = S``,
+    ``Q.T @ B @ Z = T`` (``T`` with nonnegative diagonal) and its eigenvalues
+    ``alpha / beta``, from one LAPACK ``dgges`` call.  Given ``select``, it
+    sorts inside LAPACK: the first ``k`` positions hold the eigenvalues with
+    ``select(alpha, |beta|)``, a conjugate pair moving together and counting
+    2 if either member is selected.  Without ``left``, ``Q`` is not formed
+    (``None``).  A nonzero ``info`` raises ``IterationFailure``."""
     def sort(alphar, alphai, beta):
         return select(complex(alphar, alphai), abs(beta))
 
-    _, _, k, _, _, _, _, Z, _, info = sla.lapack.dgges(sort, M, N, jobvsl=0, sort_t=1)
+    S, T, k, ar, ai, beta, Q, Z, _, info = sla.lapack.dgges(sort, A, B, jobvsl=int(left), sort_t=int(select is not None))
     if info:
         raise IterationFailure(f"QZ iteration or reordering failed (dgges info {info})")
-    return Z, k
+    return S, T, Q if left else None, Z, ar + 1j * ai, beta, k
 
 
 def _schur_ordered(A, select: Callable | None = None):
@@ -319,10 +292,12 @@ def _schur_ordered(A, select: Callable | None = None):
         T, Z, *k = sla.schur(A, output="real", sort=sort)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise IterationFailure(f"Schur reordering failed: {exc}") from None
-    eigs = []
-    for i, size in _quasi_blocks(T):
+    eigs, i, n = [], 0, T.shape[0]
+    while i < n:
+        size = 2 if i + 1 < n and T[i + 1, i] != 0.0 else 1
         w = 0.0 if size == 1 else np.sqrt(abs(T[i, i + 1])) * np.sqrt(abs(T[i + 1, i]))
         eigs += [complex(T[i, i], w), complex(T[i, i], -w)][:size]
+        i += size
     return T, Z, eigs, k[0] if k else 0
 
 
@@ -334,9 +309,10 @@ def gsylv_separation(A11, A12, A22, E11, E12, E22):
     ``(A11, E11)`` and ``(A22, E22)`` to be disjoint; either may hold
     infinite eigenvalues (a nilpotent ``E11``).
 
-    Each diagonal pencil is brought to real generalized Schur form by QZ and
-    the transformed system is solved by LAPACK ``dtgsyl`` (Kagstrom &
-    Poromaa, 1996): O(n1^3 + n2^3 + n1 n2 (n1 + n2)) work, O(n1 n2) memory.
+    Each diagonal pencil is brought to real generalized Schur form by one
+    :func:`_gges` and the transformed system is solved by LAPACK ``dtgsyl``
+    (Kagstrom & Poromaa, 1996): O(n1^3 + n2^3 + n1 n2 (n1 + n2)) work,
+    O(n1 n2) memory.
     ``SpectraNotDisjoint`` is raised when ``dtgsyl`` reports common or close
     eigenvalues or the residual check fails; ``IterationFailure`` when a QZ
     iteration fails.
@@ -358,11 +334,8 @@ def gsylv_separation(A11, A12, A22, E11, E12, E22):
     if n1 == 0 or n2 == 0:
         return np.zeros((n1, n2)), np.zeros((n1, n2))
 
-    try:
-        S1, T1, Q1, Z1 = sla.qz(A11, E11, output="real")
-        S2, T2, Q2, Z2 = sla.qz(A22, E22, output="real")
-    except (np.linalg.LinAlgError, sla.LinAlgError, ValueError) as exc:
-        raise IterationFailure(f"QZ iteration failed: {exc}") from None
+    S1, T1, Q1, Z1 = _gges(A11, E11)[:4]
+    S2, T2, Q2, Z2 = _gges(A22, E22)[:4]
     # in the Schur bases: S1 R~ - L~ S2 = -Q1^T A12 Z2, T1 R~ - L~ T2 = -Q1^T E12 Z2
     Rt, Lt, scl, _, info = sla.lapack.dtgsyl(S1, S2, -Q1.T @ A12 @ Z2, T1, T2, -Q1.T @ E12 @ Z2)
     if info != 0 or scl == 0.0:
@@ -410,16 +383,17 @@ def glyap(A, E, W, domain) -> np.ndarray:
     ``W`` must be symmetric; the stable region is the open left half-plane or
     the open unit disk according to ``domain``.  The QZ form
     ``Q^T (A, E) Z = (S, T)`` standardizes the pair (Penzl, 1998): the
-    standard equation in ``M = T^-1 S`` and ``T^-1 Q^T W Q T^-T`` goes to
-    :func:`_stable_lyap`, which decides the finite eigenvalues, and its
-    solution ``Y`` gives ``X = Z Y Z^T``.  A QZ beta at most
+    standard equation in the quasi-triangular ``M = T^-1 S`` and
+    ``T^-1 Q^T W Q T^-T`` goes, with the QZ eigenvalues ``alpha / beta``, to
+    :func:`_lyap_quasi`, which decides their stability, and its solution
+    ``Y`` gives ``X = Z Y Z^T``.  A QZ beta at most
     ``stair_tol(None, n, E)`` is an infinite, hence unstable, eigenvalue.
     """
     A, E, W = as_matrix(A, "A"), as_matrix(E, "E"), as_matrix(W, "W")
     kind, n = _domain_kind(domain), A.shape[0]
     if A.shape != (n, n) or E.shape != (n, n) or W.shape != (n, n):
         raise DimensionMismatch("glyap blocks must be square of equal order")
-    if np.linalg.norm(W - W.T) > 1e-8 * (1.0 + np.linalg.norm(W)):
+    if np.linalg.norm(W - W.T) > SYMMETRY_TOL * (1.0 + np.linalg.norm(W)):
         raise ValueError("W must be symmetric")
     W = 0.5 * (W + W.T)
 
@@ -428,38 +402,44 @@ def glyap(A, E, W, domain) -> np.ndarray:
         raise UnstablePair("pencil has an infinite eigenvalue")
     M = sla.solve_triangular(qz.T, qz.S)
     Wt = sla.solve_triangular(qz.T, sla.solve_triangular(qz.T, qz.Q.T @ W @ qz.Q).T)
-    Y = _stable_lyap(M, Wt, kind, UnstablePair)
+    Y = _lyap_quasi(M, [a / b for a, b in qz.eigenvalues], Wt, kind, UnstablePair)
     X = qz.Z @ Y @ qz.Z.T
     return _checked_lyap(A, E, 0.5 * (X + X.T), W, kind)
 
 
-def _stable_lyap(M, W, domain, unstable) -> np.ndarray:
-    """``X`` with ``M X + X M^T + W = 0`` (continuous) or ``M X M^T - X + W = 0``
-    (discrete) for a symmetric ``W``.  One real Schur form ``M = Z T Z^T``
-    decides stability, raising ``unstable`` at ``Re lam >= -b`` or ``|lam| >= 1 - b``
-    (``b = BOUNDARY_TOL (1 + |lam|)``), and LAPACK ``dtrsyl`` solves ``T Y + Y T^T =
-    -Z^T W Z``, in discrete time after the Cayley map ``T -> I - 2 (T + I)^-1``;
-    ``X = Z Y Z^T`` is checked by :func:`_checked_lyap`."""
-    kind, n = _domain_kind(domain), M.shape[0]
+def _lyap_quasi(T, eigs, W, domain, unstable) -> np.ndarray:
+    """``Y`` with ``T Y + Y T^T + W = 0`` (continuous) or ``T Y T^T - Y + W = 0``
+    (discrete) for a quasi-upper-triangular ``T`` with eigenvalues ``eigs``
+    and a symmetric ``W``.  The eigenvalues decide stability, raising
+    ``unstable`` at ``Re lam >= -b`` or ``|lam| >= 1 - b`` (``b = BOUNDARY_TOL
+    (1 + |lam|)``), and LAPACK ``dtrsyl`` solves ``T Y + Y T^T = -W``, in
+    discrete time after the Cayley map ``T -> I - 2 (T + I)^-1``; ``Y`` is
+    checked by :func:`_checked_lyap`."""
+    kind, n = _domain_kind(domain), T.shape[0]
     if n == 0:
         return np.zeros((0, 0))
-    T, Z, eigs, _ = _schur_ordered(M)
     for lam in eigs:
         margin = BOUNDARY_TOL * (1.0 + abs(lam))
         if kind == "continuous" and lam.real >= -margin:
             raise unstable(f"eigenvalue {lam} not in the open left half-plane, off its boundary")
         if kind == "discrete" and abs(lam) >= 1.0 - margin:
             raise unstable(f"eigenvalue {lam} not in the open unit disk, off its boundary")
-    S, Wt = T, -Z.T @ W @ Z
+    S, Wt = T, -W
     if kind == "discrete":
-        # (T + I)^-1 has T's quasi-triangular blocks, and dtrsyl reads them
-        # off the subdiagonal: zero what roundoff left below them
-        P = np.linalg.inv(T + np.eye(n))
-        P[np.tril(T == 0.0, -1)] = 0.0
+        P = _quasi_inv(T + np.eye(n))
         S, Wt = np.eye(n) - 2.0 * P, 2.0 * P @ Wt @ P.T
     Y, scl, _ = sla.lapack.dtrsyl(S, S, Wt, tranb="T")
-    X = Z @ (Y / scl) @ Z.T
-    return _checked_lyap(M, np.eye(n), 0.5 * (X + X.T), W, kind)
+    Y /= scl
+    return _checked_lyap(T, np.eye(n), 0.5 * (Y + Y.T), W, kind)
+
+
+def _quasi_inv(T) -> np.ndarray:
+    """Inverse of the quasi-upper-triangular ``T``, which has ``T``'s blocks:
+    ``dtrsyl`` reads them off the subdiagonal, so what roundoff left below
+    them is zeroed."""
+    P = np.linalg.inv(T)
+    P[np.tril(T == 0.0, -1)] = 0.0
+    return P
 
 
 def _checked_lyap(A, E, X, W, kind):

@@ -27,7 +27,7 @@ from .exceptions import (
     SingularD,
     ZeroDenominator,
 )
-from .kernels import _diag2, rank_tol
+from .kernels import COEFF_TRIM_TOL, SINGULAR_RCOND, _diag2, _lu_solve
 from .system import DescriptorSystem, TimeDomain, _trusted_system
 
 __all__ = [
@@ -134,9 +134,9 @@ def inverse(sys: DescriptorSystem, mode: str = "general") -> DescriptorSystem:
     if normal_rank(sys) < m:
         raise NotInvertibleTFM("TFM is rank deficient at the probe frequencies")
     if mode == "d-inverse":
-        if rank_tol(sys.D) < m:
+        Dinv = _lu_solve(sys.D, np.eye(m), m * SINGULAR_RCOND)
+        if Dinv is None:
             raise SingularD("d-inverse mode requires invertible D")
-        Dinv = np.linalg.inv(sys.D)
         A = sys.A + sys.B @ Dinv @ sys.C
         B = -sys.B @ Dinv
         C = Dinv @ sys.C
@@ -167,14 +167,15 @@ def conjugate(sys: DescriptorSystem) -> DescriptorSystem:
 
     Continuous time realizes ``G~(s) = G(-s)^T`` at the original order.  In
     discrete time ``G~(z) = G(1/z)^T`` uses a pencil of order ``n + m``; when
-    the system is standard with invertible ``A`` an order-``n`` alternative
-    realization is used instead.
+    the system is standard with invertible ``A`` (one LU of ``A^T``, whose
+    reciprocal condition exceeds ``n * SINGULAR_RCOND``, gives ``A^-T``) an
+    order-``n`` alternative realization is used instead.
     """
     n, m, p = sys.n, sys.m, sys.p
     if sys.domain is TimeDomain.CONTINUOUS:
         return _trusted_system(-sys.A.T, sys.E.T, -sys.C.T, sys.B.T, sys.D.T, sys.domain)
-    if sys.is_standard and n and rank_tol(sys.A) == n:
-        Ait = np.linalg.inv(sys.A).T
+    Ait = _lu_solve(sys.A.T, np.eye(n), n * SINGULAR_RCOND) if sys.is_standard else None
+    if Ait is not None:
         return _trusted_system(
             Ait,
             np.eye(n),
@@ -232,7 +233,7 @@ def _entry_realization(num, den, domain):
     """Realization of the scalar ``num/den`` (ascending coefficients, ``den``
     free of trailing zeros), built without polynomial division."""
     num = np.asarray(num, dtype=float)
-    tol = 1e-12 * max(np.abs(num).max(initial=1.0), np.abs(den).max())
+    tol = COEFF_TRIM_TOL * max(np.abs(num).max(initial=1.0), np.abs(den).max())
 
     def trimmed(c):
         big = np.flatnonzero(np.abs(c) > tol)

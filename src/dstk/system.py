@@ -7,7 +7,9 @@ Its transfer-function matrix is evaluated throughout this package as
 
 and that evaluation is the verification oracle for every construction in
 the library.  Regularity of ``A - lambda*E`` is validated at three fixed
-probe points, so validation depends on the matrices alone.
+probe points, so validation depends on the matrices alone.  A point
+evaluation takes one LU of ``A - lambda*E``, which both solves with ``B``
+and, by its reciprocal condition, refuses a pole; no SVD guards it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .exceptions import (
     SingularPencil,
     SingularTransform,
 )
-from .kernels import EPS, _probe_rank, _ring_points, _svd, as_matrix, rank_tol
+from .kernels import PROBE_RCOND, SINGULAR_RCOND, SPECTRAL_RADIUS_FLOOR, _lu_solve, _probe_rank, _ring_points, as_matrix, rank_tol
 
 __all__ = [
     "TimeDomain",
@@ -140,19 +142,16 @@ def eval_tfm(sys: DescriptorSystem, lam) -> np.ndarray:
     """Evaluate ``G(lam) = C (A - lam E)^{-1} B + D`` at a complex point.
 
     This is the oracle against which all realization formulas are verified.
-    Raises :class:`EvalAtPole` when ``A - lam E`` is numerically singular
-    and ``ValueError`` when ``lam`` is not finite.
+    Raises :class:`EvalAtPole` when the LU of ``A - lam E`` that solves with
+    ``B`` has reciprocal condition at most ``n * SINGULAR_RCOND``, and
+    ``ValueError`` when ``lam`` is not finite.
     """
     lam = complex(lam)
     if not np.isfinite(lam):
         raise ValueError(f"evaluation point {lam} is not finite")
-    if sys.n == 0:
-        return sys.D.astype(complex)
-    M = sys.A - lam * sys.E
-    sv = _svd(M, vectors=False)
-    if sv[0] == 0.0 or sv[-1] <= 10 * sys.n * EPS * sv[0]:
+    X = _lu_solve(sys.A - lam * sys.E, sys.B, sys.n * SINGULAR_RCOND)
+    if X is None:
         raise EvalAtPole(f"A - lambda*E is numerically singular at lambda={lam}")
-    X = np.linalg.solve(M, sys.B.astype(complex))
     return sys.C @ X + sys.D
 
 
@@ -171,16 +170,16 @@ def apply_similarity(sys: DescriptorSystem, U, V) -> DescriptorSystem:
 def probe_points(sys: DescriptorSystem, count=5):
     """Complex probe points off the real axis, clear of the spectrum: the
     first ``count`` points of the fixed probe sequence of ``A - lambda*E``
-    that are not next to a pole (fewer when 20 * ``count`` do not yield them).
+    that are not next to a pole (fewer when 20 * ``count`` do not yield them):
+    an LU of ``A - lambda*E`` whose reciprocal condition against ``max(||A -
+    lambda*E||_1, 1)`` is at most ``PROBE_RCOND`` marks a pole.
     """
     pts = []
     for lam in _ring_points(sys.A, sys.E, 20 * count):
         if len(pts) == count:
             break
-        if sys.n:
-            sv = _svd(sys.A - lam * sys.E, vectors=False)
-            if sv[-1] <= 1e-8 * max(sv[0], 1.0):
-                continue
+        if _lu_solve(sys.A - lam * sys.E, sys.B[:, :0], PROBE_RCOND, floor=1.0) is None:
+            continue
         pts.append(lam)
     return pts
 
@@ -226,7 +225,7 @@ def random_system(n, m, p, domain, proper=True, stable=False, rng=None) -> Descr
                 shift = max(np.real(np.linalg.eigvals(Af)).max(), 0.0) + rng.uniform(0.2, 1.0)
                 Af = Af - shift * np.eye(nf)
         else:
-            rho = max(np.abs(np.linalg.eigvals(Af)).max(), 1e-6)
+            rho = max(np.abs(np.linalg.eigvals(Af)).max(), SPECTRAL_RADIUS_FLOOR)
             target = rng.uniform(0.2, 0.85) if stable else rng.uniform(0.5, 1.6)
             Af = Af * (target / rho)
     Ef = np.eye(nf)

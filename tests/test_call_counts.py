@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dstk import analysis, cli, factor, kernels, pencil, solve
+from dstk import analysis, cli, factor, kernels, ops, pencil, solve, system
 from dstk.cli import write_system
 from dstk.exceptions import DstkError
 from dstk.ops import series, transpose_dual
@@ -24,8 +24,8 @@ from dstk.system import TimeDomain, make_system, random_system
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Calls of the QZ (``scipy.linalg.qz``/``ordqz`` and the ``dgges``
-    kernel ``kernels._qz_leading``), of the real Schur form, of ``klf``, of
+    """Calls of the QZ (``scipy.linalg.qz``/``ordqz`` and the one ``dgges``
+    wrapper ``kernels._gges``), of the real Schur form, of ``klf``, of
     ``weierstrass_structure`` and of the reduction ``analysis._reduce``
     (which ``minreal`` runs), counted wherever a dstk module binds them."""
     counts = Counter()
@@ -39,7 +39,7 @@ def calls(monkeypatch):
 
     targets = [(scipy.linalg, "qz", "qz"), (scipy.linalg, "ordqz", "qz"), (scipy.linalg, "schur", "schur")]
     for attr, name in [
-        ("_qz_leading", "qz"),
+        ("_gges", "qz"),
         ("klf", "klf"),
         ("weierstrass_structure", "weierstrass"),
         ("_reduce", "reduce"),
@@ -412,3 +412,102 @@ def test_system_pencil_structure_is_decided_once(calls, probed, query, square, t
     if square:
         # G, F, the particular solution and its stability test once each
         assert calls["reduce"] == 4
+
+
+def _zero_dynamics_pair(domain):
+    """A square stable ``G`` with ``D = I`` and antistable zeros, and a
+    strictly proper stable ``F``."""
+    G = random_system(12, 2, 2, domain, stable=True, rng=np.random.default_rng(12))
+    G = make_system(G.A, G.E, G.B, G.C, np.eye(2), domain)
+    F = random_system(6, 1, 2, domain, stable=True, rng=np.random.default_rng(27))
+    return G, make_system(F.A, F.E, F.B, F.C, np.zeros_like(F.D), domain)
+
+
+@pytest.mark.parametrize(
+    "query, schurs",
+    [
+        (lambda G, F: factor.inner_outer(G), 1),
+        (lambda G, F: factor.co_outer_co_inner(transpose_dual(G)), 1),
+        (solve.l2_model_match, 3),
+    ],
+    ids=["inner_outer", "co_outer_co_inner", "l2_model_match"],
+)
+@pytest.mark.parametrize("domain", ["continuous", "discrete"])
+def test_bernoulli_solves_on_the_zero_dynamics_schur_form(calls, query, schurs, domain):
+    # the Lyapunov (Stein) equation of the Bernoulli solve takes the
+    # antistable block of the zero dynamics' Schur form and its eigenvalues:
+    # no second Schur form; model matching adds its causal split and the
+    # residual's H2 norm
+    query(*_zero_dynamics_pair(domain))
+    assert (calls["schur"], calls["qz"]) == (schurs, 0)
+
+
+@pytest.mark.parametrize("domain", ["continuous", "discrete"])
+def test_glyap_solves_on_its_qz_form(calls, domain):
+    # the standardized pencil T^-1 S is already quasi-triangular: the QZ
+    # eigenvalues decide stability and no real Schur form follows
+    rng = np.random.default_rng(16)
+    A0 = rng.normal(size=(16, 16))
+    if domain == "continuous":
+        A0 -= (np.linalg.eigvals(A0).real.max() + 1.0) * np.eye(16)
+    else:
+        A0 *= 0.9 / np.abs(np.linalg.eigvals(A0)).max()
+    E = np.eye(16) + 0.1 * rng.normal(size=(16, 16))
+    kernels.glyap(E @ A0, E, np.eye(16), domain)
+    assert (calls["qz"], calls["schur"]) == (1, 0)
+
+
+def test_general_pencil_kernels_take_one_dgges_each(calls, monkeypatch):
+    # gschur_ordered (with or without a selector) and gsylv_separation's two
+    # pencils each take one dgges; scipy's qz and ordqz are never called
+    def refused(*args, **kwargs):
+        raise AssertionError("scipy.linalg.qz or ordqz called")
+
+    monkeypatch.setattr(scipy.linalg, "qz", refused)
+    monkeypatch.setattr(scipy.linalg, "ordqz", refused)
+    rng = np.random.default_rng(10)
+    A, B = rng.normal(size=(10, 10)), rng.normal(size=(10, 10))
+    kernels.gschur_ordered(A, B)
+    kernels.gschur_ordered(A, B, select=lambda a, b: b > 0.0 and (a / b).real < 0.0)
+    kernels.gsylv_separation(A - 8 * np.eye(10), B, A + 8 * np.eye(10), np.eye(10), B, np.eye(10))
+    assert calls["qz"] == 4
+
+
+@pytest.fixture
+def svds(monkeypatch):
+    """Number of SVDs: ``kernels._svd`` wherever a dstk module binds it, and
+    numpy's and scipy's own."""
+    count = [0]
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            count[0] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for mod in (kernels, pencil, analysis, factor, solve, cli, system, ops):
+        if hasattr(mod, "_svd"):
+            monkeypatch.setattr(mod, "_svd", counted(getattr(mod, "_svd")))
+    monkeypatch.setattr(np.linalg, "svd", counted(np.linalg.svd))
+    monkeypatch.setattr(scipy.linalg, "svd", counted(scipy.linalg.svd))
+    return count
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda g: system.eval_tfm(g, 0.3 + 0.7j),
+        lambda g: system.probe_points(g, count=3),
+        ops.conjugate,
+    ],
+    ids=["eval_tfm", "probe_points", "conjugate"],
+)
+def test_point_solves_take_no_svd(svds, query):
+    # the LU that solves with A - lam E (or inverts A) also guards it, by
+    # its reciprocal condition: no singular values are needed
+    g = random_system(24, 2, 2, "discrete", rng=np.random.default_rng(24))
+    g = make_system(np.linalg.solve(g.E, g.A), None, np.linalg.solve(g.E, g.B), g.C, g.D, "discrete")
+    svds[0] = 0
+    query(g)
+    assert svds[0] == 0

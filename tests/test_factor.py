@@ -497,16 +497,16 @@ class TestInnerOuter:
         U = np.linalg.qr(np.random.default_rng(2).normal(size=(2, 2)))[0]
         g = minreal(make_system(g.A, g.E, g.B, g.C, U @ np.diag([1.0, 1.0 / cond]) @ U.T, domain))
         A, B, C, D = g.A, g.B, g.C, g.D
-        T, Z, _, k = _schur_ordered(A + B @ np.linalg.solve(D, C), stability_region(domain).contains)
-        assert k < g.n  # some zero is antistable: the Lyapunov equation is not empty
+        zd = _schur_ordered(A + B @ np.linalg.solve(D, C), stability_region(domain).contains)
+        assert zd[3] < g.n  # some zero is antistable: the Lyapunov equation is not empty
         weights = (A, B, C.T @ C, -C.T @ D, D.T @ D)
-        X, F = _riccati_gain(*weights, _bernoulli((T, Z, k), B, D, g.domain), g.domain)
+        X, F = _riccati_gain(*weights, _bernoulli(zd, B, D, g.domain), g.domain)
         Xp, Fp = _riccati_schur(*weights, g.domain)
         assert np.linalg.norm(X - Xp) <= 1e-8 * np.linalg.norm(Xp)
         assert np.linalg.norm(F - Fp) <= 1e-8 * np.linalg.norm(Fp)
         if n < 48:
             return
-        q1, R = _inner_outer_thin(g, None, (T, Z, k))
+        q1, R = _inner_outer_thin(g, None, zd)
         region = stability_region(domain)
         for lam in region.boundary_points(8):
             q = eval_tfm(q1, lam)

@@ -199,6 +199,41 @@ class TestGschur:
         with pytest.raises(SingularPencil):
             gschur_ordered(np.zeros((1, 1)), np.zeros((1, 1)))
 
+    def test_half_pair_selector_moves_the_pair(self, rng):
+        # a selector true for one member of each conjugate pair (Im > 0)
+        # moves the whole pair to the front, and the pair counts 2
+        n = 40
+        A = rng.normal(size=(n, n))
+        B = np.eye(n) + 0.1 / np.sqrt(n) * rng.normal(size=(n, n))
+        res = gschur_ordered(A, B, select=lambda a, b: a.imag > 0)
+        got = np.array([a / b for a, b in res.eigenvalues])
+        k = res.selected_count
+        assert k == 2 * np.count_nonzero(got.imag > 0) >= 20
+        assert np.all(got[:k].imag != 0) and np.all(got[k:].imag == 0)
+        for i in range(0, k, 2):
+            assert res.S[i + 1, i] != 0.0 and got[i].imag > 0 and got[i + 1] == np.conj(got[i])
+
+    @pytest.mark.parametrize("infinite", [0, 3])
+    def test_selected_count_is_the_selected_eigenvalues(self, rng, infinite):
+        # a conjugation-symmetric selector: selected_count is the number of
+        # eigenvalues that satisfy it, and exactly those lead
+        n = 40
+        A = rng.normal(size=(n, n))
+        B = np.eye(n) + 0.1 / np.sqrt(n) * rng.normal(size=(n, n))
+        B[:, :infinite] = 0.0
+
+        def select(a, b):
+            return b > 1e-8 * (abs(a) + b) and (a / b).real < 0.0
+
+        res = gschur_ordered(A, B, select=select)
+        flags = [bool(select(a, b)) for a, b in res.eigenvalues]
+        want = sla.eigvals(A, B)
+        want = want[np.isfinite(want)]
+        assert want.size == n - infinite and np.count_nonzero(np.abs(want.imag) > 0) >= 20
+        assert res.selected_count == sum(flags) == np.count_nonzero(want.real < 0)
+        assert flags == sorted(flags, reverse=True)
+        assert sum(b == 0.0 or abs(a) > 1e8 * b for a, b in res.eigenvalues) == infinite
+
 
 class TestGsylv:
     def test_zero_coupling(self):

@@ -239,6 +239,22 @@ class TestConjugate:
             b = eval_tfm(g, 1.0 / lam).T
             assert np.linalg.norm(a - b) <= 1e-8 * (1 + np.linalg.norm(b))
 
+    def test_discrete_order_n_for_invertible_A(self, rng):
+        # an invertible A, however far from orthogonal, keeps the order-n
+        # realization; a singular one falls back to the order-(n + m) pencil
+        n, m, p = 24, 2, 3
+        A = np.linalg.qr(rng.normal(size=(n, n)))[0] @ np.diag(np.logspace(-6, 0, n))
+        B, C, D = rng.normal(size=(n, m)), rng.normal(size=(p, n)), rng.normal(size=(p, m))
+        g = make_system(A.copy(), None, B, C, D, "discrete")
+        cj = conjugate(g)
+        assert cj.n == n and cj.is_standard
+        for lam in oracle_points(rng, 4):
+            w = 1.0 / lam
+            want = (C @ np.linalg.solve(A - w * np.eye(n), B) + D).T
+            assert np.linalg.norm(eval_tfm(cj, lam) - want) <= 1e-8 * (1 + np.linalg.norm(want))
+        A[:, 0] = 0.0
+        assert conjugate(make_system(A, None, B, C, D, "discrete")).n == n + m
+
     @pytest.mark.parametrize("domain", ["continuous", "discrete"])
     def test_involution_oracle(self, rng, domain):
         g = random_system(3, 2, 2, domain, rng=rng)

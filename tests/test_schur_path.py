@@ -15,7 +15,7 @@ from dstk import factor, kernels
 from dstk.analysis import h2_norm, poles, stability_region
 from dstk.exceptions import IterationFailure, SpectraNotDisjoint, UnstablePair
 from dstk.factor import additive_decompose
-from dstk.kernels import _schur_ordered, _stable_lyap, _sylv_quasi, glyap
+from dstk.kernels import _lyap_quasi, _schur_ordered, _sylv_quasi, glyap
 from dstk.system import make_system, random_system
 
 ORDERS = [8, 24, 48, 64]
@@ -114,5 +114,6 @@ def test_sylv_quasi_refuses_common_eigenvalues():
 )
 def test_stable_lyap_refuses_the_boundary(domain, M):
     # the eigenvalue 0, and the pair +-1j on the unit circle
+    T, Z, eigs, _ = _schur_ordered(np.array(M))
     with pytest.raises(UnstablePair):
-        _stable_lyap(np.array(M), np.eye(2), domain, UnstablePair)
+        _lyap_quasi(T, eigs, np.eye(2), domain, UnstablePair)

@@ -77,6 +77,41 @@ class TestEval:
             assert np.array_equal(eval_tfm(g, lam), D.astype(complex))
 
 
+def _planted24(rng):
+    """Order-24 pencil ``(U diag(Lambda) V, U V)`` with twelve real poles and
+    six conjugate pairs placed exactly (``U``, ``V`` well conditioned), and
+    those poles."""
+    real = -np.arange(1.0, 13.0) / 4.0
+    pairs = [complex(-0.5 * k, 0.75 * k) for k in range(1, 7)]
+    L = np.diag(np.r_[real, np.zeros(12)])
+    for i, z in enumerate(pairs):
+        j = 12 + 2 * i
+        L[j : j + 2, j : j + 2] = [[z.real, z.imag], [-z.imag, z.real]]
+    U, V = (np.linalg.qr(rng.normal(size=(24, 24)))[0] @ np.diag(rng.uniform(0.5, 2.0, 24)) for _ in range(2))
+    g = make_system(U @ L @ V, U @ V, rng.normal(size=(24, 2)), rng.normal(size=(3, 24)), rng.normal(size=(3, 2)), "continuous")
+    return g, list(real) + pairs
+
+
+class TestLuGuard:
+    """``eval_tfm`` solves with one LU of ``A - lam E``, and that LU's
+    reciprocal condition alone refuses a pole."""
+
+    def test_planted_poles_refused(self, rng):
+        g, planted = _planted24(rng)
+        for z in planted:
+            with pytest.raises(EvalAtPole):
+                eval_tfm(g, z)
+
+    def test_near_a_pole_matches_a_dense_solve(self, rng):
+        g, planted = _planted24(rng)
+        for z in planted:
+            for lam in (z + 1e-6, z + 1e-6j, z - 1e-6 * (1 + 1j) / np.sqrt(2)):
+                X = np.linalg.solve(g.A - complex(lam) * g.E, g.B.astype(complex))
+                want = g.C @ X + g.D
+                scale = np.linalg.norm(g.D) + np.linalg.norm(g.C) * np.linalg.norm(X)
+                assert np.linalg.norm(eval_tfm(g, lam) - want) <= 1e-12 * scale
+
+
 class TestSimilarity:
     def test_identity(self):
         g = first_order_lag()
