@@ -261,19 +261,23 @@ def _standard_minreal(A, B, C, tol_abs):
 def _nondynamic(A, E, tol_abs):
     """Orthogonal ``L``, ``R`` exposing the non-dynamic modes of ``A - lam E``.
 
-    One SVD of ``E`` gives its rank ``r`` and left/right kernels ``U2``,
-    ``V2``; one SVD of ``U2^T A V2`` gives the rest.  In the coordinates
-    ``L^T (A - lam E) R``, ``E`` is zero outside its leading r-by-r block and
-    ``A`` is ``diag(s)`` on the next ``len(s)`` positions, with no coupling to
-    the rest of the kernel block.  Returns ``(L, R, r, s)``; ``s`` holds the
-    singular values above ``tol_abs``, one per non-dynamic mode.
+    One SVD of ``E`` gives its kept singular values ``sigma`` (``r`` of them,
+    above ``tol_abs``) and left/right kernels ``U2``, ``V2``; one SVD of
+    ``U2^T A V2`` gives the rest.  In the coordinates ``L^T (A - lam E) R``,
+    ``E`` is ``diag(sigma)`` on its leading r-by-r block up to rounding and
+    zero elsewhere, and the non-dynamic modes come last: ``A`` is ``diag(s)``
+    on the last ``len(s)`` positions, with no coupling to the rest of the
+    kernel block.  Returns ``(L, R, sigma, s)``; ``s`` holds the singular
+    values above ``tol_abs``, one per non-dynamic mode.
     """
     U, se, Vh = _svd(E)
     r = _svd_rank(se, E.shape, tol_abs)
     P, s, Qh = _svd(U[:, r:].T @ A @ Vh[r:].T)
-    L = np.hstack([U[:, :r], U[:, r:] @ P])
-    R = np.hstack([Vh[:r].T, Vh[r:].T @ Qh.T])
-    return L, R, r, s[: _svd_rank(s, s.shape, tol_abs)]
+    s = s[: _svd_rank(s, s.shape, tol_abs)]
+    last = np.r_[s.size : P.shape[1], : s.size]
+    L = np.hstack([U[:, :r], (U[:, r:] @ P)[:, last]])
+    R = np.hstack([Vh[:r].T, (Vh[r:].T @ Qh.T)[:, last]])
+    return L, R, se[:r], s
 
 
 def _split(sys: DescriptorSystem, tol):
@@ -332,19 +336,17 @@ def _reduce(sys: DescriptorSystem, tol):
         Ah, Bh, Ch = _standard_minreal(Ah, Bh, Ch, tol_abs)
     Am, Bm, Cm = _standard_minreal(As, Bs, Cf, tol_abs)
 
-    # infinite half; dividing by s below is the one non-orthogonal step
-    Ai, Ei, D, r = np.eye(Ah.shape[0]), Ah, sys.D, 0
+    # infinite half, in the coordinates of its E cut: kept states first,
+    # non-dynamic ones last; dividing by s below is the one non-orthogonal step
+    Ai, Ei, D, r = Ah, Ah, sys.D, 0
     if Ah.size:
-        L, R, r, s = _nondynamic(Ai, Ah, tol_abs)
-        if s.size:
-            q = Ah.shape[0] - s.size  # kept states first, non-dynamic ones last
-            order = np.r_[:r, r + s.size : Ah.shape[0], r : r + s.size]
-            L, R = L[:, order], R[:, order]
-            At, Bt, Ct = L.T @ R, L.T @ Bh, Ch @ R
-            X, Y = At[q:, :q] / s[:, None], Bt[q:] / s[:, None]
-            Ai, Bh = At[:q, :q] - At[:q, q:] @ X, Bt[:q] - At[:q, q:] @ Y
-            Ch, D = Ct[:, :q] - Ct[:, q:] @ X, D + Ct[:, q:] @ Y
-            Ei = _diag2(L[:, :r].T @ Ah @ R[:, :r], np.zeros((q - r, q - r)))
+        L, R, sigma, s = _nondynamic(np.eye(Ah.shape[0]), Ah, tol_abs)
+        r, q = sigma.size, Ah.shape[0] - s.size
+        At, Bt, Ct = L.T @ R, L.T @ Bh, Ch @ R
+        X, Y = At[q:, :q] / s[:, None], Bt[q:] / s[:, None]
+        Ai, Bh = At[:q, :q] - At[:q, q:] @ X, Bt[:q] - At[:q, q:] @ Y
+        Ch, D = Ct[:, :q] - Ct[:, q:] @ X, D + Ct[:, q:] @ Y
+        Ei = _diag2(np.diag(sigma), np.zeros((q - r, q - r)))
 
     A, E = _diag2(Am, Ai), _diag2(np.eye(Am.shape[0]), Ei)
     return _trusted_system(A, E, np.vstack([Bm, Bh]), np.hstack([Cm, Ch]), D, sys.domain), Am.shape[0], r

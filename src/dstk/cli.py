@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys as _sys
@@ -73,31 +74,28 @@ def write_system(path: str, sys: DescriptorSystem) -> None:
         fh.write(format_system(sys))
 
 
+def _content_lines(lines):
+    """``(lineno, text)`` of each stripped line that is neither blank nor a
+    ``#`` comment, numbered from 1 over all lines; read as they are reached."""
+    return ((i, s) for i, s in enumerate(map(str.strip, lines), 1) if s and not s.startswith("#"))
+
+
 def parse_system(text: str) -> DescriptorSystem:
     """Parse SystemFile text; the E block may be omitted, meaning E = I."""
     lines = text.splitlines()
-    pos = 0
+    # past the last content line every read finds None at the last line number
+    body = itertools.chain(_content_lines(lines), itertools.repeat((len(lines), None)))
 
     def fail(msg, lineno=None):
         where = f"line {lineno}: " if lineno is not None else ""
         raise ParseError(f"{where}{msg}")
 
-    def next_line():
-        nonlocal pos
-        while pos < len(lines):
-            raw = lines[pos]
-            pos += 1
-            s = raw.strip()
-            if s and not s.startswith("#"):
-                return s, pos
-        return None, pos
-
-    first, ln = next_line()
+    ln, first = next(body)
     if first != FORMAT_HEADER:
         fail(f"expected header {FORMAT_HEADER!r}", ln)
     hdr = {}
     for key in ("domain", "n", "m", "p"):
-        line, ln = next_line()
+        ln, line = next(body)
         if line is None:
             fail(f"missing header field {key!r}")
         parts = line.split()
@@ -112,15 +110,16 @@ def parse_system(text: str) -> DescriptorSystem:
     if min(n, m, p) < 0:
         fail(f"negative dimension in header (n {n}, m {m}, p {p})")
 
-    def read_block(name, rows, cols):
-        line, ln = next_line()
-        if line != name:
-            return None, line, ln
-        M = np.zeros((rows, cols))
-        if cols == 0:
-            return M, None, ln
-        for i in range(rows):
-            row, ln = next_line()
+    blocks = {"E": np.eye(n)}
+    ln, tag = next(body)
+    for name, rows, cols in (("A", n, n), ("E", n, n), ("B", n, m), ("C", p, n), ("D", p, m)):
+        if tag != name:
+            if name == "E":
+                continue
+            fail(f"expected matrix block {name!r}", ln)
+        M = blocks[name] = np.zeros((rows, cols))
+        for i in range(rows if cols else 0):
+            ln, row = next(body)
             if row is None:
                 fail(f"matrix {name}: missing row {i + 1}")
             vals = row.split()
@@ -130,32 +129,10 @@ def parse_system(text: str) -> DescriptorSystem:
                 M[i] = _finite_float(vals)
             except ValueError:
                 fail(f"matrix {name} row {i + 1}: invalid or non-finite number", ln)
-        return M, None, ln
-
-    A, pending, ln = read_block("A", n, n)
-    if A is None:
-        fail("expected matrix block 'A'", ln)
-    line, ln = next_line()
-    if line == "E":
-        pos -= 1
-        E, _, ln = read_block("E", n, n)
-        line, ln = next_line()
-    else:
-        E = np.eye(n)
-    if line != "B":
-        fail("expected matrix block 'B'", ln)
-    pos -= 1
-    B, _, ln = read_block("B", n, m)
-    C, _, ln = read_block("C", p, n)
-    if C is None:
-        fail("expected matrix block 'C'", ln)
-    D, _, ln = read_block("D", p, m)
-    if D is None:
-        fail("expected matrix block 'D'", ln)
-    extra, ln = next_line()
-    if extra is not None:
-        fail(f"unexpected trailing content {extra!r}", ln)
-    return make_system(A, E, B, C, D, domain)
+        ln, tag = next(body)
+    if tag is not None:
+        fail(f"unexpected trailing content {tag!r}", ln)
+    return make_system(*(blocks[name] for name in "AEBCD"), domain)
 
 
 def read_system(path: str) -> DescriptorSystem:
@@ -172,10 +149,7 @@ def _read_matrix(path: str) -> np.ndarray:
     rows = []
     try:
         with open(path) as fh:
-            for lineno, raw in enumerate(fh, 1):
-                s = raw.strip()
-                if not s or s.startswith("#"):
-                    continue
+            for lineno, s in _content_lines(fh):
                 try:
                     rows.append(_finite_float(s.split()))
                 except ValueError:

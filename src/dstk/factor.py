@@ -133,25 +133,24 @@ def _dislocating_feedback(g, nf, ninf, region, pole_set, tol):
     """State feedback making all infinite eigenvalues of ``A + BF - lam E``
     simple and moving every finite eigenvalue outside ``region`` into it, for
     the output ``(g, nf, ninf)`` of :func:`_reduce`.  An improper ``g`` takes
-    one SVD of its trailing ``E`` block, split at its rank ``ninf``; an
-    index-reducing gain and one LU solve residualize the kernel states.  The
-    standard pair left (``(A, B)`` when proper) takes one ordered real Schur form."""
+    no SVD of its trailing ``E`` block: :func:`_reduce` leaves it diagonal,
+    its ``ninf`` kept singular values first and zeros on the kernel states
+    after them; an index-reducing gain and one LU solve residualize those.
+    The standard pair left (``(A, B)`` when proper) takes one ordered real
+    Schur form."""
     n, m, re = g.n, g.m, nf + ninf
     F, As, Bs = np.zeros((m, n)), g.A, g.B
     if re < n:
-        U, s, Vh = _svd(g.E[nf:, nf:])
-        Ul, V = _diag2(np.eye(nf), U), _diag2(np.eye(nf), Vh.T)
-        Ap, Bp = Ul.T @ g.A @ V, Ul.T @ g.B
-        B2 = Bp[re:]
+        B2 = g.B[re:]
         if rank_tol(B2, tol) < n - re:
             raise PlacementFailure("infinite eigenvalues are not controllable")
         target = (1.0 + np.linalg.norm(g.A, 2)) * np.eye(n - re)
-        F[:, re:] = B2.T @ np.linalg.solve(B2 @ B2.T, target - Ap[re:, re:])
-        Ap += Bp @ F
-        # x2 = -Ap22^-1 (Ap21 x1 + B2 u); E is diag(1, ..., 1, s) on the rest
+        F[:, re:] = B2.T @ np.linalg.solve(B2 @ B2.T, target - g.A[re:, re:])
+        Ap = g.A + g.B @ F
+        # x2 = -Ap22^-1 (Ap21 x1 + B2 u); E is diag(1, ..., 1, sigma) on the rest
         P = Ap[:re, re:] @ np.linalg.solve(Ap[re:, re:], np.hstack([Ap[re:, :re], B2]))
-        d = np.r_[np.ones(nf), s[:ninf]][:, None]
-        As, Bs = (Ap[:re, :re] - P[:, :re]) / d, (Bp[:re] - P[:, re:]) / d
+        d = np.diag(g.E)[:re, None]
+        As, Bs = (Ap[:re, :re] - P[:, :re]) / d, (g.B[:re] - P[:, re:]) / d
 
     T, Z, _, k = _schur_ordered(As, region.contains)
     if k < re:
@@ -182,7 +181,7 @@ def _dislocating_feedback(g, nf, ninf, region, pole_set, tol):
         if not all(region.contains(z) for z in np.linalg.eigvals(Abs + Bbs @ Fb)):
             raise PlacementFailure("closed-loop poles are not all in the region")
         F[:, :re] += Fb @ Z[:, k:].T
-    return F if re == n else F @ V.T
+    return F
 
 
 def rcf(sys: DescriptorSystem, region: StabilityRegion, pole_set=None, tol=None) -> FactorPair:

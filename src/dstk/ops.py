@@ -6,7 +6,10 @@ a realization from raw rational-matrix data, entry by entry and without
 polynomial division (improper entries get a shift pencil with singular
 ``E``).  Every formula here is written for the evaluation convention
 ``G = C (A - lambda E)^{-1} B + D`` and is checked against the
-frequency-response oracle in the test suite.
+frequency-response oracle in the test suite.  The general inverse is the
+system pencil of :func:`~dstk.analysis._system_pencil`, bordered by the
+identity; parallel coupling, both concatenations and diagonal stacking share
+one block-diagonal assembler, and series adds its off-diagonal block.
 
 None of the constructors reduce their results; callers run ``minreal`` when
 a minimal realization is wanted.
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import normal_rank
+from .analysis import _system_pencil, normal_rank
 from .exceptions import (
     DimensionMismatch,
     DomainMismatch,
@@ -70,63 +73,54 @@ def series(sys1: DescriptorSystem, sys2: DescriptorSystem) -> DescriptorSystem:
     return _trusted_system(A, E, B, C, D, domain)
 
 
+def _side_by_side(sys1, sys2, border, mismatch=False, what=None):
+    """Two same-domain systems coupled through the pencil ``diag(A1, A2) - lam
+    diag(E1, E2)``; a ``mismatch`` of the coupling's dimensions raises ``what``
+    after the domain check, and ``border()`` builds its ``B``, ``C``, ``D``."""
+    domain = _same_domain(sys1, sys2)
+    if mismatch:
+        raise DimensionMismatch(what)
+    return _trusted_system(_diag2(sys1.A, sys2.A), _diag2(sys1.E, sys2.E), *border(), domain)
+
+
 def parallel(sys1: DescriptorSystem, sys2: DescriptorSystem) -> DescriptorSystem:
     """Parallel coupling: the sum ``G1(lam) + G2(lam)``."""
-    domain = _same_domain(sys1, sys2)
-    if (sys1.p, sys1.m) != (sys2.p, sys2.m):
-        raise DimensionMismatch("parallel coupling needs matching input/output dimensions")
-    A = _diag2(sys1.A, sys2.A)
-    E = _diag2(sys1.E, sys2.E)
-    B = np.vstack([sys1.B, sys2.B])
-    C = np.hstack([sys1.C, sys2.C])
-    D = sys1.D + sys2.D
-    return _trusted_system(A, E, B, C, D, domain)
+    return _side_by_side(
+        sys1, sys2, lambda: (np.vstack([sys1.B, sys2.B]), np.hstack([sys1.C, sys2.C]), sys1.D + sys2.D),
+        (sys1.p, sys1.m) != (sys2.p, sys2.m), "parallel coupling needs matching input/output dimensions",
+    )
 
 
 def concat_col(sys1: DescriptorSystem, sys2: DescriptorSystem) -> DescriptorSystem:
     """Column concatenation: stack ``[G1; G2]`` (shared inputs)."""
-    domain = _same_domain(sys1, sys2)
-    if sys1.m != sys2.m:
-        raise DimensionMismatch("column concatenation needs equal input counts")
-    A = _diag2(sys1.A, sys2.A)
-    E = _diag2(sys1.E, sys2.E)
-    B = np.vstack([sys1.B, sys2.B])
-    C = _diag2(sys1.C, sys2.C)
-    D = np.vstack([sys1.D, sys2.D])
-    return _trusted_system(A, E, B, C, D, domain)
+    return _side_by_side(
+        sys1, sys2, lambda: (np.vstack([sys1.B, sys2.B]), _diag2(sys1.C, sys2.C), np.vstack([sys1.D, sys2.D])),
+        sys1.m != sys2.m, "column concatenation needs equal input counts",
+    )
 
 
 def concat_row(sys1: DescriptorSystem, sys2: DescriptorSystem) -> DescriptorSystem:
     """Row concatenation: ``[G1  G2]`` (shared outputs)."""
-    domain = _same_domain(sys1, sys2)
-    if sys1.p != sys2.p:
-        raise DimensionMismatch("row concatenation needs equal output counts")
-    A = _diag2(sys1.A, sys2.A)
-    E = _diag2(sys1.E, sys2.E)
-    B = _diag2(sys1.B, sys2.B)
-    C = np.hstack([sys1.C, sys2.C])
-    D = np.hstack([sys1.D, sys2.D])
-    return _trusted_system(A, E, B, C, D, domain)
+    return _side_by_side(
+        sys1, sys2, lambda: (_diag2(sys1.B, sys2.B), np.hstack([sys1.C, sys2.C]), np.hstack([sys1.D, sys2.D])),
+        sys1.p != sys2.p, "row concatenation needs equal output counts",
+    )
 
 
 def diag_stack(sys1: DescriptorSystem, sys2: DescriptorSystem) -> DescriptorSystem:
     """Diagonal stacking: ``diag(G1, G2)``."""
-    domain = _same_domain(sys1, sys2)
-    A = _diag2(sys1.A, sys2.A)
-    E = _diag2(sys1.E, sys2.E)
-    B = _diag2(sys1.B, sys2.B)
-    C = _diag2(sys1.C, sys2.C)
-    D = _diag2(sys1.D, sys2.D)
-    return _trusted_system(A, E, B, C, D, domain)
+    return _side_by_side(sys1, sys2, lambda: (_diag2(sys1.B, sys2.B), _diag2(sys1.C, sys2.C), _diag2(sys1.D, sys2.D)))
 
 
 def inverse(sys: DescriptorSystem, mode: str = "general") -> DescriptorSystem:
     """Realization of the inverse TFM.
 
-    ``mode="general"`` appends the output equation to the pencil and needs no
-    matrix inversion; the result has order ``n + m`` and is not minimal even
-    when the input is.  ``mode="d-inverse"`` requires an invertible
-    feedthrough ``D`` and keeps the order at ``n``.
+    ``mode="general"`` needs no matrix inversion: the inverse is the system
+    pencil ``[[A, -B], [C, D]] - lam diag(E, 0)`` itself, its input entering
+    the output rows and its output read from the input columns.  The result
+    has order ``n + m`` and is not minimal even when the input is.
+    ``mode="d-inverse"`` requires an invertible feedthrough ``D`` and keeps
+    the order at ``n``.
     """
     if sys.p != sys.m:
         raise NotSquare(f"inverse needs a square TFM, got {sys.p}x{sys.m}")
@@ -148,18 +142,12 @@ def inverse(sys: DescriptorSystem, mode: str = "general") -> DescriptorSystem:
 
 def _pencil_inverse(sys):
     """``inverse(sys)`` of a square ``sys`` already known to be invertible:
-    the output equation appended to the pencil, at order ``n + m``."""
-    m, n = sys.m, sys.n
-    A = np.zeros((n + m, n + m))
-    A[:n, :n] = sys.A
-    A[:n, n:] = sys.B
-    A[n:, :n] = -sys.C
-    A[n:, n:] = sys.D
-    E = np.zeros((n + m, n + m))
-    E[:n, :n] = sys.E
-    B = np.vstack([np.zeros((n, m)), np.eye(m)])
-    C = np.hstack([np.zeros((m, n)), np.eye(m)])
-    return _trusted_system(A, E, B, C, np.zeros((m, m)), sys.domain)
+    the system pencil ``[[A, -B], [C, D]] - lam diag(E, 0)`` of
+    :func:`~dstk.analysis._system_pencil`, read from the input border to the
+    output border (Verghese, Van Dooren & Kailath, 1979), at order ``n + m``."""
+    n, m = sys.n, sys.m
+    M, N = _system_pencil(sys)
+    return _trusted_system(M, N, np.eye(n + m, m, -n), np.eye(m, n + m, n), np.zeros((m, m)), sys.domain)
 
 
 def conjugate(sys: DescriptorSystem) -> DescriptorSystem:

@@ -239,13 +239,12 @@ def klf(M, N, tol=None):
         if div3:
             raise IterationFailure("inconsistent staircase ranks while separating the left singular part")
         if left:
-            # transpose back and reverse so the left stairs trail
-            Jr = np.eye(mf)[::-1]
-            Jc = np.eye(nf_)[::-1]
-            left_l = Jr @ R3.T
-            right_r = L3.T @ Jc
-            Mk[ro1:, co1:] = Jr @ Mt.T @ Jc
-            Nk[ro1:, co1:] = Jr @ Nt.T @ Jc
+            # transpose back and reverse so the left stairs trail; the
+            # reversed factors are copied so that they multiply through BLAS
+            left_l = np.ascontiguousarray(R3.T[::-1])
+            right_r = np.ascontiguousarray(L3.T[:, ::-1])
+            Mk[ro1:, co1:] = Mt.T[::-1, ::-1]
+            Nk[ro1:, co1:] = Nt.T[::-1, ::-1]
             Mk[:ro1, co1:] = Mk[:ro1, co1:] @ right_r
             Nk[:ro1, co1:] = Nk[:ro1, co1:] @ right_r
             L[ro1:, :] = left_l @ L[ro1:, :]

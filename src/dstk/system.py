@@ -97,7 +97,8 @@ def _freeze(M: np.ndarray) -> np.ndarray:
 
 
 def _trusted_system(A, E, B, C, D, domain) -> DescriptorSystem:
-    """Assemble without the regularity probe (regularity known by construction)."""
+    """Assemble without the regularity probe (regularity known by construction);
+    the arrays are the library's own and are frozen in place."""
     return DescriptorSystem(_freeze(A), _freeze(E), _freeze(B), _freeze(C), _freeze(D), _as_domain(domain))
 
 
@@ -135,7 +136,8 @@ def make_system(A, E, B, C, D, domain) -> DescriptorSystem:
         raise DimensionMismatch(f"D must be {p}x{m}, got {D.shape}")
     if _probe_rank(A, E) < n:
         raise SingularPencil("pencil A - lambda*E is numerically singular")
-    return _trusted_system(A, E, B, C, D, domain)
+    # the system freezes its own copies: the caller's arrays stay writable
+    return _trusted_system(A.copy(), E.copy(), B.copy(), C.copy(), D.copy(), domain)
 
 
 def eval_tfm(sys: DescriptorSystem, lam) -> np.ndarray:

@@ -511,3 +511,40 @@ def test_point_solves_take_no_svd(svds, query):
     svds[0] = 0
     query(g)
     assert svds[0] == 0
+
+
+@pytest.mark.parametrize("proper", [True, False], ids=["proper", "improper"])
+@pytest.mark.parametrize("domain", ["continuous", "discrete"])
+def test_general_inverse_is_the_system_pencil(proper, domain):
+    # the inverse is the system pencil read through its border, not a
+    # second construction of it
+    g = random_system(10, 2, 2, domain, proper=proper, rng=np.random.default_rng(10))
+    M, N = analysis._system_pencil(g)
+    gi = ops.inverse(g)
+    assert np.array_equal(gi.A, M) and np.array_equal(gi.E, N)
+    assert np.array_equal(gi.B, np.eye(12)[:, 10:]) and np.array_equal(gi.C, np.eye(12)[10:])
+
+
+def test_reduce_leaves_the_infinite_E_diagonal(improper24):
+    # the infinite block stays in the coordinates of its E cut: its E is its
+    # kept singular values, then zeros on the kernel states
+    g, nf, ninf = analysis._reduce(improper24, None)
+    Ei = g.E[nf:, nf:]
+    assert ninf and Ei.shape[0] > ninf
+    assert np.array_equal(Ei, np.diag(np.diag(Ei)))
+    assert np.all(np.diag(Ei)[:ninf] > 0.0) and not np.diag(Ei)[ninf:].any()
+
+
+@pytest.mark.parametrize("side", [factor.rcf, factor.lcf], ids=["rcf", "lcf"])
+@pytest.mark.parametrize("domain", ["continuous", "discrete"])
+def test_improper_coprime_factors_take_no_svd_of_E(svds, side, domain):
+    # the dislocating feedback reads the rank of E and its kernel states off
+    # the reduction's diagonal infinite E: beyond the reduction's SVDs only
+    # the rank check of the inputs on E's kernel remains
+    g = random_system(24, 2, 2, domain, proper=False, rng=np.random.default_rng(24))
+    svds[0] = 0
+    analysis._reduce(g if side is factor.rcf else transpose_dual(g), None)
+    reduce_svds = svds[0]
+    svds[0] = 0
+    side(g, analysis.stability_region(g.domain))
+    assert svds[0] == reduce_svds + 1

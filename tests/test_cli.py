@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dstk.analysis import mcmillan_degree, normal_rank, poles
-from dstk.cli import _build_parser, format_system, parse_system, run, write_system
+from dstk.cli import _build_parser, format_system, parse_system, read_system, run, write_system
 from dstk.exceptions import ParseError
 from dstk.system import eval_tfm, make_system, random_system
 
@@ -182,6 +182,79 @@ class TestCommands:
         text = capsys.readouterr().out
         want = js["results"]["value"][0][0]["re"]
         assert format(want, ".17g") in text
+
+
+def _dense(g, lam):
+    """``C (A - lam E)^-1 B + D`` by one dense complex solve."""
+    return g.C @ np.linalg.solve(g.A - lam * g.E, g.B) + g.D
+
+
+_POINTS = [0.4 + 1.3j, -0.7 + 0.5j, 1.6 - 2.2j]
+
+
+def _run_json(argv, capsys):
+    assert run(argv + ["--out", "json"]) == 0
+    return json.loads(capsys.readouterr().out)["results"]
+
+
+class TestFactorCommands:
+    def test_decompose_parts_add_up(self, tmp_path, capsys):
+        g = random_system(8, 2, 3, "continuous", rng=np.random.default_rng(8))
+        pg, pb = str(tmp_path / "good.dss"), str(tmp_path / "bad.dss")
+        res = _run_json(["decompose", _write(tmp_path, g), "--out-good", pg, "--out-bad", pb], capsys)
+        assert res["written"] == [pg, pb]
+        good, bad = read_system(pg), read_system(pb)
+        assert (res["good_order"], res["bad_order"]) == (good.n, bad.n)
+        assert good.n and bad.n and good.n + bad.n == g.n
+        assert poles(good).finite and all(z.real < 0 for z in poles(good).finite)
+        assert all(z.real > 0 for z in poles(bad).finite)
+        for lam in _POINTS:
+            np.testing.assert_allclose(_dense(good, lam) + _dense(bad, lam), _dense(g, lam), rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("domain", ["continuous", "discrete"])
+    def test_coprime_factors_rebuild_g(self, tmp_path, capsys, side, domain):
+        g = random_system(6, 2, 3, domain, rng=np.random.default_rng(6))
+        pn, pm = str(tmp_path / "n.dss"), str(tmp_path / "m.dss")
+        res = _run_json(["cf", side, _write(tmp_path, g), "--out-n", pn, "--out-m", pm], capsys)
+        assert res["side"] == side and res["written"] == [pn, pm]
+        N, M = read_system(pn), read_system(pm)
+        assert (res["numerator_order"], res["denominator_order"]) == (N.n, M.n)
+        for lam in _POINTS:
+            Nv, Mv = _dense(N, lam), _dense(M, lam)
+            got = np.linalg.solve(Mv.T, Nv.T).T if side == "right" else np.linalg.solve(Mv, Nv)
+            np.testing.assert_allclose(got, _dense(g, lam), rtol=1e-8, atol=1e-8)
+
+    def test_inner_outer_factors_rebuild_g(self, tmp_path, capsys):
+        g = random_system(6, 2, 3, "continuous", stable=True, rng=np.random.default_rng(6))
+        pq, pr = str(tmp_path / "q.dss"), str(tmp_path / "r.dss")
+        res = _run_json(["iofac", _write(tmp_path, g), "--out-inner", pq, "--out-outer", pr], capsys)
+        assert res["inner_columns"] == 2 and res["written"] == [pq, pr]
+        Q, R = read_system(pq), read_system(pr)
+        assert (Q.p, Q.m, R.p, R.m) == (3, 3, 2, 2)
+        assert (res["inner_order"], res["outer_order"]) == (Q.n, R.n)
+        for lam in _POINTS:
+            np.testing.assert_allclose(_dense(Q, lam)[:, :2] @ _dense(R, lam), _dense(g, lam), rtol=1e-8, atol=1e-8)
+        Qw = _dense(Q, 0.8j)
+        np.testing.assert_allclose(Qw.conj().T @ Qw, np.eye(3), atol=1e-8)
+
+    def test_match_reports_the_library_error(self, tmp_path, capsys):
+        from dstk.solve import l2_model_match
+
+        G = random_system(8, 2, 4, "continuous", stable=True, rng=np.random.default_rng(20))
+        F = random_system(5, 1, 4, "continuous", stable=True, rng=np.random.default_rng(27))
+        F = make_system(F.A, F.E, F.B, F.C, np.zeros_like(F.D), "continuous")
+        pg, pf, px = str(tmp_path / "G.dss"), str(tmp_path / "F.dss"), str(tmp_path / "X.dss")
+        write_system(pg, G)
+        write_system(pf, F)
+        res = _run_json(["match", pg, pf, "-o", px], capsys)
+        assert res["written"] == px
+        X, parts = l2_model_match(G, F)
+        assert res["error_norm"] == parts.error_norm > 0.0
+        Xf = read_system(px)
+        assert res["solution_order"] == Xf.n == X.n
+        for lam in _POINTS:
+            np.testing.assert_allclose(_dense(Xf, lam), _dense(X, lam), rtol=1e-12, atol=1e-12)
 
 
 def _write(tmp_path, g):

@@ -48,6 +48,16 @@ class TestMakeSystem:
         with pytest.raises(ValueError):
             make_system([[np.nan]], [[1.0]], [[1.0]], [[1.0]], [[0.0]], "continuous")
 
+    def test_caller_arrays_stay_writable(self):
+        # the system freezes copies; the caller's own arrays are left alone
+        A, E, B, C, D = np.eye(2), 2.0 * np.eye(2), np.ones((2, 1)), np.ones((1, 2)), np.zeros((1, 1))
+        g = make_system(A, E, B, C, D, "continuous")
+        for X in (A, E, B, C, D):
+            X[0, 0] = 1.0
+        A[0, 0] = 3.0
+        assert g.A[0, 0] == 1.0 and g.E[0, 0] == 2.0 and g.D[0, 0] == 0.0
+        assert not g.A.flags.writeable
+
 
 class TestEval:
     def test_derivative_realization(self):
