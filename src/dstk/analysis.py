@@ -281,14 +281,17 @@ def _nondynamic(A, E, tol_abs):
 
 
 def _split(sys: DescriptorSystem, tol):
-    """One deflation pass: the pencil ``Mk - lam Nk`` with its infinite
+    """One deflation pass: the pencil ``Mk - lam Nk`` with its ``k`` infinite
     eigenvalues leading, ``B`` and ``C`` in its coordinates, the infinite
-    divisor degrees and the absolute staircase tolerance."""
+    divisor degrees, the absolute staircase tolerance and the standardized
+    finite pair ``(As, Bs)``, the trailing ``(Mk, B)`` divided by ``Nk``."""
     Mk, Nk, U, V, divisors = _regular_deflate(sys.A, sys.E, stair_tol(tol, sys.n, sys.A, sys.E))
     # the staircases run on standardized data, whose scale the raw norms miss
     scale = max(np.linalg.norm(X) for X in (sys.A, sys.E, sys.B, sys.C)) + 1.0
     tol_abs = tol if tol is not None else default_tol(max(sys.n, sys.m, sys.p), scale)
-    return Mk, Nk, U @ sys.B, sys.C @ V, divisors, tol_abs
+    B1, k = U @ sys.B, int(sum(divisors))
+    As, Bs = np.linalg.solve(Nk[k:, k:], Mk[k:, k:]), np.linalg.solve(Nk[k:, k:], B1[k:, :])
+    return Mk, Nk, B1, sys.C @ V, divisors, tol_abs, As, Bs
 
 
 def _neumann_decouple(Ah, P, Q, As, d):
@@ -323,9 +326,8 @@ def _reduce(sys: DescriptorSystem, tol):
     ``ninf``, the infinite pole count, is the rank of the trailing ``E``."""
     if sys.n == 0:
         return sys, 0, 0
-    Mk, Nk, B1, C1, divisors, tol_abs = _split(sys, tol)
+    Mk, Nk, B1, C1, divisors, tol_abs, As, Bs = _split(sys, tol)
     n, k = sys.n, int(sum(divisors))
-    As, Bs = np.linalg.solve(Nk[k:, k:], Mk[k:, k:]), np.linalg.solve(Nk[k:, k:], B1[k:, :])
     Ah, Bh, Ch, Cf = Nk[:k, :k], B1[:k, :], C1[:, :k], C1[:, k:]
     if k:
         # an LU keeps the deflation's zero stairs: Ah is strictly block upper triangular in max(divisors) blocks
@@ -435,9 +437,8 @@ def minimality_report(sys: DescriptorSystem, tol=None) -> MinimalityReport:
     A, E, B, C = sys.A, sys.E, sys.B, sys.C
 
     def _finite_controllable(g):
-        Mk, Nk, B1, C1, divisors, tol_abs = _split(g, tol)
+        *_, C1, divisors, tol_abs, As, Bs = _split(g, tol)
         k = int(sum(divisors))
-        As, Bs = np.linalg.solve(Nk[k:, k:], Mk[k:, k:]), np.linalg.solve(Nk[k:, k:], B1[k:, :])
         return _ctrb_reduce(As, Bs, C1[:, k:], tol_abs)[0].shape == As.shape, tol_abs
 
     fc, tol_abs = _finite_controllable(sys)

@@ -2,7 +2,10 @@
 
 Reads and writes descriptor systems in a versioned text format, dispatches
 analysis / factorization / solver subcommands, and emits human-readable or
-JSON reports.  Exit codes: 0 success, 1 usage or input-format error,
+JSON reports.  Each subcommand is declared once, beside its handler: its
+name, help line and arguments form one entry of the table the parser is
+built from, and its handler returns the systems it produces for ``run`` to
+write.  Exit codes: 0 success, 1 usage, input-format or output-file error,
 2 numerical failure.  A failure prints ``error [<code>]: <message>`` (or
 the usage text) to stderr; under ``--out json`` it prints
 ``{"command": ..., "error": {"code": ..., "message": ...}}`` to stdout
@@ -23,7 +26,7 @@ import numpy as np
 from . import analysis, factor, ops, pencil, solve
 from .analysis import StabilityRegion
 from .exceptions import DstkError, ParseError, RegionInvalid
-from .system import DescriptorSystem, TimeDomain, make_system
+from .system import DescriptorSystem, TimeDomain, eval_tfm, make_system
 
 __all__ = ["parse_system", "format_system", "run", "main"]
 
@@ -70,8 +73,12 @@ def format_system(sys: DescriptorSystem) -> str:
 
 
 def write_system(path: str, sys: DescriptorSystem) -> None:
-    with open(path, "w") as fh:
-        fh.write(format_system(sys))
+    text = format_system(sys)
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from None
 
 
 def _content_lines(lines):
@@ -248,9 +255,36 @@ def _parse_region(spec: str | None, domain) -> StabilityRegion:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands, each declared once beside its handler.  A handler returns
+# ``(inputs, results, outputs)``; ``run`` writes each ``(path, system)`` of
+# ``outputs`` in order and reports the paths under ``written``.
 
 
+_COMMANDS = []  # (name, summary, argument specs, handler), in the order of the usage text
+
+
+def _arg(*names, **kwargs):
+    """The arguments of one ``add_argument`` call."""
+    return names, kwargs
+
+
+_SYSTEM = _arg("system")
+_OUTPUT = _arg("-o", "--output", required=True)
+_SIDE = _arg("side", choices=["left", "right"])
+_REGION = _arg("--region", default="stable")
+
+
+def _command(name, summary, *specs):
+    """Declare the decorated handler as the subcommand ``name``."""
+
+    def declare(fn):
+        _COMMANDS.append((name, summary, specs, fn))
+        return fn
+
+    return declare
+
+
+@_command("info", "poles/zeros/rank/degree/minimality report", _SYSTEM)
 def _cmd_info(args, tol):
     g = read_system(args.system)
     gm, nf, ninf = analysis._reduce(g, tol)
@@ -278,117 +312,96 @@ def _cmd_info(args, tol):
         },
         "stable": analysis._all_stable(pz.finite, pz.infinite_count, g.domain),
         "minimum_phase": analysis._all_stable(zz.finite, zz.infinite_count, g.domain),
-    }
+    }, []
 
 
+@_command("eval", "evaluate the TFM at a complex point", _SYSTEM, _arg("--at", required=True, metavar="RE,IM"))
 def _cmd_eval(args, tol):
     g = read_system(args.system)
     try:
         lam = complex(*map(_finite_float, args.at.split(",")))
     except (TypeError, ValueError):
         raise ParseError(f"bad --at value {args.at!r} (use RE,IM)") from None
-    from .system import eval_tfm
-
-    val = eval_tfm(g, lam)
-    return [args.system], {"lambda": _jc(lam), "value": _cmatrix(val)}
+    return [args.system], {"lambda": _jc(lam), "value": _cmatrix(eval_tfm(g, lam))}, []
 
 
+@_command("minreal", "minimal realization", _SYSTEM, _OUTPUT)
 def _cmd_minreal(args, tol):
     g = read_system(args.system)
     gm = analysis.minreal(g, tol=tol)
-    write_system(args.output, gm)
-    return [args.system], {"order_in": g.n, "order_out": gm.n, "written": args.output}
+    return [args.system], {"order_in": g.n, "order_out": gm.n}, [(args.output, gm)]
 
 
+_COUPLINGS = {
+    "series": ops.series,
+    "parallel": ops.parallel,
+    "rowcat": ops.concat_row,
+    "colcat": ops.concat_col,
+    "diag": ops.diag_stack,
+}
+
+
+@_command("connect", "couple two systems",
+          _arg("kind", choices=list(_COUPLINGS)), _arg("system1"), _arg("system2"), _OUTPUT)
 def _cmd_connect(args, tol):
-    g1 = read_system(args.system1)
-    g2 = read_system(args.system2)
-    op = {
-        "series": ops.series,
-        "parallel": ops.parallel,
-        "rowcat": ops.concat_row,
-        "colcat": ops.concat_col,
-        "diag": ops.diag_stack,
-    }[args.kind]
-    gc = op(g1, g2)
-    write_system(args.output, gc)
-    return [args.system1, args.system2], {"kind": args.kind, "order": gc.n, "written": args.output}
+    gc = _COUPLINGS[args.kind](read_system(args.system1), read_system(args.system2))
+    return [args.system1, args.system2], {"kind": args.kind, "order": gc.n}, [(args.output, gc)]
 
 
+@_command("decompose", "additive good/bad decomposition", _SYSTEM, _REGION,
+          _arg("--improper-to-bad", action="store_true"), _arg("--out-good", required=True),
+          _arg("--out-bad", required=True))
 def _cmd_decompose(args, tol):
     g = read_system(args.system)
     region = _parse_region(args.region, g.domain)
     pair = factor.additive_decompose(g, region, improper_to_bad=args.improper_to_bad, tol=tol)
-    write_system(args.out_good, pair.first)
-    write_system(args.out_bad, pair.second)
-    return [args.system], {
-        "good_order": pair.first.n,
-        "bad_order": pair.second.n,
-        "written": [args.out_good, args.out_bad],
-    }
+    results = {"good_order": pair.first.n, "bad_order": pair.second.n}
+    return [args.system], results, [(args.out_good, pair.first), (args.out_bad, pair.second)]
 
 
+@_command("cf", "coprime factorization", _SIDE, _SYSTEM, _REGION,
+          _arg("--out-n", required=True), _arg("--out-m", required=True))
 def _cmd_cf(args, tol):
     g = read_system(args.system)
     region = _parse_region(args.region, g.domain)
     fn = factor.lcf if args.side == "left" else factor.rcf
     pair = fn(g, region, tol=tol)
-    write_system(args.out_n, pair.first)
-    write_system(args.out_m, pair.second)
-    return [args.system], {
-        "side": args.side,
-        "numerator_order": pair.first.n,
-        "denominator_order": pair.second.n,
-        "written": [args.out_n, args.out_m],
-    }
+    results = {"side": args.side, "numerator_order": pair.first.n, "denominator_order": pair.second.n}
+    return [args.system], results, [(args.out_n, pair.first), (args.out_m, pair.second)]
 
 
+@_command("iofac", "inner-outer factorization", _SYSTEM,
+          _arg("--out-inner", required=True), _arg("--out-outer", required=True))
 def _cmd_iofac(args, tol):
     g = read_system(args.system)
     pair = factor.inner_outer(g, tol=tol)
-    write_system(args.out_inner, pair.first)
-    write_system(args.out_outer, pair.second)
-    return [args.system], {
-        "inner_columns": pair.inner_columns,
-        "inner_order": pair.first.n,
-        "outer_order": pair.second.n,
-        "written": [args.out_inner, args.out_outer],
-    }
+    results = {"inner_columns": pair.inner_columns, "inner_order": pair.first.n, "outer_order": pair.second.n}
+    return [args.system], results, [(args.out_inner, pair.first), (args.out_outer, pair.second)]
 
 
+@_command("nullspace", "rational nullspace basis", _SIDE, _SYSTEM, _OUTPUT)
 def _cmd_nullspace(args, tol):
     g = read_system(args.system)
     fn = solve.left_nullspace if args.side == "left" else solve.right_nullspace
     basis = fn(g, tol=tol)
-    write_system(args.output, basis)
     shape = {"rows": basis.p, "cols": basis.m}
-    return [args.system], {"side": args.side, "basis_shape": shape, "order": basis.n, "written": args.output}
+    return [args.system], {"side": args.side, "basis_shape": shape, "order": basis.n}, [(args.output, basis)]
 
 
+@_command("solve", "solve G X = F", _arg("system_g"), _arg("system_f"), _OUTPUT)
 def _cmd_solve(args, tol):
-    G = read_system(args.system_g)
-    F = read_system(args.system_f)
-    res = solve.solve_right(G, F, tol=tol)
-    write_system(args.output, res.particular)
-    return [args.system_g, args.system_f], {
-        "solution_order": res.particular.n,
-        "null_basis_cols": res.null_basis.m,
-        "written": args.output,
-    }
+    res = solve.solve_right(read_system(args.system_g), read_system(args.system_f), tol=tol)
+    results = {"solution_order": res.particular.n, "null_basis_cols": res.null_basis.m}
+    return [args.system_g, args.system_f], results, [(args.output, res.particular)]
 
 
+@_command("match", "L2 model matching min ||F - G X||", _arg("system_g"), _arg("system_f"), _OUTPUT)
 def _cmd_match(args, tol):
-    G = read_system(args.system_g)
-    F = read_system(args.system_f)
-    X, parts = solve.l2_model_match(G, F, tol=tol)
-    write_system(args.output, X)
-    return [args.system_g, args.system_f], {
-        "solution_order": X.n,
-        "error_norm": parts.error_norm,
-        "written": args.output,
-    }
+    X, parts = solve.l2_model_match(read_system(args.system_g), read_system(args.system_f), tol=tol)
+    return [args.system_g, args.system_f], {"solution_order": X.n, "error_norm": parts.error_norm}, [(args.output, X)]
 
 
+@_command("klf", "Kronecker-like structure of a raw pencil M - lambda*N", _arg("matrix_m"), _arg("matrix_n"))
 def _cmd_klf(args, tol):
     M = _read_matrix(args.matrix_m)
     N = _read_matrix(args.matrix_n)
@@ -402,7 +415,7 @@ def _cmd_klf(args, tol):
         "nl": ks.nl,
         "nreg": ks.nreg,
         "normal_rank": ks.normal_rank,
-    }
+    }, []
 
 
 class _Parser(argparse.ArgumentParser):
@@ -419,72 +432,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ap = _Parser(prog="dstk", description="descriptor-system toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("info", parents=[common], help="poles/zeros/rank/degree/minimality report")
-    p.add_argument("system")
-    p.set_defaults(fn=_cmd_info)
-
-    p = sub.add_parser("eval", parents=[common], help="evaluate the TFM at a complex point")
-    p.add_argument("system")
-    p.add_argument("--at", required=True, metavar="RE,IM")
-    p.set_defaults(fn=_cmd_eval)
-
-    p = sub.add_parser("minreal", parents=[common], help="minimal realization")
-    p.add_argument("system")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(fn=_cmd_minreal)
-
-    p = sub.add_parser("connect", parents=[common], help="couple two systems")
-    p.add_argument("kind", choices=["series", "parallel", "rowcat", "colcat", "diag"])
-    p.add_argument("system1")
-    p.add_argument("system2")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(fn=_cmd_connect)
-
-    p = sub.add_parser("decompose", parents=[common], help="additive good/bad decomposition")
-    p.add_argument("system")
-    p.add_argument("--region", default="stable")
-    p.add_argument("--improper-to-bad", action="store_true")
-    p.add_argument("--out-good", required=True)
-    p.add_argument("--out-bad", required=True)
-    p.set_defaults(fn=_cmd_decompose)
-
-    p = sub.add_parser("cf", parents=[common], help="coprime factorization")
-    p.add_argument("side", choices=["left", "right"])
-    p.add_argument("system")
-    p.add_argument("--region", default="stable")
-    p.add_argument("--out-n", required=True)
-    p.add_argument("--out-m", required=True)
-    p.set_defaults(fn=_cmd_cf)
-
-    p = sub.add_parser("iofac", parents=[common], help="inner-outer factorization")
-    p.add_argument("system")
-    p.add_argument("--out-inner", required=True)
-    p.add_argument("--out-outer", required=True)
-    p.set_defaults(fn=_cmd_iofac)
-
-    p = sub.add_parser("nullspace", parents=[common], help="rational nullspace basis")
-    p.add_argument("side", choices=["left", "right"])
-    p.add_argument("system")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(fn=_cmd_nullspace)
-
-    p = sub.add_parser("solve", parents=[common], help="solve G X = F")
-    p.add_argument("system_g")
-    p.add_argument("system_f")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(fn=_cmd_solve)
-
-    p = sub.add_parser("match", parents=[common], help="L2 model matching min ||F - G X||")
-    p.add_argument("system_g")
-    p.add_argument("system_f")
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(fn=_cmd_match)
-
-    p = sub.add_parser("klf", parents=[common], help="Kronecker-like structure of a raw pencil M - lambda*N")
-    p.add_argument("matrix_m")
-    p.add_argument("matrix_n")
-    p.set_defaults(fn=_cmd_klf)
+    for name, summary, specs, fn in _COMMANDS:
+        p = sub.add_parser(name, parents=[common], help=summary)
+        for names, kwargs in specs:
+            p.add_argument(*names, **kwargs)
+        p.set_defaults(fn=fn)
     return ap
 
 
@@ -505,6 +457,8 @@ def run(argv=None) -> int:
         return 1
 
     try:
+        if args.tol is not None and not 0.0 <= args.tol < np.inf:
+            raise ParseError(f"--tol must be a finite number >= 0, got {args.tol!r}")
         seed = args.seed
         env = os.environ.get("DSTK_SEED")
         if seed is None and env is not None:
@@ -512,13 +466,18 @@ def run(argv=None) -> int:
                 seed = int(env)
             except ValueError:
                 raise ParseError("DSTK_SEED must be an integer") from None
-        inputs, results = args.fn(args, args.tol)
+        inputs, results, outputs = args.fn(args, args.tol)
+        for path, system in outputs:
+            write_system(path, system)
     except DstkError as exc:
         if args.out == "json":
             _emit({"command": args.command, "error": {"code": exc.code, "message": str(exc)}}, "json")
         else:
             print(f"error [{exc.code}]: {exc}", file=_sys.stderr)
         return 1 if isinstance(exc, ParseError) else 2
+    if outputs:
+        paths = [path for path, _ in outputs]
+        results["written"] = paths[0] if len(paths) == 1 else paths
     report = {
         "command": args.command,
         "inputs": inputs,

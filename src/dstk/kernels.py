@@ -88,10 +88,13 @@ def _svd_rank(s, shape, tol=None) -> int:
     """Number of singular values ``s`` (descending) above ``tol``.
 
     The default tolerance is ``max(shape) * eps * s[0]`` for a matrix of the
-    given shape.
+    given shape; a given ``tol`` that is not a finite number >= 0 raises
+    ``ValueError``.
     """
     if tol is None:
         tol = max(shape) * EPS * (s[0] if s.size else 0.0)
+    elif not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     return int(np.count_nonzero(s > tol))
 
 

@@ -24,6 +24,7 @@ from .kernels import (
     _probe_rank,
     _row_compress,
     _svd,
+    _svd_rank,
     as_matrix,
     stair_tol,
 )
@@ -168,10 +169,10 @@ def _regular_deflate(M, N, tol_abs):
     infinite structure leading, trailing ``Nk`` invertible.  A square pencil
     without right minimal indices has no left ones either.  One absolute
     tolerance decides both steps: ``N`` is invertible, and the pencil comes
-    back unchanged, when ``sigma_min(N)`` exceeds ``tol_abs`` (no singular
-    vectors needed); otherwise the staircase cuts at ``tol_abs``."""
-    n, s = N.shape[0], _svd(N, vectors=False)
-    if s.size and s[-1] > tol_abs:
+    back unchanged, when all its singular values exceed ``tol_abs`` (no
+    singular vectors needed); otherwise the staircase cuts at ``tol_abs``."""
+    n = N.shape[0]
+    if _svd_rank(_svd(N, vectors=False), N.shape, tol_abs) == n:
         return M.copy(), N.copy(), np.eye(n), np.eye(n), []
     Mk, Nk, U, V, mus, nus = _deflate(M, N, tol_abs)
     right, divisors = _stair_counts(mus, nus)

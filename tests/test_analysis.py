@@ -430,6 +430,17 @@ class TestMinreal:
         gm = minreal(g)
         assert gm.n == 1 == mcmillan_degree(gm)
 
+    @pytest.mark.parametrize("query", [minreal, minimality_report, poles, zeros])
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("proper", [True, False])
+    def test_invalid_tolerance_refused(self, query, tol, proper):
+        # a negative tol used to cut nothing and nan to raise a misleading SingularPencil
+        g = random_system(6, 2, 2, "continuous", proper=proper, rng=np.random.default_rng(6))
+        with pytest.raises(ValueError, match=r"^tol must be a finite number >= 0, got "):
+            query(g, tol=tol)
+        with pytest.raises(ValueError, match=r"^tol must be a finite number >= 0, got "):
+            weierstrass_structure(g.A, g.E, tol=tol)
+
 
 class TestCtrbReduce:
     @pytest.mark.parametrize("n1, n2, m", [(5, 4, 1), (12, 7, 2), (20, 10, 3)])
@@ -559,7 +570,7 @@ def _standardized_split(g):
     """``minreal``'s standardized blocks ``(Ah, P, Q, As)``, the largest
     divisor degree and the unstandardized coupling system of
     ``gsylv_separation``."""
-    Mk, Nk, _, _, divisors, _ = analysis._split(g, None)
+    Mk, Nk, _, _, divisors, *_ = analysis._split(g, None)
     n, k = g.n, sum(divisors)
     X = np.linalg.solve(Mk[:k, :k], np.hstack([Nk[:k], Mk[:k, k:]]))
     As = np.linalg.solve(Nk[k:, k:], Mk[k:, k:])

@@ -1,12 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dstk.analysis import mcmillan_degree, normal_rank, poles
-from dstk.cli import _build_parser, format_system, parse_system, read_system, run, write_system
+from dstk.analysis import StabilityRegion, mcmillan_degree, normal_rank, poles
+from dstk.cli import (
+    _build_parser, _parse_region, _read_matrix, format_system, parse_system, read_system, run, write_system,
+)
 from dstk.exceptions import ParseError
-from dstk.system import eval_tfm, make_system, random_system
+from dstk.system import TimeDomain, eval_tfm, make_system, random_system
 
 
 def lag_file(tmp_path, name="g.dss"):
@@ -14,6 +20,10 @@ def lag_file(tmp_path, name="g.dss"):
     path = tmp_path / name
     write_system(str(path), g)
     return g, str(path)
+
+
+_HEADER = "dstk-dss v1\ndomain continuous\nn 1\nm 1\np 1\n"
+_LAG = _HEADER + "A\n-1\nB\n1\nC\n-1\nD\n0\n"
 
 
 class TestSystemFile:
@@ -60,6 +70,59 @@ class TestSystemFile:
     def test_bad_header(self):
         with pytest.raises(ParseError):
             parse_system("dstk-dss v3\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("dstk-dss v1\ndomain continuous\nn 1\n", "missing header field 'm'"),
+            (_HEADER.replace("n 1\n", ""), "line 3: expected 'n' field, got 'm 1'"),
+            (_HEADER.replace("n 1", "n one"), "bad header value: invalid literal for int() with base 10: 'one'"),
+            (_HEADER.replace("continuous", "sideways"), "bad header value: 'sideways' is not a valid TimeDomain"),
+            (_HEADER + "\nB\n1\n", "line 7: expected matrix block 'A'"),  # the blank line 6 is counted
+            (_HEADER + "A\n-1\nB\n", "matrix B: missing row 1"),
+            (_LAG + "# end\njunk\n", "line 15: unexpected trailing content 'junk'"),
+        ],
+        ids=["missing-field", "wrong-field", "bad-dimension", "bad-domain", "expected-block", "missing-row",
+             "trailing"],
+    )
+    def test_parse_error_messages(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_system(text)
+        assert str(exc.value) == message
+
+    def test_unreadable_files(self, tmp_path):
+        path = str(tmp_path / "missing.dss")
+        for read in (read_system, _read_matrix):
+            with pytest.raises(ParseError) as exc:
+                read(path)
+            assert str(exc.value) == f"cannot read {path}: [Errno 2] No such file or directory: {path!r}"
+
+    @pytest.mark.parametrize(
+        "text, message", [("# a comment only\n\n", "empty matrix"), ("1 2\n# c\n3\n", "ragged rows")]
+    )
+    def test_matrix_file_errors(self, tmp_path, text, message):
+        path = tmp_path / "m.mat"
+        path.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            _read_matrix(str(path))
+        assert str(exc.value) == f"{path}: {message}"
+
+
+class TestRegions:
+    @pytest.mark.parametrize("domain", list(TimeDomain))
+    def test_named_regions(self, domain):
+        assert _parse_region("lhp", domain) == StabilityRegion.left_half_plane()
+        assert _parse_region("disk", domain) == StabilityRegion.unit_disk()
+        assert _parse_region("half-plane:-0.5", domain) == StabilityRegion.half_plane(-0.5)
+        assert _parse_region("disk:2", domain) == StabilityRegion.disk(2.0)
+
+    def test_unknown_region(self, tmp_path, capsys):
+        argv = ["decompose", lag_file(tmp_path)[1], "--region", "annulus",
+                "--out-good", str(tmp_path / "a"), "--out-bad", str(tmp_path / "b")]
+        assert run(argv) == 1
+        want = "bad region 'annulus' (use lhp, disk, half-plane:<a>, disk:<r>, stable)"
+        assert capsys.readouterr().err == f"error [parse-error]: {want}\n"
+        assert not (tmp_path / "a").exists()
 
 
 class TestCommands:
@@ -301,9 +364,13 @@ def _negative_header(tmp_path, key):
         lambda tmp_path: ["info", _negative_header(tmp_path, "n")],
         lambda tmp_path: ["info", _negative_header(tmp_path, "m")],
         lambda tmp_path: ["info", _negative_header(tmp_path, "p")],
+        lambda tmp_path: ["info", lag_file(tmp_path)[1], "--tol", "nan"],
+        lambda tmp_path: ["info", lag_file(tmp_path)[1], "--tol", "inf"],
+        lambda tmp_path: ["info", lag_file(tmp_path)[1], "--tol", "-1"],
     ],
     ids=["nan-in-system", "inf-in-matrix", "bad-at", "bad-half-plane", "negative-disk",
-         "nan-at", "nan-half-plane", "three-part-at", "negative-n", "negative-m", "negative-p"],
+         "nan-at", "nan-half-plane", "three-part-at", "negative-n", "negative-m", "negative-p",
+         "nan-tol", "inf-tol", "negative-tol"],
 )
 def test_malformed_input_is_a_parse_error(tmp_path, capsys, argv):
     assert run(argv(tmp_path)) == 1
@@ -372,3 +439,49 @@ def test_cached_parser_matches_fresh_parsers(tmp_path, capsys):
         return seen
 
     assert outcomes(fresh=False) == outcomes(fresh=True)
+
+
+class TestOutputFiles:
+    def test_unwritable_output_is_reported(self, tmp_path, capsys):
+        _, path = lag_file(tmp_path)
+        out = str(tmp_path / "no" / "such" / "m.dss")
+        message = f"cannot write {out}: [Errno 2] No such file or directory: {out!r}"
+        assert run(["minreal", path, "-o", out, "--out", "json"]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {"command": "minreal", "error": {"code": "parse-error", "message": message}}
+        assert captured.err == ""
+        assert run(["minreal", path, "-o", out]) == 1
+        assert capsys.readouterr().err == f"error [parse-error]: {message}\n"
+
+    def test_one_path_given_twice_is_written_twice(self, tmp_path, capsys):
+        g = random_system(8, 2, 3, "continuous", rng=np.random.default_rng(8))
+        path = _write(tmp_path, g)
+        pg, pb, px = (str(tmp_path / f) for f in ("good.dss", "bad.dss", "x.dss"))
+        _run_json(["decompose", path, "--out-good", pg, "--out-bad", pb], capsys)
+        assert _run_json(["decompose", path, "--out-good", px, "--out-bad", px], capsys)["written"] == [px, px]
+        assert open(px).read() == open(pb).read()  # the second write wins
+
+
+def test_tolerance_checked_before_any_work(tmp_path, capsys):
+    out = str(tmp_path / "m.dss")
+    assert run(["minreal", lag_file(tmp_path)[1], "-o", out, "--tol", "-1"]) == 1
+    assert capsys.readouterr().err == "error [parse-error]: --tol must be a finite number >= 0, got -1.0\n"
+    assert not os.path.exists(out)
+    assert run(["minreal", lag_file(tmp_path)[1], "-o", out, "--tol", "0"]) == 0
+
+
+def test_console_entry_passes_the_exit_code(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    _, good = lag_file(tmp_path)
+    bad = tmp_path / "bad.dss"
+    bad.write_text("not a system\n")
+    integ = _write(tmp_path, make_system([[0.0]], [[1.0]], [[1.0]], [[-1.0]], [[0.0]], "continuous"))
+    cases = [
+        (["info", good], 0),
+        (["info", str(bad)], 1),
+        (["decompose", integ, "--out-good", str(tmp_path / "a"), "--out-bad", str(tmp_path / "b")], 2),
+    ]
+    for argv, code in cases:
+        cmd = [sys.executable, "-c", "from dstk.cli import main; main()", *argv]
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == code, proc.stderr[-2000:]

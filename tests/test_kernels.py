@@ -48,6 +48,18 @@ class TestRankTol:
         for c in (3.0, 0.25):
             assert rank_tol(c * M, c * tol) == rank_tol(M, tol)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0])
+    def test_invalid_tolerance_refused(self, tol):
+        # misread before: nan gave rank 0, a negative tol counted every zero singular value
+        for M in (np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros((2, 2))):
+            with pytest.raises(ValueError, match=r"^tol must be a finite number >= 0, got "):
+                rank_tol(M, tol)
+        with pytest.raises(ValueError, match=r"^tol must be a finite number >= 0, got "):
+            null_basis(np.array([[1.0, 2.0], [3.0, 4.0]]), tol)
+
+    def test_zero_tolerance_counts_nonzero_values(self):
+        assert rank_tol(np.diag([1.0, 1e-300, 0.0]), 0.0) == 2
+
 
 class TestSvd:
     @pytest.mark.parametrize("shape", [(6, 6), (9, 2), (2, 9)])
