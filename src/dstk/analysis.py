@@ -17,14 +17,15 @@ from .exceptions import (
     IterationFailure,
     NonstrictlyProperContinuous,
     RegionInvalid,
+    SpectraNotDisjoint,
     UnstableSystem,
 )
 from .kernels import (
     BOUNDARY_TOL,
-    EPS,
     FEEDTHROUGH_ZERO_TOL,
+    ORTH_TOL,
     REAL_TOL,
-    _checked_decoupling,
+    _accepted,
     _diag2,
     _lyap_quasi,
     _schur_ordered,
@@ -222,9 +223,6 @@ def normal_rank(sys: DescriptorSystem) -> int:
 # minimal realization
 
 
-ORTH_TOL = EPS  # a Krylov staircase basis of k columns is re-orthonormalized past max |V^T V - I| = ORTH_TOL * k
-
-
 def _ctrb_reduce(A, B, C, tol_abs):
     """Truncate to the controllable part by a block Krylov staircase: a thin SVD
     of ``W = (I - V V^T) A V_k`` (``B`` first; ``V_k`` the last stair), projected
@@ -302,7 +300,8 @@ def _neumann_decouple(Ah, P, Q, As, d):
     for _ in range(d - 1):
         R = F + Ah @ R @ As
     L = Ah @ R + Q
-    return _checked_decoupling(L, R, [R - L @ As + P], [Ah, P, Q, As])
+    _accepted([R, -L @ As, P], SpectraNotDisjoint, "block-decoupling Sylvester")
+    return L, R
 
 
 def minreal(sys: DescriptorSystem, tol=None) -> DescriptorSystem:
@@ -473,7 +472,10 @@ def h2_norm(sys: DescriptorSystem, tol=None) -> float:
         raise UnstableSystem("H2 norm requires all poles in the stable region")
     T, Z, eigs, _ = _schur_ordered(g.A)
     Bz, Cz = Z.T @ g.B, g.C @ Z
-    Y = _lyap_quasi(T, eigs, Bz @ Bz.T, g.domain, UnstableSystem)
+    W = Bz @ Bz.T
+    Y = _lyap_quasi(T, eigs, W, g.domain, UnstableSystem)
+    TY = T @ Y
+    _accepted([TY, TY.T, W] if g.domain is TimeDomain.CONTINUOUS else [TY @ T.T, -Y, W], IterationFailure, "Gramian")
     if g.domain is TimeDomain.CONTINUOUS and not _strictly_proper(g):
         raise NonstrictlyProperContinuous("continuous-time H2 norm needs a strictly proper system")
     val = float(np.trace(Cz @ Y @ Cz.T))

@@ -98,6 +98,8 @@ def parse_system(text: str) -> DescriptorSystem:
         raise ParseError(f"{where}{msg}")
 
     ln, first = next(body)
+    if first is None:
+        fail("empty system file")
     if first != FORMAT_HEADER:
         fail(f"expected header {FORMAT_HEADER!r}", ln)
     hdr = {}

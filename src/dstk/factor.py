@@ -34,14 +34,16 @@ from .exceptions import (
     UnstableInput,
 )
 from .analysis import StabilityRegion, _all_stable, _reduce, _structure, _zeros, minreal, stability_region
-from .kernels import DEFICIENCY_RCOND, FEEDTHROUGH_RCOND, GRAMIAN_FLOOR, INFINITE_EIG_TOL, RESIDUAL_TOL
+from .kernels import DEFICIENCY_RCOND, FEEDTHROUGH_RCOND, GRAMIAN_FLOOR, INFINITE_EIG_TOL
 from .kernels import (
+    _accepted,
     _diag2,
     _gges,
     _lyap_quasi,
     _quasi_inv,
     _schur_ordered,
     _svd,
+    _svd_rank,
     _sylv_quasi,
     null_basis,
     rank_tol,
@@ -288,37 +290,40 @@ def _bernoulli(zd, B, D, domain):
 
 
 def _riccati_gain(A, B, Qc, Sc, Rc, X, domain):
-    """``(X, F)``: the symmetrized Riccati solution ``X`` and its gain, at
-    residual at most ``RESIDUAL_TOL`` times its scale."""
+    """``(X, F)``: the symmetrized Riccati solution ``X`` and its gain ``F =
+    -W^-1 H^T``, accepted by :func:`_accepted` on the terms of its residual
+    ``A^T X + X A`` (continuous) or ``A^T X A - X`` (discrete) ``+ Qc + H F``."""
     X = 0.5 * (X + X.T)
+    AX = A.T @ X
+    if domain is TimeDomain.CONTINUOUS:
+        H, W, terms = X @ B + Sc, Rc, [AX, AX.T]
+    else:
+        H, W, terms = AX @ B + Sc, Rc + B.T @ X @ B, [AX @ A, -X]
     try:
-        if domain is TimeDomain.CONTINUOUS:
-            gain = np.linalg.solve(Rc, B.T @ X + Sc.T)
-            resid = A.T @ X + X @ A + Qc - (X @ B + Sc) @ gain
-        else:
-            gain = np.linalg.solve(Rc + B.T @ X @ B, B.T @ X @ A + Sc.T)
-            resid = A.T @ X @ A - X + Qc - (A.T @ X @ B + Sc) @ gain
+        gain = np.linalg.solve(W, H.T)
     except np.linalg.LinAlgError:
         raise IterationFailure("Riccati gain weight is singular") from None
-    scale = 1.0 + np.linalg.norm(Qc) + (1.0 + np.linalg.norm(A)) ** 2 * (1.0 + np.linalg.norm(X))
-    if np.linalg.norm(resid) > RESIDUAL_TOL * scale:
-        raise IterationFailure("Riccati residual too large")
+    _accepted(terms + [Qc, -H @ gain], IterationFailure, "Riccati")
     return X, -gain
 
 
 def _standard_stable_data(sys, tol):
-    """Minimal realization, normal rank ``r`` and zero dynamics ``zd``,
-    validated for the inner-outer scope: proper (``minreal``'s ``E`` is ``I``),
-    stable off the boundary, no boundary zeros.  A square ``D = G(inf)`` with
-    ``sigma_min >= FEEDTHROUGH_RCOND sigma_max`` gives ``r = m``, and the zeros
-    ``eig(A + B D^-1 C)`` ordered into ``zd`` for :func:`_bernoulli`; else :func:`_structure` decides."""
+    """Minimal realization, normal rank ``r``, zero dynamics ``zd`` and weight ``w``,
+    validated for the inner-outer scope: proper (``minreal``'s ``E`` is ``I``), stable off
+    the boundary, no boundary zeros.  One SVD ``D = U diag(s) V^T`` decides the column rank
+    of ``D`` once: ``m`` values ``s > sqrt(DEFICIENCY_RCOND) max(s_max, 1)`` give ``w = (W,
+    W^-1)``, ``W = V diag(s) V^T = (D^T D)^1/2``, else ``w`` is None.  A square ``D`` with
+    ``s_min >= FEEDTHROUGH_RCOND s_max`` gives ``r = m``, and ``eig(A + B D^-1 C)`` ordered
+    into ``zd`` for :func:`_bernoulli`; else :func:`_structure` decides."""
     g = minreal(sys, tol=tol)
     region = stability_region(g.domain)
     if not g.is_standard:
         raise ImproperInput("the system must be proper")
     if not _all_stable(np.linalg.eigvals(g.A), 0, g.domain):
         raise UnstableInput("the system must be stable")
-    sv = _svd(g.D, vectors=False)
+    _, sv, Vh = _svd(g.D, full=False)
+    cut = np.sqrt(DEFICIENCY_RCOND) * max(sv.max(initial=0.0), 1.0)
+    w = ((Vh.T * sv) @ Vh, (Vh.T / sv) @ Vh) if _svd_rank(sv, g.D.shape, cut) == g.m else None
     if g.p == g.m and sv.size and sv[-1] >= FEEDTHROUGH_RCOND * sv[0] > 0.0:
         zd = _schur_ordered(g.A + g.B @ np.linalg.solve(g.D, g.C), region.contains)
         r, zs = g.m, zd[2]
@@ -328,7 +333,7 @@ def _standard_stable_data(sys, tol):
     for z in zs:
         if region.on_boundary(z):
             raise BoundaryZeros(f"zero {z} lies on the stability boundary")
-    return g, r, zd
+    return g, r, zd, w
 
 
 def inner_outer(sys: DescriptorSystem, tol=None) -> FactorPair:
@@ -341,35 +346,32 @@ def inner_outer(sys: DescriptorSystem, tol=None) -> FactorPair:
     infinity) fall outside the restricted scope and raise
     :class:`RankDeficiencyUnsupported`.
     """
-    g, r, zd = _standard_stable_data(sys, tol)
+    g, r, zd, w = _standard_stable_data(sys, tol)
     p, m = g.p, g.m
     if m == 0:
         return FactorPair(_static(np.eye(p), g.domain), _static(np.zeros((0, 0)), g.domain), "inner-outer", 0)
-    if r < m:
-        raise RankDeficiencyUnsupported("TFM must have full column normal rank")
-    q1, R = _inner_outer_thin(g, tol, zd)
+    if r < m or (w is None and g.domain is TimeDomain.CONTINUOUS):  # zeros at infinity are out of scope
+        raise RankDeficiencyUnsupported("TFM must have full column normal rank, and a continuous D full column rank")
+    q1, R = _inner_outer_thin(g, tol, zd, w)
     Q = concat_row(q1, _inner_complement(q1, g.domain)) if p > m else q1
     return FactorPair(Q, R, "inner-outer", inner_columns=m)
 
 
-def _inner_outer_thin(g, tol, zd=None):
-    """Thin factors ``(Q1, R)`` of ``G = Q1 R`` for a minimal, validated
-    ``g`` (stable, proper, ``E = I``) of full column normal rank ``m``:
+def _inner_outer_thin(g, tol, zd, w):
+    """Thin factors ``(Q1, R)`` of ``G = Q1 R`` from the output ``(g, r, zd,
+    w)`` of :func:`_standard_stable_data`, ``r = m`` and a continuous ``w``:
     ``Q1`` is ``p x m`` inner and minimal, ``R`` square outer.  Given zero
     dynamics ``zd``, the Riccati takes :func:`_bernoulli`, not the pencil."""
     As, Bs, C, D = g.A, g.B, g.C, g.D
     n, m = g.n, g.m
     Qc, Sc, Rc = C.T @ C, -C.T @ D, D.T @ D
-    if g.domain is TimeDomain.CONTINUOUS:
-        W12, W12i = _psd_sqrt(Rc, "D^T D")  # zeros at infinity are out of scope
     if not n:
         X, F = np.zeros((0, 0)), np.zeros((m, 0))
     elif zd is None:
         X, F = _riccati_schur(As, Bs, Qc, Sc, Rc, g.domain)
     else:
         X, F = _riccati_gain(As, Bs, Qc, Sc, Rc, _bernoulli(zd, Bs, D, g.domain), g.domain)
-    if g.domain is TimeDomain.DISCRETE:
-        W12, W12i = _psd_sqrt(Rc + Bs.T @ X @ Bs, "spectral-factor weight")
+    W12, W12i = w if g.domain is TimeDomain.CONTINUOUS else _psd_sqrt(Rc + Bs.T @ X @ Bs, "spectral-factor weight")
 
     R = _trusted_system(As, np.eye(n), Bs, W12 @ F, W12, g.domain)
     Q1 = _trusted_system(As + Bs @ F, np.eye(n), Bs @ W12i, C - D @ F, D @ W12i, g.domain)

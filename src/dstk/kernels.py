@@ -8,7 +8,8 @@ the block decoupling and the Lyapunov equation of a standard block (Bartels
 Every QZ is one LAPACK ``dgges`` call (``_gges``) that sorts only given a
 selector and forms left Schur vectors only on request.  The Lyapunov core
 (``_lyap_quasi``) takes its caller's quasi-triangular form and eigenvalues,
-so no form is reduced twice.  A square matrix factored to solve with it
+so no form is reduced twice; each caller accepts its equation by the one
+residual rule, ``_accepted``.  A square matrix factored to solve with it
 takes one LU, whose ``gecon`` reciprocal condition decides it singular.
 
 Point ranks (``rank_tol``, ``null_basis``, probes) are relative to
@@ -42,10 +43,9 @@ __all__ = [
 ]
 
 EPS = float(np.finfo(float).eps)
-RESIDUAL_TOL = 1e-6  # an equation solve is accepted at residual <= RESIDUAL_TOL * its Frobenius scale
-LYAP_RESIDUAL_TOL = 1e-7  # a Lyapunov solve is accepted at residual <= LYAP_RESIDUAL_TOL * its scale
+RESIDUAL_TOL = 1e-3  # a Sylvester, Lyapunov or Riccati solve is accepted at |sum of its terms| <= RESIDUAL_TOL * sum |term|
 BOUNDARY_TOL = 1e-8  # lam is on a stability boundary within BOUNDARY_TOL * (1 + |lam|) of it
-PROBE_RESIDUAL_TOL = 1e-7  # X solves G X = F where |G X - F| <= PROBE_RESIDUAL_TOL * (1 + |F|) at each probe point
+PROBE_RESIDUAL_TOL = 1e-7  # X solves G X = F where |G X - F| <= PROBE_RESIDUAL_TOL * (|G X| + |F|) at each probe point
 INFINITE_EIG_TOL = 1e-8  # alpha/beta is infinite at |beta| <= INFINITE_EIG_TOL * (|alpha| + |beta|), zero at that |alpha|
 FEEDTHROUGH_RCOND = 0.1  # a square D is well conditioned at sigma_min >= FEEDTHROUGH_RCOND * sigma_max
 DEFICIENCY_RCOND = 1e-10  # a weight (basis) is numerically deficient at eigenvalue (sigma) <= DEFICIENCY_RCOND * max(largest, 1)
@@ -58,6 +58,8 @@ FEEDTHROUGH_ZERO_TOL = 1e-10  # D vanishes at ||D|| <= FEEDTHROUGH_ZERO_TOL * (1
 COEFF_TRIM_TOL = 1e-12  # a polynomial coefficient is zero at |c| <= COEFF_TRIM_TOL * the largest coefficient
 RING_NORM_FLOOR = 1e-12  # the probe ring's radius divides ||A|| by max(||B||, RING_NORM_FLOOR)
 SPECTRAL_RADIUS_FLOOR = 1e-6  # random_system rescales A by target / max(rho(A), SPECTRAL_RADIUS_FLOOR)
+RING_RADIUS_CAP = 1e6  # the probe ring's radius is 1 + min(||A|| / ||B||, RING_RADIUS_CAP)
+ORTH_TOL = EPS  # a Krylov staircase basis of k columns is re-orthonormalized past max |V^T V - I| = ORTH_TOL * k
 
 def as_matrix(M, name="matrix") -> np.ndarray:
     """Coerce to a finite 2-d float array."""
@@ -210,12 +212,12 @@ def _ring_points(A, B, count):
     ``A - lam*B``.
 
     The points lie off the real axis on a circle of radius
-    ``1 + min(||A||_F / ||B||_F, 1e6)`` (radius 2 when ``B = 0``); the k-th
+    ``1 + min(||A||_F / ||B||_F, RING_RADIUS_CAP)`` (radius 2 when ``B = 0``); the k-th
     has angle ``0.15 + (pi - 0.3) * frac((k + 1) * golden)``, with the sign
     alternating from point to point.
     """
     nb = np.linalg.norm(B)
-    radius = 1.0 + (min(np.linalg.norm(A) / max(nb, RING_NORM_FLOOR), 1e6) if nb > 0 else 1.0)
+    radius = 1.0 + (min(np.linalg.norm(A) / max(nb, RING_NORM_FLOOR), RING_RADIUS_CAP) if nb > 0 else 1.0)
     k = np.arange(count)
     theta = 0.15 + (np.pi - 0.3) * ((k + 1) * _GOLDEN % 1.0)
     return list(radius * np.exp(1j * np.where(k % 2, -theta, theta)))
@@ -345,29 +347,32 @@ def gsylv_separation(A11, A12, A22, E11, E12, E22):
         raise SpectraNotDisjoint("generalized Sylvester system is singular")
     R = Z1 @ Rt @ Z2.T / scl
     L = Q1 @ Lt @ Q2.T / scl
-    return _checked_decoupling(L, R, [A11 @ R - L @ A22 + A12, E11 @ R - L @ E22 + E12], [A11, A12, A22, E11, E12, E22])
-
-
-def _checked_decoupling(L, R, residuals, blocks):
-    """``(L, R)`` if ``max ||residual|| <= RESIDUAL_TOL (1 + max ||block||) (1 + ||R|| + ||L||)``."""
-    res = max(np.linalg.norm(X) for X in residuals)
-    scale = 1.0 + max(np.linalg.norm(M) for M in blocks)
-    if not np.isfinite(res) or res > RESIDUAL_TOL * scale * (1.0 + np.linalg.norm(R) + np.linalg.norm(L)):
-        raise SpectraNotDisjoint("block-decoupling equations are numerically singular")
+    terms = [np.hstack([A11 @ R, E11 @ R]), -L @ np.hstack([A22, E22]), np.hstack([A12, E12])]
+    _accepted(terms, SpectraNotDisjoint, "block-decoupling Sylvester")
     return L, R
+
+
+def _accepted(terms, exc, what, tol=RESIDUAL_TOL):
+    """Raise ``exc`` unless the residual ``sum(terms)`` of ``what`` is finite
+    and ``||sum(terms)||_F <= tol * sum(||term||_F)``: a normwise backward
+    error against the terms that cancel in it (Higham, BIT 33, 1993)."""
+    res, scale = np.linalg.norm(sum(terms)), sum(np.linalg.norm(T) for T in terms)
+    if not (np.isfinite(res) and res <= tol * scale):
+        raise exc(f"{what} residual too large: {res:.2e} against terms of {scale:.2e}")
 
 
 def _sylv_quasi(T11, T12, T22):
     """``R`` with ``T11 @ R - R @ T22 = -T12`` for quasi-triangular ``T11``,
     ``T22`` of disjoint spectra: :func:`gsylv_separation` at ``E = I``, where
-    ``L = R``, by LAPACK ``dtrsyl`` and checked by :func:`_checked_decoupling`."""
+    ``L = R``, by LAPACK ``dtrsyl`` and checked by :func:`_accepted`."""
     if T12.size == 0:
         return np.zeros(T12.shape)
     R, scl, info = sla.lapack.dtrsyl(T11, T22, -T12, isgn=-1)
     if info != 0 or scl == 0.0:
         raise SpectraNotDisjoint("Sylvester equation is singular")
     R /= scl
-    return _checked_decoupling(R, R, [T11 @ R - R @ T22 + T12], [T11, T12, T22])[1]
+    _accepted([T11 @ R, -R @ T22, T12], SpectraNotDisjoint, "Sylvester")
+    return R
 
 
 def _domain_kind(domain) -> str:
@@ -407,7 +412,10 @@ def glyap(A, E, W, domain) -> np.ndarray:
     Wt = sla.solve_triangular(qz.T, sla.solve_triangular(qz.T, qz.Q.T @ W @ qz.Q).T)
     Y = _lyap_quasi(M, [a / b for a, b in qz.eigenvalues], Wt, kind, UnstablePair)
     X = qz.Z @ Y @ qz.Z.T
-    return _checked_lyap(A, E, 0.5 * (X + X.T), W, kind)
+    X = 0.5 * (X + X.T)
+    AXE = A @ X @ (E if kind == "continuous" else A).T
+    _accepted([AXE, AXE.T, W] if kind == "continuous" else [AXE, -E @ X @ E.T, W], IterationFailure, "Lyapunov")
+    return X
 
 
 def _lyap_quasi(T, eigs, W, domain, unstable) -> np.ndarray:
@@ -416,8 +424,8 @@ def _lyap_quasi(T, eigs, W, domain, unstable) -> np.ndarray:
     and a symmetric ``W``.  The eigenvalues decide stability, raising
     ``unstable`` at ``Re lam >= -b`` or ``|lam| >= 1 - b`` (``b = BOUNDARY_TOL
     (1 + |lam|)``), and LAPACK ``dtrsyl`` solves ``T Y + Y T^T = -W``, in
-    discrete time after the Cayley map ``T -> I - 2 (T + I)^-1``; ``Y`` is
-    checked by :func:`_checked_lyap`."""
+    discrete time after the Cayley map ``T -> I - 2 (T + I)^-1``.  ``Y`` is
+    not checked here: each caller checks the equation it states."""
     kind, n = _domain_kind(domain), T.shape[0]
     if n == 0:
         return np.zeros((0, 0))
@@ -433,7 +441,7 @@ def _lyap_quasi(T, eigs, W, domain, unstable) -> np.ndarray:
         S, Wt = np.eye(n) - 2.0 * P, 2.0 * P @ Wt @ P.T
     Y, scl, _ = sla.lapack.dtrsyl(S, S, Wt, tranb="T")
     Y /= scl
-    return _checked_lyap(T, np.eye(n), 0.5 * (Y + Y.T), W, kind)
+    return 0.5 * (Y + Y.T)
 
 
 def _quasi_inv(T) -> np.ndarray:
@@ -443,16 +451,3 @@ def _quasi_inv(T) -> np.ndarray:
     P = np.linalg.inv(T)
     P[np.tril(T == 0.0, -1)] = 0.0
     return P
-
-
-def _checked_lyap(A, E, X, W, kind):
-    """``X`` if its Lyapunov residual in ``(A, E, W)`` is at most
-    ``LYAP_RESIDUAL_TOL (1 + ||W|| + (||A|| + ||E||)^2 ||X||)``."""
-    if kind == "continuous":
-        res = np.linalg.norm(A @ X @ E.T + E @ X @ A.T + W)
-    else:
-        res = np.linalg.norm(A @ X @ A.T - E @ X @ E.T + W)
-    scale = 1.0 + np.linalg.norm(W) + (np.linalg.norm(A) + np.linalg.norm(E)) ** 2 * np.linalg.norm(X)
-    if not np.isfinite(res) or res > LYAP_RESIDUAL_TOL * scale:
-        raise IterationFailure("Lyapunov residual too large")
-    return X

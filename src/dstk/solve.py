@@ -46,7 +46,7 @@ from .analysis import (
     stability_region,
 )
 from .factor import _additive_split, _inner_outer_thin, _riccati_schur, _standard_stable_data
-from .kernels import PROBE_RESIDUAL_TOL, _col_compress_null_first, _probe_rank, rank_tol
+from .kernels import PROBE_RESIDUAL_TOL, _accepted, _col_compress_null_first, _probe_rank, rank_tol
 from .ops import _pencil_inverse, _static, concat_row, conjugate, inverse, parallel, series, transpose_dual
 from .system import DescriptorSystem, TimeDomain, _trusted_system, eval_tfm, probe_points
 
@@ -164,9 +164,7 @@ def _particular(g, f, r, tol) -> DescriptorSystem:
     C[cols], D[cols] = X2.C, X2.D
     X0 = minreal(_trusted_system(X2.A, X2.E, X2.B, C, D, g.domain), tol=tol)
     for lam, gv in zip(probes, Gvs):
-        lhs, rhs = gv @ eval_tfm(X0, lam), eval_tfm(f, lam)
-        if np.linalg.norm(lhs - rhs) > PROBE_RESIDUAL_TOL * (1.0 + np.linalg.norm(rhs)):
-            raise IterationFailure("could not construct a particular solution (is the system compatible?)")
+        _accepted([gv @ eval_tfm(X0, lam), -eval_tfm(f, lam)], IterationFailure, "G X = F", PROBE_RESIDUAL_TOL)
     return X0
 
 
@@ -245,7 +243,7 @@ def l2_model_match(G: DescriptorSystem, F: DescriptorSystem, tol=None):
         raise DomainMismatch("G and F must share a time domain")
     if G.p != F.p:
         raise DimensionMismatch(f"G and F must have equal output counts, got {G.p} and {F.p}")
-    g, r, zd = _standard_stable_data(G, tol)
+    g, r, zd, w = _standard_stable_data(G, tol)
     f = minreal(F, tol=tol)
     if not (f.is_standard and _all_stable(np.linalg.eigvals(f.A), 0, f.domain)):
         raise UnstableInput("F must be stable and proper")
@@ -253,7 +251,7 @@ def l2_model_match(G: DescriptorSystem, F: DescriptorSystem, tol=None):
         raise NonstrictlyProperF("continuous-time model matching needs a strictly proper F")
     if r < g.m:
         raise UnsupportedShape("G must have full column normal rank")
-    if g.domain is TimeDomain.CONTINUOUS and rank_tol(g.D.T @ g.D) < g.m:
+    if g.domain is TimeDomain.CONTINUOUS and w is None:
         # zeros at infinity: outside the restricted inner-outer scope, but a
         # square G with an exact stable solution needs no compression at all
         # (take the identity as the inner factor and G itself as the outer)
@@ -270,7 +268,7 @@ def l2_model_match(G: DescriptorSystem, F: DescriptorSystem, tol=None):
                 return X0, parts
         raise BoundaryZeros("G has zeros at infinity on the stability boundary")
 
-    q1, R = _inner_outer_thin(g, tol, zd)
+    q1, R = _inner_outer_thin(g, tol, zd, w)
     f1t, nf, ninf = _reduce(series(conjugate(q1), f), tol)
 
     # the optimal stable correction is the causal projection of the

@@ -90,6 +90,13 @@ class TestSystemFile:
             parse_system(text)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("text", ["", "\n\n", "# a comment only\n  \n"], ids=["empty", "blank", "comment"])
+    def test_empty_system_file(self, text):
+        # no content line: no line number to cite, not even the last one
+        with pytest.raises(ParseError) as exc:
+            parse_system(text)
+        assert str(exc.value) == "empty system file"
+
     def test_unreadable_files(self, tmp_path):
         path = str(tmp_path / "missing.dss")
         for read in (read_system, _read_matrix):

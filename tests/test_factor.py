@@ -30,7 +30,7 @@ from dstk.exceptions import (
     UnstableInput,
 )
 from dstk.factor import additive_decompose, co_outer_co_inner, inner_outer, lcf, rcf
-from dstk.factor import _bernoulli, _inner_outer_thin, _riccati_gain, _riccati_schur
+from dstk.factor import _bernoulli, _inner_outer_thin, _riccati_gain, _riccati_schur, _standard_stable_data
 from dstk.kernels import _schur_ordered
 from dstk.ops import parallel, transpose_dual
 from dstk.system import TimeDomain, eval_tfm, make_system, random_system
@@ -506,7 +506,7 @@ class TestInnerOuter:
         assert np.linalg.norm(F - Fp) <= 1e-8 * np.linalg.norm(Fp)
         if n < 48:
             return
-        q1, R = _inner_outer_thin(g, None, zd)
+        q1, R = _inner_outer_thin(g, None, zd, _standard_stable_data(g, None)[3])
         region = stability_region(domain)
         for lam in region.boundary_points(8):
             q = eval_tfm(q1, lam)

@@ -4,6 +4,7 @@ import scipy.linalg
 
 from conftest import oracle_points, safe_eval
 
+from dstk import solve
 from dstk.analysis import h2_norm, is_stable, normal_rank, poles, stability_region
 from dstk.exceptions import ImproperInput, Incompatible, IterationFailure, NonstrictlyProperF, UnstableInput, UnsupportedShape
 from dstk.ops import RationalMatrixData, concat_col, concat_row, conjugate, realize_rational, series, transpose_dual
@@ -248,6 +249,28 @@ class TestModelMatch:
         assert parts.error_norm == 0.0
         for lam in oracle_points(rng, 3):
             assert abs(eval_tfm(X, lam)[0, 0] - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("c, deficient", [(1e4, False), (1e6, True), (1e9, True)])
+    def test_feedthrough_rank_decided_once(self, c, deficient, monkeypatch):
+        # D = U diag(1, 1/c) U^T: the zeros-at-infinity branch (the square
+        # particular solution) or the inner-outer compression, never a
+        # refusal of D^T D inside the compression
+        rng = np.random.default_rng(3)
+        G = random_system(8, 2, 2, "continuous", stable=True, rng=rng)
+        U = np.linalg.qr(rng.normal(size=(2, 2)))[0]
+        G = make_system(G.A, G.E, G.B, G.C, U @ np.diag([1.0, 1.0 / c]) @ U.T, "continuous")
+        F = random_system(4, 2, 2, "continuous", stable=True, rng=rng)
+        F = make_system(F.A, F.E, F.B, F.C, np.zeros((2, 2)), "continuous")
+        calls = []
+        for name in ("_particular", "_inner_outer_thin"):
+            real = getattr(solve, name)
+            monkeypatch.setattr(solve, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
+        try:
+            error = l2_model_match(G, F)[1].error_norm
+            assert error == 0.0 if deficient else error <= 1e-8
+        except IterationFailure:
+            assert c == 1e9  # the particular solution's certificate refuses it
+        assert calls == (["_particular"] if deficient else ["_inner_outer_thin"])
 
     def test_zero_target(self):
         g = make_system([[-1.0]], [[1.0]], [[1.0]], [[2.0]], [[1.0]], "continuous")
