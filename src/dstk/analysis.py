@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from .exceptions import (
     IterationFailure,
@@ -242,11 +243,11 @@ def _ctrb_reduce(A, B, C, tol_abs):
             W -= Vt[:k].T.dot(Vt[:k].dot(W))
     Vt, G = Vt[:k], Vt[:k] @ Vt[:k].T
     if np.abs(G - np.eye(k)).max(initial=0.0) > ORTH_TOL * k:
-        try:
-            Vt = np.linalg.solve(np.linalg.cholesky(G), Vt)
-        except np.linalg.LinAlgError:
+        Lg, info = sla.lapack.dpotrf(G, lower=1)
+        if info:
             # the basis lost rank; re-orthonormalizing it would return a wrong system
-            raise IterationFailure("Krylov staircase basis lost rank") from None
+            raise IterationFailure("Krylov staircase basis lost rank")
+        Vt = sla.solve_triangular(Lg, Vt, lower=True, check_finite=False)
     return Vt @ A @ Vt.T, Vt @ B, C @ Vt.T
 
 

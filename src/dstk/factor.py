@@ -5,16 +5,18 @@ left coprime factorizations by eigenvalue dislocation with state feedback /
 output injection, and inner-outer (and co-outer--co-inner) factorizations of
 stable proper full-rank systems via an algebraic Riccati equation.  For a
 square system with a well-conditioned ``D`` it has no state weight: one
-ordered real Schur form of the zero dynamics ``A + B D^-1 C`` decides the
-zeros, and a Lyapunov (Stein) equation on the antistable block of that same
-form solves it.  Otherwise one sorted LAPACK ``dgges`` with right Schur
-vectors only orders the extended pencil ``M - s N`` in continuous time, and
-the reversed ``N - mu M`` (``mu = 1/z``) in discrete time, whose QZ already
-leaves the stable set in front.  The same pencil solver gives the
-dislocating feedback: with zero state weight its gain mirrors every bad
-eigenvalue into the region, so no random placement is involved.  Both read
+ordered real Schur form of the zero dynamics ``A + B D^-1 C`` (``D^-1`` from
+the SVD that decided the rank of ``D``) decides the zeros, and a Lyapunov
+(Stein) equation on the antistable block of that same form solves it.
+Otherwise one sorted LAPACK ``dgges`` with right Schur vectors only orders
+the extended pencil ``M - s N`` in continuous time, and the reversed
+``N - mu M`` (``mu = 1/z``) in discrete time, whose QZ already leaves the
+stable set in front.  The same pencil solver gives the dislocating
+feedback: with zero state weight its gain mirrors every bad eigenvalue into
+the region, so no random placement is involved.  Both read
 :func:`minreal`'s split: no rank of ``E`` is decided again, and no QZ orders
-the poles.
+the poles.  Every other square solve but the Riccati graph is one LU
+(``kernels._solve``), which raises a typed error on a singular matrix.
 """
 
 from __future__ import annotations
@@ -42,11 +44,11 @@ from .kernels import (
     _lyap_quasi,
     _quasi_inv,
     _schur_ordered,
+    _solve,
     _svd,
     _svd_rank,
     _sylv_quasi,
     null_basis,
-    rank_tol,
 )
 from .ops import _static, concat_row, transpose_dual
 from .system import DescriptorSystem, TimeDomain, _trusted_system
@@ -137,20 +139,23 @@ def _dislocating_feedback(g, nf, ninf, region, pole_set, tol):
     the output ``(g, nf, ninf)`` of :func:`_reduce`.  An improper ``g`` takes
     no SVD of its trailing ``E`` block: :func:`_reduce` leaves it diagonal,
     its ``ninf`` kept singular values first and zeros on the kernel states
-    after them; an index-reducing gain and one LU solve residualize those.
+    after them; the thin SVD deciding their inputs' rank gives the
+    minimum-norm index-reducing gain, and one LU solve residualizes them.
     The standard pair left (``(A, B)`` when proper) takes one ordered real
     Schur form."""
     n, m, re = g.n, g.m, nf + ninf
     F, As, Bs = np.zeros((m, n)), g.A, g.B
     if re < n:
         B2 = g.B[re:]
-        if rank_tol(B2, tol) < n - re:
+        U, s, Vh = _svd(B2, full=False)
+        if _svd_rank(s, B2.shape, tol) < n - re:
             raise PlacementFailure("infinite eigenvalues are not controllable")
         target = (1.0 + np.linalg.norm(g.A, 2)) * np.eye(n - re)
-        F[:, re:] = B2.T @ np.linalg.solve(B2 @ B2.T, target - g.A[re:, re:])
+        F[:, re:] = Vh.T @ ((U.T @ (target - g.A[re:, re:])) / s[:, None])
         Ap = g.A + g.B @ F
         # x2 = -Ap22^-1 (Ap21 x1 + B2 u); E is diag(1, ..., 1, sigma) on the rest
-        P = Ap[:re, re:] @ np.linalg.solve(Ap[re:, re:], np.hstack([Ap[re:, :re], B2]))
+        X = _solve(Ap[re:, re:], np.hstack([Ap[re:, :re], B2]), PlacementFailure, "kernel block is singular")
+        P = Ap[:re, re:] @ X
         d = np.diag(g.E)[:re, None]
         As, Bs = (Ap[:re, :re] - P[:, :re]) / d, (g.B[:re] - P[:, re:]) / d
 
@@ -268,43 +273,40 @@ def _riccati_schur(A, B, Qc, Sc, Rc, domain):
     return _riccati_gain(A, B, Qc, Sc, Rc, X, domain)
 
 
-def _bernoulli(zd, B, D, domain):
+def _bernoulli(zd, domain):
     """Stabilizing Riccati solution of :func:`_inner_outer_thin` for a square
-    ``G``: with zero dynamics ``A + B D^-1 C = Z T Z^T`` (``zd = (T, Z,
-    zeros, k)`` from :func:`_schur_ordered`, stable block first) it is
-    ``X = Z2 Y^-1 Z2^T``, ``T22 Y + Y T22^T = W`` (continuous) or
-    ``T22 Y T22^T - Y = W`` (discrete), ``W = Bt Bt^T``, ``Bt = Z2^T B D^-1``,
-    solved by :func:`_lyap_quasi` on ``-T22`` or ``T22^-1`` and their
-    eigenvalues, read off ``zeros``: no second Schur form."""
-    T, Z, zs, k = zd
-    Z2, Bt = Z[:, k:], np.linalg.solve(D.T, B.T @ Z[:, k:]).T
+    ``G``: with zero dynamics ``A + Bd C = Z T Z^T``, ``Bd = B D^-1`` (``zd =
+    (T, Z, zeros, k, Bd)``, the first four from :func:`_schur_ordered`,
+    stable block first) it is ``X = Z2 Y^-1 Z2^T``, ``T22 Y + Y T22^T = W``
+    (continuous) or ``T22 Y T22^T - Y = W`` (discrete), ``W = Bt Bt^T``,
+    ``Bt = Z2^T Bd``, solved by :func:`_lyap_quasi` on ``-T22`` or
+    ``T22^-1`` and their eigenvalues, read off ``zeros``: no second Schur
+    form, and no solve with ``D``."""
+    T, Z, zs, k, Bd = zd
+    Z2, Bt = Z[:, k:], Z[:, k:].T @ Bd
     if domain is TimeDomain.CONTINUOUS:
         M, eigs = -T[k:, k:], [-z for z in zs[k:]]
     else:
         M, eigs = _quasi_inv(T[k:, k:]), [1.0 / z for z in zs[k:]]
         Bt = M @ Bt
-    try:
-        return Z2 @ np.linalg.solve(_lyap_quasi(M, eigs, Bt @ Bt.T, domain, IterationFailure), Z2.T)
-    except np.linalg.LinAlgError:
-        raise IterationFailure("Bernoulli solution is singular") from None
+    Y = _lyap_quasi(M, eigs, Bt @ Bt.T, domain, IterationFailure)
+    return Z2 @ _solve(Y, Z2.T, IterationFailure, "Bernoulli solution is singular")
 
 
 def _riccati_gain(A, B, Qc, Sc, Rc, X, domain):
-    """``(X, F)``: the symmetrized Riccati solution ``X`` and its gain ``F =
-    -W^-1 H^T``, accepted by :func:`_accepted` on the terms of its residual
-    ``A^T X + X A`` (continuous) or ``A^T X A - X`` (discrete) ``+ Qc + H F``."""
+    """``(X, F, W)``: the symmetrized Riccati solution ``X``, its gain ``F =
+    -W^-1 H^T`` and its weight ``W``, accepted by :func:`_accepted` on the
+    terms of its residual ``A^T X + X A`` (continuous) or ``A^T X A - X``
+    (discrete) ``+ Qc + H F``."""
     X = 0.5 * (X + X.T)
     AX = A.T @ X
     if domain is TimeDomain.CONTINUOUS:
         H, W, terms = X @ B + Sc, Rc, [AX, AX.T]
     else:
         H, W, terms = AX @ B + Sc, Rc + B.T @ X @ B, [AX @ A, -X]
-    try:
-        gain = np.linalg.solve(W, H.T)
-    except np.linalg.LinAlgError:
-        raise IterationFailure("Riccati gain weight is singular") from None
+    gain = _solve(W, H.T, IterationFailure, "Riccati gain weight is singular")
     _accepted(terms + [Qc, -H @ gain], IterationFailure, "Riccati")
-    return X, -gain
+    return X, -gain, W
 
 
 def _standard_stable_data(sys, tol):
@@ -313,19 +315,20 @@ def _standard_stable_data(sys, tol):
     the boundary, no boundary zeros.  One SVD ``D = U diag(s) V^T`` decides the column rank
     of ``D`` once: ``m`` values ``s > sqrt(DEFICIENCY_RCOND) max(s_max, 1)`` give ``w = (W,
     W^-1)``, ``W = V diag(s) V^T = (D^T D)^1/2``, else ``w`` is None.  A square ``D`` with
-    ``s_min >= FEEDTHROUGH_RCOND s_max`` gives ``r = m``, and ``eig(A + B D^-1 C)`` ordered
-    into ``zd`` for :func:`_bernoulli`; else :func:`_structure` decides."""
+    ``s_min >= FEEDTHROUGH_RCOND s_max`` gives ``r = m``, and ``eig(A + Bd C)``, ``Bd = B D^-1 =
+    B V diag(s)^-1 U^T``, ordered into ``zd`` for :func:`_bernoulli`; else :func:`_structure` decides."""
     g = minreal(sys, tol=tol)
     region = stability_region(g.domain)
     if not g.is_standard:
         raise ImproperInput("the system must be proper")
     if not _all_stable(np.linalg.eigvals(g.A), 0, g.domain):
         raise UnstableInput("the system must be stable")
-    _, sv, Vh = _svd(g.D, full=False)
+    U, sv, Vh = _svd(g.D, full=False)
     cut = np.sqrt(DEFICIENCY_RCOND) * max(sv.max(initial=0.0), 1.0)
     w = ((Vh.T * sv) @ Vh, (Vh.T / sv) @ Vh) if _svd_rank(sv, g.D.shape, cut) == g.m else None
     if g.p == g.m and sv.size and sv[-1] >= FEEDTHROUGH_RCOND * sv[0] > 0.0:
-        zd = _schur_ordered(g.A + g.B @ np.linalg.solve(g.D, g.C), region.contains)
+        Bd = ((g.B @ Vh.T) / sv) @ U.T
+        zd = (*_schur_ordered(g.A + Bd @ g.C, region.contains), Bd)
         r, zs = g.m, zd[2]
     else:
         *_, ks, r = _structure(g, tol)
@@ -366,12 +369,12 @@ def _inner_outer_thin(g, tol, zd, w):
     n, m = g.n, g.m
     Qc, Sc, Rc = C.T @ C, -C.T @ D, D.T @ D
     if not n:
-        X, F = np.zeros((0, 0)), np.zeros((m, 0))
+        X, F, W = np.zeros((0, 0)), np.zeros((m, 0)), Rc
     elif zd is None:
-        X, F = _riccati_schur(As, Bs, Qc, Sc, Rc, g.domain)
+        X, F, W = _riccati_schur(As, Bs, Qc, Sc, Rc, g.domain)
     else:
-        X, F = _riccati_gain(As, Bs, Qc, Sc, Rc, _bernoulli(zd, Bs, D, g.domain), g.domain)
-    W12, W12i = w if g.domain is TimeDomain.CONTINUOUS else _psd_sqrt(Rc + Bs.T @ X @ Bs, "spectral-factor weight")
+        X, F, W = _riccati_gain(As, Bs, Qc, Sc, Rc, _bernoulli(zd, g.domain), g.domain)
+    W12, W12i = w if g.domain is TimeDomain.CONTINUOUS else _psd_sqrt(W, "spectral-factor weight")
 
     R = _trusted_system(As, np.eye(n), Bs, W12 @ F, W12, g.domain)
     Q1 = _trusted_system(As + Bs @ F, np.eye(n), Bs @ W12i, C - D @ F, D @ W12i, g.domain)
@@ -392,11 +395,11 @@ def _inner_complement(q1, domain):
         K = np.kron(At, I) + np.kron(I, At)
     else:
         K = np.kron(At, At) - np.kron(I, I)
-    X1 = np.linalg.solve(K, -(C.T @ C).ravel()).reshape(n, n)
+    X1 = _solve(K, -(C.T @ C).ravel(), IterationFailure, "inner completion Gramian equation is singular").reshape(n, n)
     X1 = 0.5 * (X1 + X1.T)
     if domain is TimeDomain.CONTINUOUS:
         Dp = null_basis(D.T)
-        B2 = np.linalg.solve(X1, C.T @ Dp)
+        B2 = _solve(X1, C.T @ Dp, IterationFailure, "inner completion Gramian is singular")
         return _trusted_system(A, np.eye(n), B2, C, Dp, domain)
     # discrete: complete [B; D] to an M-orthonormal basis of the constraint
     # kernel, M = diag(X1, I)

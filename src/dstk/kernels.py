@@ -9,8 +9,9 @@ Every QZ is one LAPACK ``dgges`` call (``_gges``) that sorts only given a
 selector and forms left Schur vectors only on request.  The Lyapunov core
 (``_lyap_quasi``) takes its caller's quasi-triangular form and eigenvalues,
 so no form is reduced twice; each caller accepts its equation by the one
-residual rule, ``_accepted``.  A square matrix factored to solve with it
-takes one LU, whose ``gecon`` reciprocal condition decides it singular.
+residual rule, ``_accepted``.  A square matrix a call solves with takes one
+LU over all right-hand sides (``_lu_solve``), whose ``gecon`` reciprocal
+condition decides it singular; ``_solve`` makes that a typed error.
 
 Point ranks (``rank_tol``, ``null_basis``, probes) are relative to
 ``sigma_max``; structural cuts (staircase, deflation, QZ beta) are absolute,
@@ -103,13 +104,13 @@ def _svd_rank(s, shape, tol=None) -> int:
 def _svd(M, vectors=True, full=True):
     """``(U, s, Vh)`` of ``M``, full ``U`` and ``Vh`` or thin ones without
     ``full`` (``s`` alone without ``vectors``), from one LAPACK ``gesdd`` call,
-    real or complex.  A failed iteration raises ``numpy.linalg.LinAlgError``."""
+    real or complex.  A failed iteration raises ``IterationFailure``."""
     if M.size == 0:
         k = None if full else 0
         return (np.eye(M.shape[0])[:, :k], np.zeros(0), np.eye(M.shape[1])[:k]) if vectors else np.zeros(0)
     U, s, Vh, info = sla.get_lapack_funcs("gesdd", (M,))(M, compute_uv=int(vectors), full_matrices=int(full))
     if info:
-        raise np.linalg.LinAlgError("SVD did not converge")
+        raise IterationFailure(f"SVD did not converge (gesdd info {info})")
     return (U, s, Vh) if vectors else s
 
 
@@ -150,6 +151,15 @@ def _lu_solve(M, B, rcond, floor=0.0):
     if info == 0:
         rc, info = gecon(lu, max(np.linalg.norm(M, 1), floor))
     return getrs(lu, piv, B)[0] if info == 0 and rc > rcond else None
+
+
+def _solve(M, B, exc, msg):
+    """``M^-1 B`` by :func:`_lu_solve` at ``rcond = 0``, where ``gesv`` would
+    fail; a singular ``M`` raises ``exc(msg)``."""
+    X = _lu_solve(M, B, 0.0)
+    if X is None:
+        raise exc(msg)
+    return X
 
 
 def _row_compress(M, tol_abs, rank=None):
@@ -447,7 +457,7 @@ def _lyap_quasi(T, eigs, W, domain, unstable) -> np.ndarray:
 def _quasi_inv(T) -> np.ndarray:
     """Inverse of the quasi-upper-triangular ``T``, which has ``T``'s blocks:
     ``dtrsyl`` reads them off the subdiagonal, so what roundoff left below
-    them is zeroed."""
-    P = np.linalg.inv(T)
+    them is zeroed.  An exactly singular ``T`` raises ``IterationFailure``."""
+    P = _solve(T, np.eye(T.shape[0]), IterationFailure, "quasi-triangular block is singular")
     P[np.tril(T == 0.0, -1)] = 0.0
     return P

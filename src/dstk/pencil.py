@@ -192,7 +192,8 @@ def klf(M, N, tol=None):
     structural counts.  Every rank cut of the three passes is taken at
     ``stair_tol(tol, max(M.shape), M, N)``.
 
-    Regular pencils simply yield empty index lists.
+    Regular pencils yield empty index lists; a square pencil without right
+    indices is regular, so it skips the third pass.
     """
     M = as_matrix(M, "M")
     N = as_matrix(N, "N")
@@ -234,7 +235,7 @@ def klf(M, N, tol=None):
     # pass 3: trailing block via its transpose, peeling the left structure
     mf, nf_ = m - ro1, n - co1
     left = []
-    if mf and nf_:
+    if mf and nf_ and (right or m != n):
         Mt, Nt, L3, R3, mus3, nus3 = _deflate(Mk[ro1:, co1:].T, Nk[ro1:, co1:].T, tol_abs)
         left, div3 = _stair_counts(mus3, nus3)
         if div3:

@@ -548,3 +548,81 @@ def test_improper_coprime_factors_take_no_svd_of_E(svds, side, domain):
     svds[0] = 0
     side(g, analysis.stability_region(g.domain))
     assert svds[0] == reduce_svds + 1
+
+
+@pytest.fixture
+def factored(monkeypatch):
+    """The square matrices solved with: ``kernels._lu_solve`` wherever a dstk
+    module binds it, and numpy's ``solve`` and ``inv``."""
+    mats = []
+
+    def counted(fn):
+        def wrapper(M, *args, **kwargs):
+            mats.append(np.array(M))
+            return fn(M, *args, **kwargs)
+
+        return wrapper
+
+    for mod in (kernels, pencil, analysis, factor, solve, cli, system, ops):
+        if hasattr(mod, "_lu_solve"):
+            monkeypatch.setattr(mod, "_lu_solve", counted(getattr(mod, "_lu_solve")))
+    monkeypatch.setattr(np.linalg, "solve", counted(np.linalg.solve))
+    monkeypatch.setattr(np.linalg, "inv", counted(np.linalg.inv))
+    return mats
+
+
+@pytest.mark.parametrize(
+    "query",
+    [lambda G, F: factor.inner_outer(G), solve.l2_model_match],
+    ids=["inner_outer", "l2_model_match"],
+)
+@pytest.mark.parametrize("domain", ["continuous", "discrete"])
+def test_square_feedthrough_is_inverted_by_its_svd(factored, query, domain):
+    # the SVD that decides the rank of a square, well-conditioned D also
+    # gives B D^-1 for the zero dynamics and the Bernoulli solve: no LU of
+    # D or D^T (D is not symmetric, so the outer factor's (D^T D)^1/2 is not D)
+    G, F = _zero_dynamics_pair(domain)
+    U = np.linalg.qr(np.random.default_rng(3).normal(size=(2, 2)))[0]
+    D = U @ np.diag([1.0, 0.5]) @ np.linalg.qr(np.random.default_rng(4).normal(size=(2, 2)))[0]
+    G = make_system(G.A, G.E, G.B, G.C, D, domain)
+    factored.clear()
+    query(G, F)
+    assert factored and not any(M.shape == D.shape and (np.allclose(M, D) or np.allclose(M, D.T)) for M in factored)
+
+
+@pytest.mark.parametrize("side", [factor.rcf, factor.lcf], ids=["rcf", "lcf"])
+@pytest.mark.parametrize("domain", ["continuous", "discrete"])
+def test_improper_coprime_factors_solve_no_gram(factored, monkeypatch, side, domain):
+    # the index-reducing gain comes from the thin SVD of the kernel states'
+    # inputs B2 that decides their controllability: no solve with B2 B2^T
+    reduced, reduce = [], factor._reduce
+
+    def recorded(*args):
+        reduced.append(reduce(*args))
+        return reduced[-1]
+
+    monkeypatch.setattr(factor, "_reduce", recorded)
+    g = random_system(24, 2, 2, domain, proper=False, rng=np.random.default_rng(24))
+    side(g, analysis.stability_region(g.domain))
+    (h, nf, ninf), = reduced
+    B2 = h.B[nf + ninf :]
+    assert B2.shape[0]
+    gram = B2 @ B2.T
+    assert not any(M.shape == gram.shape and np.allclose(M, gram) for M in factored)
+
+
+@pytest.mark.parametrize("p, deflations", [(2, 1), (3, 2)], ids=["square", "tall"])
+def test_square_regular_system_pencil_deflates_once(monkeypatch, p, deflations):
+    # a square pencil without right indices is regular, so it has no left
+    # indices either: klf skips the transposed third pass
+    count, deflate = [0], pencil._deflate
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return deflate(*args, **kwargs)
+
+    g = analysis.minreal(random_system(12, 2, p, "continuous", rng=np.random.default_rng(12)))
+    monkeypatch.setattr(pencil, "_deflate", counted)
+    ks = pencil.klf(*analysis._system_pencil(g))[4]
+    assert count[0] == deflations
+    assert (len(ks.right_indices), len(ks.left_indices)) == (0, p - 2)

@@ -303,7 +303,7 @@ def inner_grid_error(Q, region, count=20):
 
 def assert_riccati_matches_scipy(A, B, Qc, Sc, Rc, domain, tol=1e-10):
     """``_riccati_schur``'s ``X`` and ``F`` agree with scipy's to ``tol`` relative."""
-    X, F = _riccati_schur(A, B, Qc, Sc, Rc, domain)
+    X, F, _ = _riccati_schur(A, B, Qc, Sc, Rc, domain)
     if domain is TimeDomain.CONTINUOUS:
         Xs = sla.solve_continuous_are(A, B, Qc, Rc, s=Sc)
         Fs = -np.linalg.solve(Rc, B.T @ Xs + Sc.T)
@@ -404,7 +404,7 @@ class TestInnerOuter:
             C = rng.normal(size=(3, n))
             D = rng.normal(size=(3, m))
             Qc, Sc, Rc = C.T @ C, C.T @ D, D.T @ D + np.eye(m)
-            X, F = _riccati_schur(A, B, Qc, Sc, Rc, domain)
+            X, F, _ = _riccati_schur(A, B, Qc, Sc, Rc, domain)
             if domain is TimeDomain.CONTINUOUS:
                 Xs = sla.solve_continuous_are(A, B, Qc, Rc, s=Sc)
                 Fs = -np.linalg.solve(Rc, B.T @ Xs + Sc.T)
@@ -497,11 +497,12 @@ class TestInnerOuter:
         U = np.linalg.qr(np.random.default_rng(2).normal(size=(2, 2)))[0]
         g = minreal(make_system(g.A, g.E, g.B, g.C, U @ np.diag([1.0, 1.0 / cond]) @ U.T, domain))
         A, B, C, D = g.A, g.B, g.C, g.D
-        zd = _schur_ordered(A + B @ np.linalg.solve(D, C), stability_region(domain).contains)
+        Bd = B @ np.linalg.inv(D)
+        zd = (*_schur_ordered(A + Bd @ C, stability_region(domain).contains), Bd)
         assert zd[3] < g.n  # some zero is antistable: the Lyapunov equation is not empty
         weights = (A, B, C.T @ C, -C.T @ D, D.T @ D)
-        X, F = _riccati_gain(*weights, _bernoulli(zd, B, D, g.domain), g.domain)
-        Xp, Fp = _riccati_schur(*weights, g.domain)
+        X, F, _ = _riccati_gain(*weights, _bernoulli(zd, g.domain), g.domain)
+        Xp, Fp, _ = _riccati_schur(*weights, g.domain)
         assert np.linalg.norm(X - Xp) <= 1e-8 * np.linalg.norm(Xp)
         assert np.linalg.norm(F - Fp) <= 1e-8 * np.linalg.norm(Fp)
         if n < 48:
@@ -516,3 +517,34 @@ class TestInnerOuter:
             gv = C @ resolvent + D
             scale = np.linalg.norm(D) + np.linalg.norm(C) * np.linalg.norm(resolvent)
             assert np.linalg.norm(eval_tfm(q1, lam) @ eval_tfm(R, lam) - gv) <= 1e-8 * scale
+
+    @pytest.mark.parametrize(
+        "c",
+        [
+            1.0,
+            1e-3,
+            pytest.param(
+                1e-6,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    raises=RankDeficiencyUnsupported,
+                    reason="ROADMAP item 22: the feedthrough cuts are floored at max(sigma_max(D), 1) and "
+                    "max(w_max, 1), so a small scale of G alone is refused",
+                ),
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("domain", ["continuous", "discrete"])
+    def test_feedthrough_scale(self, domain, c):
+        # c G has the inner factor of G and the outer factor c R: the scale of
+        # the input alone should not decide the feedthrough's rank
+        g = random_system(8, 2, 2, domain, stable=True, rng=np.random.default_rng(5))
+        h = make_system(g.A, g.E, c * g.B, g.C, c * g.D, domain)
+        pair = inner_outer(h)
+        for lam in oracle_points(np.random.default_rng(8), 3):
+            hv = h.C @ np.linalg.solve(h.A - lam * h.E, h.B) + h.D
+            qr = eval_tfm(pair.first, lam)[:, :2] @ eval_tfm(pair.second, lam)
+            assert np.linalg.norm(qr - hv) <= 1e-12 * np.linalg.norm(hv)
+        for lam in stability_region(domain).boundary_points(6):
+            q = eval_tfm(pair.first, lam)
+            assert np.linalg.norm(q.conj().T @ q - np.eye(2)) <= 1e-12
