@@ -9,11 +9,11 @@ Every QZ is one LAPACK ``dgges`` call (``_gges``) that sorts only given a
 selector and forms left Schur vectors only on request.  The Lyapunov core
 (``_lyap_quasi``) takes its caller's quasi-triangular form and eigenvalues,
 so no form is reduced twice; each caller accepts its equation by the one
-residual rule, ``_accepted``.  A square matrix a call solves with takes one
-LU over all right-hand sides (``_lu_solve``), whose ``gecon`` reciprocal
-condition decides it singular; ``_solve`` makes that a typed error.
-
-Point ranks (``rank_tol``, ``null_basis``, probes) are relative to
+residual rule, ``_accepted``.  A square matrix or pencil is judged by one
+LU (``_lu_solve``) whose ``gecon`` reciprocal condition decides it singular:
+a solve (``_solve`` makes that a typed error), and regularity at the probe
+points that ``_clear_points`` yields.  Point ranks of rectangular matrices
+(``rank_tol``, ``null_basis``, ``_probe_rank``) are relative to
 ``sigma_max``; structural cuts (staircase, deflation, QZ beta) are absolute,
 at ``stair_tol``.
 """
@@ -139,11 +139,12 @@ def null_basis(M, tol=None) -> np.ndarray:
     return Vh[_svd_rank(s, M.shape, tol) :].conj().T
 
 
-def _lu_solve(M, B, rcond, floor=0.0):
+def _lu_solve(M, B, rcond=None, floor=0.0):
     """``M^-1 B`` from one LU of the square ``M`` (LAPACK ``getrf`` and
     ``getrs``, real or complex); ``None`` when ``M`` is numerically singular:
     the reciprocal 1-norm condition of that same LU (``gecon``, against
-    ``max(||M||_1, floor)``) is at most ``rcond``."""
+    ``max(||M||_1, floor)``) is at most ``rcond``, by default ``n * SINGULAR_RCOND``."""
+    rcond = M.shape[0] * SINGULAR_RCOND if rcond is None else rcond
     if not M.size:
         return np.zeros(B.shape, dtype=np.result_type(M, B))
     getrf, gecon, getrs = sla.get_lapack_funcs(("getrf", "gecon", "getrs"), (M, B))
@@ -233,10 +234,25 @@ def _ring_points(A, B, count):
     return list(radius * np.exp(1j * np.where(k % 2, -theta, theta)))
 
 
+def _clear_points(A, B, rcond=None, floor=0.0, count=3):
+    """Lazily, those of the first ``count`` probe points of the square pencil
+    ``A - lam*B`` at which :func:`_lu_solve` of it, at ``rcond`` and ``floor``, succeeds."""
+    return (lam for lam in _ring_points(A, B, count) if _lu_solve(A - lam * B, A[:, :0], rcond, floor) is not None)
+
+
+def _require_regular(A, B, exc, names=("A", "E"), what="pencil"):
+    """Raise ``exc``, naming the cut and both 1-norms, unless the square pencil
+    ``A - lam*B`` clears the default cut of :func:`_lu_solve` at a probe point."""
+    cut, (a, b) = A.shape[0] * SINGULAR_RCOND, names
+    if next(_clear_points(A, B), None) is None:
+        raise exc(f"{what} {a} - lambda*{b} is numerically singular: its LU has reciprocal condition <= {cut:.2e} at"
+                  f" all three probe points (||{a}||_1 = {np.linalg.norm(A, 1):.3e}, ||{b}||_1 = {np.linalg.norm(B, 1):.3e})")
+
+
 def _probe_rank(M, N, tol=None) -> int:
-    """Normal rank of the pencil ``M - lam*N``: the largest
-    ``rank_tol(M - lam*N, tol)`` over three fixed probe points, stopping
-    early at full rank ``min(M.shape)``."""
+    """Normal rank of a rectangular pencil ``M - lam*N`` (a square one is
+    judged by :func:`_require_regular`): the largest ``rank_tol(M - lam*N,
+    tol)`` over three fixed probe points, stopping early at ``min(M.shape)``."""
     full, best = min(M.shape), 0
     for lam in _ring_points(M, N, 3):
         if best == full:
@@ -261,19 +277,18 @@ def gschur_ordered(A, B, select: Callable | None = None) -> GschurResult:
     Raises
     ------
     SingularPencil
-        If ``A - lam*B`` is rank deficient at every regularity probe point.
+        If at every regularity probe point the LU of ``A - lam*B`` fails the
+        cut ``n * SINGULAR_RCOND`` of ``eval_tfm``; no SVD is taken.
     IterationFailure
         If the QZ iteration or the reordering does not converge.
     """
-    A = as_matrix(A, "A")
-    B = as_matrix(B, "B")
+    A, B = as_matrix(A, "A"), as_matrix(B, "B")
     n = A.shape[0]
     if A.shape != B.shape or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"pencil blocks must be square and equal-sized, got {A.shape} and {B.shape}")
     if n == 0:
         return GschurResult(A.copy(), B.copy(), np.eye(0), np.eye(0), [], 0)
-    if _probe_rank(A, B) < n:
-        raise SingularPencil("pencil A - lambda*B is numerically singular")
+    _require_regular(A, B, SingularPencil, ("A", "B"))
 
     S, T, Q, Z, alpha, beta, k = _gges(A, B, select)
     return GschurResult(S, T, Q, Z, list(zip(alpha.tolist(), beta.tolist())), k)

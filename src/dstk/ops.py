@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _system_pencil, normal_rank
+from .analysis import _system_pencil
 from .exceptions import (
     DimensionMismatch,
     DomainMismatch,
@@ -30,7 +30,7 @@ from .exceptions import (
     SingularD,
     ZeroDenominator,
 )
-from .kernels import COEFF_TRIM_TOL, SINGULAR_RCOND, _diag2, _lu_solve
+from .kernels import COEFF_TRIM_TOL, _diag2, _lu_solve, _require_regular
 from .system import DescriptorSystem, TimeDomain, _trusted_system
 
 __all__ = [
@@ -120,15 +120,16 @@ def inverse(sys: DescriptorSystem, mode: str = "general") -> DescriptorSystem:
     the output rows and its output read from the input columns.  The result
     has order ``n + m`` and is not minimal even when the input is.
     ``mode="d-inverse"`` requires an invertible feedthrough ``D`` and keeps
-    the order at ``n``.
+    the order at ``n``.  Either mode raises :class:`NotInvertibleTFM` unless
+    the square system pencil is regular by the rule of ``make_system``.
     """
     if sys.p != sys.m:
         raise NotSquare(f"inverse needs a square TFM, got {sys.p}x{sys.m}")
     m = sys.m
-    if normal_rank(sys) < m:
-        raise NotInvertibleTFM("TFM is rank deficient at the probe frequencies")
+    M, N = _system_pencil(sys)
+    _require_regular(M, N, NotInvertibleTFM, ("[[A, -B], [C, D]]", "diag(E, 0)"), "TFM not invertible: system pencil")
     if mode == "d-inverse":
-        Dinv = _lu_solve(sys.D, np.eye(m), m * SINGULAR_RCOND)
+        Dinv = _lu_solve(sys.D, np.eye(m))
         if Dinv is None:
             raise SingularD("d-inverse mode requires invertible D")
         A = sys.A + sys.B @ Dinv @ sys.C
@@ -162,7 +163,7 @@ def conjugate(sys: DescriptorSystem) -> DescriptorSystem:
     n, m, p = sys.n, sys.m, sys.p
     if sys.domain is TimeDomain.CONTINUOUS:
         return _trusted_system(-sys.A.T, sys.E.T, -sys.C.T, sys.B.T, sys.D.T, sys.domain)
-    Ait = _lu_solve(sys.A.T, np.eye(n), n * SINGULAR_RCOND) if sys.is_standard else None
+    Ait = _lu_solve(sys.A.T, np.eye(n)) if sys.is_standard else None
     if Ait is not None:
         return _trusted_system(
             Ait,

@@ -46,7 +46,7 @@ from .analysis import (
     stability_region,
 )
 from .factor import _additive_split, _inner_outer_thin, _riccati_schur, _standard_stable_data
-from .kernels import PROBE_RESIDUAL_TOL, _accepted, _col_compress_null_first, _probe_rank, rank_tol
+from .kernels import PROBE_RESIDUAL_TOL, _accepted, _col_compress_null_first, _lu_solve, _probe_rank
 from .ops import _pencil_inverse, _static, concat_row, conjugate, inverse, parallel, series, transpose_dual
 from .system import DescriptorSystem, TimeDomain, _trusted_system, eval_tfm, probe_points
 
@@ -149,14 +149,15 @@ def _particular(g, f, r, tol) -> DescriptorSystem:
     ``G[rows, cols]`` is cut out of the realization, so ``X[cols] =
     core^-1 F[rows]`` and ``X`` is zero elsewhere.  ``G X = F`` must hold at
     the three probe points within ``PROBE_RESIDUAL_TOL``; otherwise, or when
-    the core is not invertible, :class:`IterationFailure` is raised.
+    the LU of the core at the first point has reciprocal condition at most
+    ``r * SINGULAR_RCOND``, :class:`IterationFailure` is raised.
     """
     probes = probe_points(concat_row(g, f), count=3)
     Gvs = [eval_tfm(g, lam) for lam in probes]
     Gv = Gvs[0]
     cols = np.sort(sla.qr(Gv, mode="r", pivoting=True)[1][:r])
     rows = np.sort(sla.qr(Gv[:, cols].T, mode="r", pivoting=True)[1][:r])
-    if rank_tol(Gv[np.ix_(rows, cols)]) < r:
+    if _lu_solve(Gv[np.ix_(rows, cols)], Gv[rows, :0]) is None:
         raise IterationFailure("the r x r core of G is singular at the probe point")
     core = _trusted_system(g.A, g.E, g.B[:, cols], g.C[rows], g.D[np.ix_(rows, cols)], g.domain)
     X2 = series(_pencil_inverse(core), _trusted_system(f.A, f.E, f.B, f.C[rows], f.D[rows], f.domain))

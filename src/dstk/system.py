@@ -6,16 +6,17 @@ Its transfer-function matrix is evaluated throughout this package as
     ``G(lambda) = C (A - lambda E)^{-1} B + D``
 
 and that evaluation is the verification oracle for every construction in
-the library.  Regularity of ``A - lambda*E`` is validated at three fixed
-probe points, so validation depends on the matrices alone.  A point
-evaluation takes one LU of ``A - lambda*E``, which both solves with ``B``
-and, by its reciprocal condition, refuses a pole; no SVD guards it.
+the library.  A point evaluation takes one LU of ``A - lambda*E``, which
+both solves with ``B`` and, by its reciprocal condition, refuses a pole; no
+SVD guards it.  ``make_system`` accepts a pencil exactly when that LU clears
+its cut at one of three fixed probe points, from the matrices alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .exceptions import (
     SingularPencil,
     SingularTransform,
 )
-from .kernels import PROBE_RCOND, SINGULAR_RCOND, SPECTRAL_RADIUS_FLOOR, _lu_solve, _probe_rank, _ring_points, as_matrix, rank_tol
+from .kernels import PROBE_RCOND, SPECTRAL_RADIUS_FLOOR, _clear_points, _lu_solve, _require_regular, as_matrix
 
 __all__ = [
     "TimeDomain",
@@ -52,10 +53,10 @@ def _as_domain(domain) -> TimeDomain:
 class DescriptorSystem:
     """Real descriptor realization ``(A - lambda*E, B, C, D)``.
 
-    The pencil ``A - lambda*E`` is regular (validated at three fixed probe
-    points at construction); ``n = 0`` is allowed and represents a static
-    gain ``D``.  Instances are immutable value objects and safe to share
-    across threads.
+    The pencil ``A - lambda*E`` is regular: :func:`eval_tfm` can evaluate it
+    at one of three fixed probe points (checked by :func:`make_system`);
+    ``n = 0`` is allowed and represents a static gain ``D``.  Instances are
+    immutable value objects and safe to share across threads.
     """
 
     A: np.ndarray
@@ -107,35 +108,32 @@ def make_system(A, E, B, C, D, domain) -> DescriptorSystem:
 
     ``E=None`` means the identity (a standard state-space system).  Dimension
     consistency is enforced and the pencil ``A - lambda*E`` is checked for
-    regularity: it must have full rank at one of three fixed probe points.
+    regularity by the rule of :func:`eval_tfm`: its LU must clear ``n *
+    SINGULAR_RCOND`` at one of three fixed probe points.
 
     Raises
     ------
     DimensionMismatch
         On inconsistent matrix sizes.
     SingularPencil
-        When every regularity probe finds ``A - lambda*E`` rank deficient.
+        When it fails at all three; the message names the cut, ``||A||_1``
+        and ``||E||_1``.
     """
     A = as_matrix(A, "A")
     E = np.eye(A.shape[0]) if E is None else as_matrix(E, "E")
-    B = as_matrix(B, "B")
-    C = as_matrix(C, "C")
-    D = as_matrix(D, "D")
-    n = A.shape[0]
+    B, C, D = as_matrix(B, "B"), as_matrix(C, "C"), as_matrix(D, "D")
+    n, m, p = A.shape[0], B.shape[1], C.shape[0]
     if A.shape != (n, n):
         raise DimensionMismatch(f"A must be square, got {A.shape}")
     if E.shape != (n, n):
         raise DimensionMismatch(f"E must be {n}x{n}, got {E.shape}")
-    m = B.shape[1]
-    p = C.shape[0]
     if B.shape[0] != n:
         raise DimensionMismatch(f"B must have {n} rows, got {B.shape}")
     if C.shape[1] != n:
         raise DimensionMismatch(f"C must have {n} columns, got {C.shape}")
     if D.shape != (p, m):
         raise DimensionMismatch(f"D must be {p}x{m}, got {D.shape}")
-    if _probe_rank(A, E) < n:
-        raise SingularPencil("pencil A - lambda*E is numerically singular")
+    _require_regular(A, E, SingularPencil)
     # the system freezes its own copies: the caller's arrays stay writable
     return _trusted_system(A.copy(), E.copy(), B.copy(), C.copy(), D.copy(), domain)
 
@@ -151,52 +149,37 @@ def eval_tfm(sys: DescriptorSystem, lam) -> np.ndarray:
     lam = complex(lam)
     if not np.isfinite(lam):
         raise ValueError(f"evaluation point {lam} is not finite")
-    X = _lu_solve(sys.A - lam * sys.E, sys.B, sys.n * SINGULAR_RCOND)
+    X = _lu_solve(sys.A - lam * sys.E, sys.B)
     if X is None:
         raise EvalAtPole(f"A - lambda*E is numerically singular at lambda={lam}")
     return sys.C @ X + sys.D
 
 
 def apply_similarity(sys: DescriptorSystem, U, V) -> DescriptorSystem:
-    """Transform to ``(U(A - lambda E)V, UB, CV, D)``; the TFM is unchanged."""
-    U = as_matrix(U, "U")
-    V = as_matrix(V, "V")
-    n = sys.n
+    """Transform to ``(U(A - lambda E)V, UB, CV, D)``; the TFM is unchanged.
+    ``U`` or ``V`` whose LU fails ``n * SINGULAR_RCOND`` is singular."""
+    U, V, n = as_matrix(U, "U"), as_matrix(V, "V"), sys.n
     if U.shape != (n, n) or V.shape != (n, n):
         raise DimensionMismatch(f"U and V must be {n}x{n}")
-    if rank_tol(U) < n or rank_tol(V) < n:
+    if any(_lu_solve(T, T[:, :0]) is None for T in (U, V)):
         raise SingularTransform("similarity transform is numerically singular")
     return _trusted_system(U @ sys.A @ V, U @ sys.E @ V, U @ sys.B, sys.C @ V, sys.D, sys.domain)
 
 
 def probe_points(sys: DescriptorSystem, count=5):
-    """Complex probe points off the real axis, clear of the spectrum: the
-    first ``count`` points of the fixed probe sequence of ``A - lambda*E``
-    that are not next to a pole (fewer when 20 * ``count`` do not yield them):
-    an LU of ``A - lambda*E`` whose reciprocal condition against ``max(||A -
-    lambda*E||_1, 1)`` is at most ``PROBE_RCOND`` marks a pole.
-    """
-    pts = []
-    for lam in _ring_points(sys.A, sys.E, 20 * count):
-        if len(pts) == count:
-            break
-        if _lu_solve(sys.A - lam * sys.E, sys.B[:, :0], PROBE_RCOND, floor=1.0) is None:
-            continue
-        pts.append(lam)
-    return pts
+    """The first ``count`` points of the fixed probe sequence of ``A -
+    lambda*E`` at which its LU clears ``PROBE_RCOND`` against ``max(||A -
+    lambda*E||_1, 1)``, off the real axis and clear of the poles (fewer when
+    the first 20 * ``count`` points do not yield them)."""
+    return list(islice(_clear_points(sys.A, sys.E, PROBE_RCOND, 1.0, 20 * count), count))
 
 
 def _random_orthogonal(n, rng):
-    if n == 0:
-        return np.eye(0)
-    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    return Q
+    return np.linalg.qr(rng.normal(size=(n, n)))[0]
 
 
 def _well_conditioned(n, rng):
     """Random invertible matrix with singular values in [1/2, 2]."""
-    if n == 0:
-        return np.eye(0)
     return _random_orthogonal(n, rng) @ np.diag(np.exp(rng.uniform(-0.6, 0.6, n))) @ _random_orthogonal(n, rng)
 
 

@@ -8,6 +8,7 @@ tests count the calls that would betray a full ``klf``, a QZ with Schur
 vectors, a repeated reduction or a second deflation.
 """
 
+import sys
 from collections import Counter
 
 import numpy as np
@@ -340,16 +341,26 @@ def test_rcf_reads_the_split_of_minreal(calls, monkeypatch, request, system, pol
     assert calls["qz"] == (0 if pole_set else 1)
 
 
+class _Probed(list):
+    """Probed pencils, as ``M``; ``callers`` names the function that asked
+    for each."""
+
+    def __init__(self):
+        super().__init__()
+        self.callers = []
+
+
 @pytest.fixture
 def probed(monkeypatch):
     """The pencils ``M - lam N`` whose normal rank is probed, as ``M``."""
-    seen, fn = [], kernels._probe_rank
+    seen, fn = _Probed(), kernels._probe_rank
 
     def wrapper(M, N, tol=None):
         seen.append(M)
+        seen.callers.append(sys._getframe(1).f_code.co_name)
         return fn(M, N, tol)
 
-    for mod in (kernels, pencil, solve):
+    for mod in (kernels, pencil, analysis, factor, solve, cli, system, ops):
         monkeypatch.setattr(mod, "_probe_rank", wrapper, raising=False)
     return seen
 
@@ -374,6 +385,27 @@ def test_riccati_takes_one_right_vectors_dgges(monkeypatch, probed, domain):
 
 def _info(path):
     assert cli.run(["info", path]) == 0
+
+
+def test_probe_rank_serves_rectangular_normal_ranks_only(probed, tmp_path, capsys):
+    # a square pencil or matrix is judged by the LU rule of eval_tfm; the
+    # SVD ranks at probe points serve the normal rank of a rectangular
+    # pencil and solve_right's compatibility test, and nothing else
+    g = random_system(8, 2, 2, "continuous", stable=True, rng=np.random.default_rng(8))
+    h = random_system(4, 1, 2, "continuous", stable=True, rng=np.random.default_rng(4))
+    path = str(tmp_path / "g.dss")
+    write_system(path, g)
+    make_system(g.A, g.E, g.B, g.C, g.D, g.domain)
+    system.apply_similarity(g, np.eye(8) + np.ones((8, 8)), np.eye(8))
+    kernels.gschur_ordered(g.A, g.E)
+    kernels.glyap(g.A, g.E, np.eye(8), g.domain)
+    ops.inverse(g)
+    ops.inverse(g, mode="d-inverse")
+    analysis.zeros(g)
+    solve.solve_right(g, h)
+    _info(path)
+    capsys.readouterr()
+    assert set(probed.callers) == {"pencil_normal_rank", "solve_right"}
 
 
 @pytest.mark.parametrize(
@@ -510,6 +542,34 @@ def test_point_solves_take_no_svd(svds, query):
     g = make_system(np.linalg.solve(g.E, g.A), None, np.linalg.solve(g.E, g.B), g.C, g.D, "discrete")
     svds[0] = 0
     query(g)
+    assert svds[0] == 0
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda g, f: make_system(g.A, g.E, g.B, g.C, g.D, g.domain),
+        lambda g, f: system.apply_similarity(g, np.eye(g.n) + np.ones((g.n, g.n)), np.eye(g.n)),
+        lambda g, f: kernels.gschur_ordered(g.A, g.E),
+        lambda g, f: kernels.glyap(g.A, g.E, np.eye(g.n), g.domain),
+        lambda g, f: ops.inverse(g),
+        lambda g, f: ops.inverse(g, mode="d-inverse"),
+        # the particular solution of G X = F with its final minreal taken
+        # out below: the probe points, the core picked by pivoted QR, and
+        # the core's own check
+        lambda g, f: solve._particular(g, f, 2, None),
+    ],
+    ids=["make_system", "apply_similarity", "gschur_ordered", "glyap", "inverse", "d_inverse", "solve_core"],
+)
+@pytest.mark.parametrize("domain", ["continuous", "discrete"])
+def test_square_nonsingularity_takes_no_svd(svds, monkeypatch, query, domain):
+    # regularity, invertibility and the r x r core are decided by one LU at
+    # the rule of eval_tfm, not by the singular values of a probe
+    monkeypatch.setattr(solve, "minreal", lambda sys_, tol=None: sys_)
+    g = random_system(12, 2, 2, domain, stable=True, rng=np.random.default_rng(12))
+    f = random_system(4, 1, 2, domain, stable=True, rng=np.random.default_rng(4))
+    svds[0] = 0
+    query(g, f)
     assert svds[0] == 0
 
 

@@ -399,6 +399,17 @@ class TestJsonFailures:
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith("error [unstable-input]")
 
+    def test_singular_pencil_names_its_scale(self, tmp_path, capsys):
+        # a regular but badly scaled pencil is refused by make_system's rule,
+        # and the report carries the scale that decided it
+        path = tmp_path / "scaled.dss"
+        path.write_text(_HEADER.replace("n 1", "n 2") + "A\n-1e40 0\n0 -1\nB\n1\n1\nC\n1 1\nD\n0\n")
+        assert run(["info", str(path), "--out", "json"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["error"]["code"] == "singular-pencil"
+        assert "||A||_1 = 1.000e+40" in report["error"]["message"]
+        assert "||E||_1 = 1.000e+00" in report["error"]["message"]
+
     def test_parse_failure(self, tmp_path, capsys):
         bad = tmp_path / "bad.dss"
         bad.write_text("not a system\n")

@@ -5,6 +5,7 @@ from conftest import assert_same_tfm, oracle_points, safe_eval
 
 from dstk.analysis import poles
 from dstk.exceptions import DimensionMismatch, EvalAtPole, SingularPencil, SingularTransform
+from dstk.kernels import SINGULAR_RCOND
 from dstk.system import (
     TimeDomain,
     apply_similarity,
@@ -33,6 +34,16 @@ class TestMakeSystem:
     def test_singular_pencil(self):
         with pytest.raises(SingularPencil):
             make_system([[0.0]], [[0.0]], [[1.0]], [[1.0]], [[0.0]], "continuous")
+
+    def test_badly_scaled_refusal_names_its_scale(self):
+        # diag(-1e40, -1) - lambda I is regular, but no LU of it clears the
+        # oracle's cut at a probe point: the refusal says why, by the cut and
+        # both 1-norms, so the scale is visible to the caller
+        with pytest.raises(SingularPencil) as err:
+            make_system([[-1e40, 0.0], [0.0, -1.0]], None, [[1.0], [1.0]], [[1.0, 1.0]], [[0.0]], "continuous")
+        message = str(err.value)
+        assert "||A||_1 = 1.000e+40" in message and "||E||_1 = 1.000e+00" in message
+        assert f"<= {2 * SINGULAR_RCOND:.2e}" in message
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
