@@ -17,15 +17,14 @@ import scipy.linalg as sla
 from .exceptions import (
     IterationFailure,
     NonstrictlyProperContinuous,
-    RegionInvalid,
     SpectraNotDisjoint,
     UnstableSystem,
 )
 from .kernels import (
-    BOUNDARY_TOL,
     FEEDTHROUGH_ZERO_TOL,
     ORTH_TOL,
     REAL_TOL,
+    StabilityRegion,
     _accepted,
     _diag2,
     _lyap_quasi,
@@ -34,6 +33,7 @@ from .kernels import (
     _svd_rank,
     default_tol,
     rank_tol,
+    stability_region,
     stair_tol,
 )
 from .pencil import _regular_deflate, klf, pencil_normal_rank
@@ -54,92 +54,6 @@ __all__ = [
     "minreal",
     "h2_norm",
 ]
-
-
-# ---------------------------------------------------------------------------
-# regions
-
-
-@dataclass(frozen=True)
-class StabilityRegion:
-    """An open "good" region of the complex plane, symmetric about the real
-    axis: a shifted half-plane ``Re z < alpha`` or a scaled disk ``|z| < rho``.
-    """
-
-    kind: str  # "half-plane" | "disk"
-    alpha: float = 0.0
-    rho: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("half-plane", "disk"):
-            raise RegionInvalid(f"unknown region kind {self.kind!r}")
-        if self.kind == "disk" and not self.rho > 0.0:
-            raise RegionInvalid("disk radius must be positive")
-
-    @staticmethod
-    def left_half_plane() -> "StabilityRegion":
-        return StabilityRegion("half-plane", alpha=0.0)
-
-    @staticmethod
-    def unit_disk() -> "StabilityRegion":
-        return StabilityRegion("disk", rho=1.0)
-
-    @staticmethod
-    def half_plane(alpha: float) -> "StabilityRegion":
-        return StabilityRegion("half-plane", alpha=float(alpha))
-
-    @staticmethod
-    def disk(rho: float) -> "StabilityRegion":
-        return StabilityRegion("disk", rho=float(rho))
-
-    @property
-    def is_half_plane(self) -> bool:
-        return self.kind == "half-plane"
-
-    def contains(self, z) -> bool:
-        z = complex(z)
-        if self.kind == "half-plane":
-            return z.real < self.alpha
-        return abs(z) < self.rho
-
-    def boundary_distance(self, z) -> float:
-        z = complex(z)
-        if self.kind == "half-plane":
-            return abs(z.real - self.alpha)
-        return abs(abs(z) - self.rho)
-
-    def on_boundary(self, z, tol=BOUNDARY_TOL) -> bool:
-        return self.boundary_distance(z) <= tol * (1.0 + abs(complex(z)))
-
-    def real_point(self) -> float:
-        return self.alpha - 1.0 if self.kind == "half-plane" else 0.0
-
-    def reflect(self, z) -> complex:
-        """Default dislocation target of a point outside the region: its
-        mirror image about ``Re z = alpha - 1/2`` (half-plane) or about
-        ``|z| = rho/sqrt(2)``, i.e. ``rho**2 / (2 conj(z))`` (disk)."""
-        z = complex(z)
-        if self.kind == "half-plane":
-            return complex(self.alpha - abs(z.real - self.alpha) - 1.0, z.imag)
-        if z == 0:
-            return complex(0.5 * self.rho)
-        return 0.5 * self.rho**2 / z.conjugate()
-
-    def boundary_points(self, count=20):
-        """Sample points on the region boundary (for inner-factor checks)."""
-        if self.kind == "half-plane":
-            w = np.logspace(-3, 3, count)
-            return [complex(self.alpha, wi) for wi in w]
-        theta = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
-        return [self.rho * np.exp(1j * t) for t in theta]
-
-
-def stability_region(domain) -> StabilityRegion:
-    """The stable region of a time domain: open left half-plane or unit disk."""
-    domain = TimeDomain(getattr(domain, "value", domain))
-    if domain is TimeDomain.CONTINUOUS:
-        return StabilityRegion.left_half_plane()
-    return StabilityRegion.unit_disk()
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +316,9 @@ def mcmillan_degree(sys: DescriptorSystem, tol=None) -> int:
 
 
 def _all_stable(finite, infinite, domain) -> bool:
-    """No infinite values, and every finite one in the stable region, off its boundary."""
+    """No infinite values, and every finite one inside the stable region, off its boundary."""
     region = stability_region(domain)
-    return not infinite and all(region.contains(z) and not region.on_boundary(z) for z in finite)
+    return not infinite and all(region.inside(z) for z in finite)
 
 
 def is_stable(sys: DescriptorSystem, tol=None) -> bool:

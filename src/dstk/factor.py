@@ -35,8 +35,8 @@ from .exceptions import (
     RegionInvalid,
     UnstableInput,
 )
-from .analysis import StabilityRegion, _all_stable, _reduce, _structure, _zeros, minreal, stability_region
-from .kernels import DEFICIENCY_RCOND, FEEDTHROUGH_RCOND, GRAMIAN_FLOOR, INFINITE_EIG_TOL
+from .analysis import _all_stable, _reduce, _structure, _zeros, minreal
+from .kernels import DEFICIENCY_RCOND, FEEDTHROUGH_RCOND, GRAMIAN_FLOOR, INFINITE_EIG_TOL, StabilityRegion
 from .kernels import (
     _accepted,
     _diag2,
@@ -49,6 +49,7 @@ from .kernels import (
     _svd_rank,
     _sylv_quasi,
     null_basis,
+    stability_region,
 )
 from .ops import _static, concat_row, transpose_dual
 from .system import DescriptorSystem, TimeDomain, _trusted_system
@@ -109,7 +110,7 @@ def additive_decompose(
 
 def _additive_split(g, nf, ninf, region, improper_to_bad) -> FactorPair:
     """:func:`additive_decompose` of the output ``(g, nf, ninf)`` of :func:`_reduce`."""
-    T, Z, eigs, k = _schur_ordered(g.A[:nf, :nf], region.contains)
+    T, Z, eigs, k = _schur_ordered(g.A[:nf, :nf], region.inside)
     for lam in eigs:
         if region.on_boundary(lam):
             raise PoleOnBoundary(f"pole {lam} lies on the region boundary")
@@ -135,7 +136,7 @@ def _additive_split(g, nf, ninf, region, improper_to_bad) -> FactorPair:
 
 def _dislocating_feedback(g, nf, ninf, region, pole_set, tol):
     """State feedback making all infinite eigenvalues of ``A + BF - lam E``
-    simple and moving every finite eigenvalue outside ``region`` into it, for
+    simple and moving every finite eigenvalue not ``region.inside`` into it, for
     the output ``(g, nf, ninf)`` of :func:`_reduce`.  An improper ``g`` takes
     no SVD of its trailing ``E`` block: :func:`_reduce` leaves it diagonal,
     its ``ninf`` kept singular values first and zeros on the kernel states
@@ -159,7 +160,7 @@ def _dislocating_feedback(g, nf, ninf, region, pole_set, tol):
         d = np.diag(g.E)[:re, None]
         As, Bs = (Ap[:re, :re] - P[:, :re]) / d, (g.B[:re] - P[:, re:]) / d
 
-    T, Z, _, k = _schur_ordered(As, region.contains)
+    T, Z, _, k = _schur_ordered(As, region.inside)
     if k < re:
         nb = re - k
         Abs, Bbs = T[k:, k:], (Z.T @ Bs)[k:]
@@ -175,8 +176,8 @@ def _dislocating_feedback(g, nf, ninf, region, pole_set, tol):
         else:
             targets = [complex(z) for z in pole_set]
             for z in targets:
-                if not region.contains(z):
-                    raise RegionInvalid(f"target pole {z} is outside the region")
+                if not region.inside(z):
+                    raise RegionInvalid(f"target pole {z} is not inside the region, off its boundary")
             if len(targets) != nb:
                 raise RegionInvalid(f"need {nb} target poles, got {len(targets)}")
             from scipy.signal import place_poles  # slow import, so only on request
@@ -185,8 +186,8 @@ def _dislocating_feedback(g, nf, ninf, region, pole_set, tol):
                 Fb = -place_poles(Abs, Bbs, targets).gain_matrix
             except ValueError as exc:
                 raise RegionInvalid(f"target poles cannot be placed: {exc}") from None
-        if not all(region.contains(z) for z in np.linalg.eigvals(Abs + Bbs @ Fb)):
-            raise PlacementFailure("closed-loop poles are not all in the region")
+        if not all(region.inside(z) for z in np.linalg.eigvals(Abs + Bbs @ Fb)):
+            raise PlacementFailure("closed-loop poles are not all inside the region, off its boundary")
         F[:, :re] += Fb @ Z[:, k:].T
     return F
 
@@ -195,7 +196,8 @@ def rcf(sys: DescriptorSystem, region: StabilityRegion, pole_set=None, tol=None)
     """Right coprime factorization ``G = N M^{-1}`` over a good region.
 
     A state feedback built on the minimal realization dislocates every bad
-    finite eigenvalue into the region and reduces the infinite structure so
+    finite eigenvalue (not :meth:`StabilityRegion.inside`, so one in the
+    boundary band too) into the region and reduces the infinite structure so
     that all infinite eigenvalues of the factor pencil are simple.  ``M`` is
     square ``m x m`` with ``M(inf) = I``.  The rank of ``E`` is read from
     :func:`minreal`'s split, and ``tol`` acts there and in the index reduction.
@@ -204,11 +206,11 @@ def rcf(sys: DescriptorSystem, region: StabilityRegion, pole_set=None, tol=None)
     block, which puts each bad eigenvalue ``z`` at its mirror image
     ``region.reflect(z)``: about ``Re z = alpha - 1/2`` for a half-plane,
     about ``|z| = rho/sqrt(2)`` (at ``rho**2 / (2 conj(z))``) for a disk.
-    An explicit ``pole_set`` (one target per bad eigenvalue, in the region,
+    An explicit ``pole_set`` (one target per bad eigenvalue, inside the region,
     closed under conjugation, none repeated more than ``rank(B)`` times) is
     placed by ``scipy.signal.place_poles``; other target sets raise
     :class:`RegionInvalid`.  A Riccati solve that fails raises
-    :class:`IterationFailure`; a closed loop left with a pole outside the
+    :class:`IterationFailure`; a closed loop left with a pole not inside the
     region raises :class:`PlacementFailure`.
     """
     if not isinstance(region, StabilityRegion):
@@ -243,24 +245,27 @@ def _psd_sqrt(W, what=None):
 
 def _riccati_schur(A, B, Qc, Sc, Rc, domain):
     """Stabilizing Riccati solution ``X`` and its gain ``F`` (closed loop
-    ``A + B F``) from the stable right deflating subspace of the extended
-    pencil ``M - z N`` (size 2n + m), put first by one sorted :func:`_gges`
+    ``A + B F``) from the right deflating subspace of the extended pencil
+    ``M - z N`` (size 2n + m) for its finite eigenvalues that are
+    ``StabilityRegion.inside`` the stable region, put first by one sorted :func:`_gges`
     that forms no left Schur vectors.  Discrete time orders the reversed
     pencil ``N - mu M`` (``mu = 1/z``, the same subspaces), whose QZ leaves
     the stable set ``|mu| > 1`` (``z = 0`` at ``mu = inf``) in front, where
-    that of ``M - z N`` leaves it last."""
+    that of ``M - z N`` leaves it last.  An eigenvalue in the boundary band
+    leaves fewer than ``n`` selected and raises ``IterationFailure``."""
     n, m = B.shape
     Zn = np.zeros((n, n))
     Znm = np.zeros((n, m))
+    region = stability_region(domain)
     if domain is TimeDomain.CONTINUOUS:
         M = np.block([[A, Zn, B], [Qc, A.T, Sc], [Sc.T, B.T, Rc]])
         N = np.diag(np.r_[np.ones(n), -np.ones(n), np.zeros(m)])
-        pencil, stable = (M, N), lambda a, b: b > INFINITE_EIG_TOL * (abs(a) + b) and (a / b).real < 0.0
+        pencil, stable = (M, N), lambda a, b: b > INFINITE_EIG_TOL * (abs(a) + b) and region.inside(a / b)
     else:
         M = np.block([[A, Zn, B], [Qc, -np.eye(n), Sc], [Sc.T, Znm.T, Rc]])
         N = np.block([[np.eye(n), Zn, Znm], [Zn, -A.T, Znm], [Znm.T, -B.T, np.zeros((m, m))]])
         # z = b / a is finite and inside the unit disk
-        pencil, stable = (N, M), lambda a, b: abs(a) > INFINITE_EIG_TOL * (abs(a) + b) and b < abs(a)
+        pencil, stable = (N, M), lambda a, b: abs(a) > INFINITE_EIG_TOL * (abs(a) + b) and region.inside(b / a)
     _, _, _, Z, _, _, k = _gges(*pencil, stable, left=False)
     if k != n:
         raise IterationFailure("Riccati pencil did not split into n stable directions")
@@ -328,7 +333,7 @@ def _standard_stable_data(sys, tol):
     w = ((Vh.T * sv) @ Vh, (Vh.T / sv) @ Vh) if _svd_rank(sv, g.D.shape, cut) == g.m else None
     if g.p == g.m and sv.size and sv[-1] >= FEEDTHROUGH_RCOND * sv[0] > 0.0:
         Bd = ((g.B @ Vh.T) / sv) @ U.T
-        zd = (*_schur_ordered(g.A + Bd @ g.C, region.contains), Bd)
+        zd = (*_schur_ordered(g.A + Bd @ g.C, region.inside), Bd)
         r, zs = g.m, zd[2]
     else:
         *_, ks, r = _structure(g, tol)
@@ -351,8 +356,6 @@ def inner_outer(sys: DescriptorSystem, tol=None) -> FactorPair:
     """
     g, r, zd, w = _standard_stable_data(sys, tol)
     p, m = g.p, g.m
-    if m == 0:
-        return FactorPair(_static(np.eye(p), g.domain), _static(np.zeros((0, 0)), g.domain), "inner-outer", 0)
     if r < m or (w is None and g.domain is TimeDomain.CONTINUOUS):  # zeros at infinity are out of scope
         raise RankDeficiencyUnsupported("TFM must have full column normal rank, and a continuous D full column rank")
     q1, R = _inner_outer_thin(g, tol, zd, w)

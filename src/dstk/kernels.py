@@ -15,7 +15,7 @@ a solve (``_solve`` makes that a typed error), and regularity at the probe
 points that ``_clear_points`` yields.  Point ranks of rectangular matrices
 (``rank_tol``, ``null_basis``, ``_probe_rank``) are relative to
 ``sigma_max``; structural cuts (staircase, deflation, QZ beta) are absolute,
-at ``stair_tol``.
+at ``stair_tol``.  One predicate, ``StabilityRegion.inside``, places eigenvalues.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import scipy.linalg as sla
 from .exceptions import (
     DimensionMismatch,
     IterationFailure,
+    RegionInvalid,
     SingularPencil,
     SpectraNotDisjoint,
     UnstablePair,
@@ -45,7 +46,7 @@ __all__ = [
 
 EPS = float(np.finfo(float).eps)
 RESIDUAL_TOL = 1e-3  # a Sylvester, Lyapunov or Riccati solve is accepted at |sum of its terms| <= RESIDUAL_TOL * sum |term|
-BOUNDARY_TOL = 1e-8  # lam is on a stability boundary within BOUNDARY_TOL * (1 + |lam|) of it
+BOUNDARY_TOL = 1e-8  # lam is inside a region only past BOUNDARY_TOL * (1 + |lam|) from its boundary, else on it
 PROBE_RESIDUAL_TOL = 1e-7  # X solves G X = F where |G X - F| <= PROBE_RESIDUAL_TOL * (|G X| + |F|) at each probe point
 INFINITE_EIG_TOL = 1e-8  # alpha/beta is infinite at |beta| <= INFINITE_EIG_TOL * (|alpha| + |beta|), zero at that |alpha|
 FEEDTHROUGH_RCOND = 0.1  # a square D is well conditioned at sigma_min >= FEEDTHROUGH_RCOND * sigma_max
@@ -61,6 +62,98 @@ RING_NORM_FLOOR = 1e-12  # the probe ring's radius divides ||A|| by max(||B||, R
 SPECTRAL_RADIUS_FLOOR = 1e-6  # random_system rescales A by target / max(rho(A), SPECTRAL_RADIUS_FLOOR)
 RING_RADIUS_CAP = 1e6  # the probe ring's radius is 1 + min(||A|| / ||B||, RING_RADIUS_CAP)
 ORTH_TOL = EPS  # a Krylov staircase basis of k columns is re-orthonormalized past max |V^T V - I| = ORTH_TOL * k
+
+
+@dataclass(frozen=True)
+class StabilityRegion:
+    """An open "good" region of the complex plane, symmetric about the real
+    axis: a shifted half-plane ``Re z < alpha`` or a scaled disk ``|z| < rho``.
+    Every decision by eigenvalue location asks :meth:`inside`, true past
+    ``BOUNDARY_TOL * (1 + |z|)`` inside the boundary: a point in that band is
+    :meth:`on_boundary`, in neither the region nor its complement."""
+
+    kind: str  # "half-plane" | "disk"
+    alpha: float = 0.0
+    rho: float = 1.0
+
+    def __post_init__(self):
+        if self.kind not in ("half-plane", "disk"):
+            raise RegionInvalid(f"unknown region kind {self.kind!r}")
+        if self.kind == "disk" and not self.rho > 0.0:
+            raise RegionInvalid("disk radius must be positive")
+
+    @staticmethod
+    def left_half_plane() -> "StabilityRegion":
+        return StabilityRegion("half-plane", alpha=0.0)
+
+    @staticmethod
+    def unit_disk() -> "StabilityRegion":
+        return StabilityRegion("disk", rho=1.0)
+
+    @staticmethod
+    def half_plane(alpha: float) -> "StabilityRegion":
+        return StabilityRegion("half-plane", alpha=float(alpha))
+
+    @staticmethod
+    def disk(rho: float) -> "StabilityRegion":
+        return StabilityRegion("disk", rho=float(rho))
+
+    @property
+    def is_half_plane(self) -> bool:
+        return self.kind == "half-plane"
+
+    def _depth(self, z) -> float:
+        """Signed distance of ``z`` to the boundary, positive inside."""
+        return self.alpha - z.real if self.kind == "half-plane" else self.rho - abs(z)
+
+    def contains(self, z) -> bool:
+        return self._depth(complex(z)) > 0.0
+
+    def inside(self, z) -> bool:
+        z = complex(z)
+        return self._depth(z) > BOUNDARY_TOL * (1.0 + abs(z))
+
+    def boundary_distance(self, z) -> float:
+        return abs(self._depth(complex(z)))
+
+    def on_boundary(self, z, tol=None) -> bool:
+        z, tol = complex(z), BOUNDARY_TOL if tol is None else tol
+        return abs(self._depth(z)) <= tol * (1.0 + abs(z))
+
+    def real_point(self) -> float:
+        return self.alpha - 1.0 if self.kind == "half-plane" else 0.0
+
+    def reflect(self, z) -> complex:
+        """Default dislocation target of a point outside the region: its
+        mirror image about ``Re z = alpha - 1/2`` (half-plane) or about
+        ``|z| = rho/sqrt(2)``, i.e. ``rho**2 / (2 conj(z))`` (disk)."""
+        z = complex(z)
+        if self.kind == "half-plane":
+            return complex(self.alpha - abs(z.real - self.alpha) - 1.0, z.imag)
+        if z == 0:
+            return complex(0.5 * self.rho)
+        return 0.5 * self.rho**2 / z.conjugate()
+
+    def boundary_points(self, count=20):
+        """Sample points on the region boundary (for inner-factor checks)."""
+        if self.kind == "half-plane":
+            w = np.logspace(-3, 3, count)
+            return [complex(self.alpha, wi) for wi in w]
+        theta = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
+        return [self.rho * np.exp(1j * t) for t in theta]
+
+
+def _domain_kind(domain) -> str:
+    kind = getattr(domain, "value", domain)
+    if kind not in ("continuous", "discrete"):
+        raise ValueError(f"unknown time domain {domain!r}")
+    return kind
+
+
+def stability_region(domain) -> StabilityRegion:
+    """The stable region of a time domain: open left half-plane or unit disk."""
+    return StabilityRegion.left_half_plane() if _domain_kind(domain) == "continuous" else StabilityRegion.unit_disk()
+
 
 def as_matrix(M, name="matrix") -> np.ndarray:
     """Coerce to a finite 2-d float array."""
@@ -400,13 +493,6 @@ def _sylv_quasi(T11, T12, T22):
     return R
 
 
-def _domain_kind(domain) -> str:
-    kind = getattr(domain, "value", domain)
-    if kind not in ("continuous", "discrete"):
-        raise ValueError(f"unknown time domain {domain!r}")
-    return kind
-
-
 def glyap(A, E, W, domain) -> np.ndarray:
     """Solve the generalized Lyapunov equation for a stable pair ``(A, E)``.
 
@@ -418,8 +504,8 @@ def glyap(A, E, W, domain) -> np.ndarray:
     ``Q^T (A, E) Z = (S, T)`` standardizes the pair (Penzl, 1998): the
     standard equation in the quasi-triangular ``M = T^-1 S`` and
     ``T^-1 Q^T W Q T^-T`` goes, with the QZ eigenvalues ``alpha / beta``, to
-    :func:`_lyap_quasi`, which decides their stability, and its solution
-    ``Y`` gives ``X = Z Y Z^T``.  A QZ beta at most
+    :func:`_lyap_quasi`, which refuses one not inside the region, and its
+    solution ``Y`` gives ``X = Z Y Z^T``.  A QZ beta at most
     ``stair_tol(None, n, E)`` is an infinite, hence unstable, eigenvalue.
     """
     A, E, W = as_matrix(A, "A"), as_matrix(E, "E"), as_matrix(W, "W")
@@ -446,22 +532,18 @@ def glyap(A, E, W, domain) -> np.ndarray:
 def _lyap_quasi(T, eigs, W, domain, unstable) -> np.ndarray:
     """``Y`` with ``T Y + Y T^T + W = 0`` (continuous) or ``T Y T^T - Y + W = 0``
     (discrete) for a quasi-upper-triangular ``T`` with eigenvalues ``eigs``
-    and a symmetric ``W``.  The eigenvalues decide stability, raising
-    ``unstable`` at ``Re lam >= -b`` or ``|lam| >= 1 - b`` (``b = BOUNDARY_TOL
-    (1 + |lam|)``), and LAPACK ``dtrsyl`` solves ``T Y + Y T^T = -W``, in
-    discrete time after the Cayley map ``T -> I - 2 (T + I)^-1``.  ``Y`` is
-    not checked here: each caller checks the equation it states."""
-    kind, n = _domain_kind(domain), T.shape[0]
+    and a symmetric ``W``.  An eigenvalue not :meth:`StabilityRegion.inside`
+    the stable region raises ``unstable``; LAPACK ``dtrsyl`` solves ``T Y + Y
+    T^T = -W``, in discrete time after the Cayley map ``T -> I - 2 (T +
+    I)^-1``.  ``Y`` is not checked here: each caller checks its equation."""
+    region, n = stability_region(domain), T.shape[0]
     if n == 0:
         return np.zeros((0, 0))
     for lam in eigs:
-        margin = BOUNDARY_TOL * (1.0 + abs(lam))
-        if kind == "continuous" and lam.real >= -margin:
-            raise unstable(f"eigenvalue {lam} not in the open left half-plane, off its boundary")
-        if kind == "discrete" and abs(lam) >= 1.0 - margin:
-            raise unstable(f"eigenvalue {lam} not in the open unit disk, off its boundary")
+        if not region.inside(lam):
+            raise unstable(f"eigenvalue {lam} not inside the stable {region.kind}, off its boundary")
     S, Wt = T, -W
-    if kind == "discrete":
+    if not region.is_half_plane:
         P = _quasi_inv(T + np.eye(n))
         S, Wt = np.eye(n) - 2.0 * P, 2.0 * P @ Wt @ P.T
     Y, scl, _ = sla.lapack.dtrsyl(S, S, Wt, tranb="T")

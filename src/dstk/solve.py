@@ -172,15 +172,16 @@ def _particular(g, f, r, tol) -> DescriptorSystem:
 def solve_right(G: DescriptorSystem, F: DescriptorSystem, tol=None) -> SolveResult:
     """Solve ``G X = F`` for a rational ``X``.
 
-    ``F`` is compatible when the system pencil of ``[G F]`` has no larger
-    normal rank than that of ``G``, each the largest rank at three fixed
-    probe points; otherwise :class:`Incompatible` is raised.  The particular
-    solution is ``inverse`` of an invertible ``r x r`` core ``G[rows, cols]``
-    (``r`` the normal rank of ``G``) in series with ``F[rows]``, placed in
-    the rows ``cols``; pivoted QRs of ``G`` at a probe point pick both
-    index sets once.  The result is checked, ``G X = F`` at three probe
-    points.  The returned nullspace basis parameterizes all solutions.  The
-    result depends on ``G``, ``F`` and ``tol`` alone.
+    The particular solution is ``inverse`` of an invertible ``r x r`` core
+    ``G[rows, cols]`` (``r`` the normal rank of ``G``) in series with
+    ``F[rows]``, placed in the rows ``cols``; pivoted QRs of ``G`` at a probe
+    point pick both index sets once.  The result is certified, ``G X = F`` at
+    three probe points.  Only a failed certificate tests compatibility: when
+    the system pencil of ``[G F]`` has a larger normal rank than that of
+    ``G``, each the largest rank at three fixed probe points,
+    :class:`Incompatible` is raised, else the :class:`IterationFailure`.  The
+    returned nullspace basis parameterizes all solutions.  The result
+    depends on ``G``, ``F`` and ``tol`` alone.
     """
     if G.domain is not F.domain:
         raise DomainMismatch("G and F must share a time domain")
@@ -188,17 +189,17 @@ def solve_right(G: DescriptorSystem, F: DescriptorSystem, tol=None) -> SolveResu
         raise DimensionMismatch(f"G and F must have equal output counts, got {G.p} and {F.p}")
     g = minreal(G, tol=tol)
     f = minreal(F, tol=tol)
-
-    # system pencil of [G F]; its leading gf.n + g.m columns are G's, on the
-    # shared state
-    gf = concat_row(g, f)
-    Mgf, Ngf = _system_pencil(gf)
-    ng = gf.n + g.m
-    if _probe_rank(Mgf, Ngf, tol) > _probe_rank(Mgf[:, :ng], Ngf[:, :ng], tol):
-        raise Incompatible("[G F] has a larger normal rank than G")
-
     structure = _structure(g, tol)
-    return SolveResult(_particular(g, f, structure[4], tol), _right_nullspace(g, structure))
+    try:
+        X0 = _particular(g, f, structure[4], tol)
+    except IterationFailure:
+        # system pencil of [G F]; its leading n + g.m columns are G's, on the shared state
+        M, N = _system_pencil(concat_row(g, f))
+        ng = g.n + f.n + g.m
+        if _probe_rank(M, N, tol) > _probe_rank(M[:, :ng], N[:, :ng], tol):
+            raise Incompatible("[G F] has a larger normal rank than G") from None
+        raise
+    return SolveResult(X0, _right_nullspace(g, structure))
 
 
 def solve_left(G: DescriptorSystem, F: DescriptorSystem, tol=None) -> SolveResult:

@@ -17,7 +17,7 @@ import scipy.linalg
 
 from dstk import analysis, cli, factor, kernels, ops, pencil, solve, system
 from dstk.cli import write_system
-from dstk.exceptions import DstkError
+from dstk.exceptions import DstkError, Incompatible
 from dstk.ops import series, transpose_dual
 from dstk.pencil import weierstrass_structure
 from dstk.system import TimeDomain, make_system, random_system
@@ -390,9 +390,14 @@ def _info(path):
 def test_probe_rank_serves_rectangular_normal_ranks_only(probed, tmp_path, capsys):
     # a square pencil or matrix is judged by the LU rule of eval_tfm; the
     # SVD ranks at probe points serve the normal rank of a rectangular
-    # pencil and solve_right's compatibility test, and nothing else
+    # pencil and solve_right's compatibility test, and nothing else; that
+    # test runs only when the certificate of G X = F fails, as it does for
+    # an F outside the range of a rank-1 G
     g = random_system(8, 2, 2, "continuous", stable=True, rng=np.random.default_rng(8))
     h = random_system(4, 1, 2, "continuous", stable=True, rng=np.random.default_rng(4))
+    rng = np.random.default_rng(1)
+    g1 = series(random_system(3, 1, 2, "continuous", rng=rng), random_system(3, 2, 1, "continuous", rng=rng))
+    f1 = random_system(2, 1, 2, "continuous", rng=rng)
     path = str(tmp_path / "g.dss")
     write_system(path, g)
     make_system(g.A, g.E, g.B, g.C, g.D, g.domain)
@@ -403,6 +408,8 @@ def test_probe_rank_serves_rectangular_normal_ranks_only(probed, tmp_path, capsy
     ops.inverse(g, mode="d-inverse")
     analysis.zeros(g)
     solve.solve_right(g, h)
+    with pytest.raises(Incompatible):
+        solve.solve_right(g1, f1)
     _info(path)
     capsys.readouterr()
     assert set(probed.callers) == {"pencil_normal_rank", "solve_right"}
@@ -686,3 +693,11 @@ def test_square_regular_system_pencil_deflates_once(monkeypatch, p, deflations):
     ks = pencil.klf(*analysis._system_pencil(g))[4]
     assert count[0] == deflations
     assert (len(ks.right_indices), len(ks.left_indices)) == (0, p - 2)
+
+
+def test_compatible_solve_right_takes_no_probe_rank(probed):
+    # a certified particular solution needs no compatibility test
+    g = random_system(8, 2, 2, "continuous", stable=True, rng=np.random.default_rng(8))
+    h = random_system(4, 1, 2, "continuous", stable=True, rng=np.random.default_rng(4))
+    solve.solve_right(g, h)
+    assert "solve_right" not in probed.callers

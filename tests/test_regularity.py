@@ -5,7 +5,9 @@ oracle can evaluate it.
 pencil is regular by the question ``eval_tfm`` asks at a point: does one LU
 of ``A - lam E`` clear ``n * SINGULAR_RCOND``.  These tests hold the
 validator to the oracle on badly scaled regular pencils, and check that
-pencils singular by construction are refused everywhere.
+pencils singular by construction are refused everywhere.  On the same
+pencils, ``solve_right`` certifies ``G X = G`` before any probe rank can
+call it incompatible.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 from dstk.exceptions import EvalAtPole, NotInvertibleTFM, SingularPencil
 from dstk.kernels import _ring_points, gschur_ordered
 from dstk.ops import inverse
+from dstk.solve import solve_right
 from dstk.system import _trusted_system, eval_tfm, make_system
 
 
@@ -85,3 +88,14 @@ def test_common_kernel_tfm_is_not_inverted(mode, m, k):
     g = make_system(A, None, r.normal(size=(n, m)), U @ r.normal(size=(k, n)), U @ r.normal(size=(k, m)), "continuous")
     with pytest.raises(NotInvertibleTFM, match="system pencil"):
         inverse(g, mode=mode)
+
+
+@pytest.mark.parametrize("seed", [130, 131, 280, 410])
+def test_solve_right_certifies_before_it_tests_compatibility(seed):
+    # G X = G with G badly scaled: the probe ranks of [G G] and G differ by
+    # rounding, but X = I is certified first, so no compatibility test runs
+    A, E = _row_scaled(seed)
+    n, r = A.shape[0], np.random.default_rng(seed)
+    g = make_system(A, E, r.normal(size=(n, 1)), r.normal(size=(1, n)), np.ones((1, 1)), "continuous")
+    X = solve_right(g, g).particular
+    assert X.n == 0 and abs(X.D[0, 0] - 1.0) <= 1e-12

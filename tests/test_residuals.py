@@ -9,6 +9,7 @@ error; the regression tests pin inputs that the old per-site scales refused
 although their results pass a dense-solve oracle.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -199,3 +200,23 @@ def test_tolerance_literals_live_in_the_kernels_constant_block():
         block = _constant_block(lines) if path.name == "kernels.py" else set()
         found += [f"{path.name}:{i + 1}" for i, line in enumerate(lines) if i not in block and re.search(r"[0-9]e-?[0-9]", line)]
     assert not found, f"tolerance literals outside kernels' constant block: {found}"
+
+
+def test_region_rule_lives_in_stability_region():
+    # BOUNDARY_TOL is read by StabilityRegion alone, and no code outside it
+    # asks the bare geometric contains(): every decision by eigenvalue
+    # location goes through StabilityRegion.inside
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owned = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "StabilityRegion" and path.name == "kernels.py":
+                owned |= {id(sub) for sub in ast.walk(node)}
+        for node in ast.walk(tree):
+            reads = isinstance(node, ast.Name) and node.id == "BOUNDARY_TOL" and isinstance(node.ctx, ast.Load)
+            reads |= isinstance(node, ast.alias) and node.name == "BOUNDARY_TOL"
+            reads |= isinstance(node, ast.Attribute) and node.attr in ("BOUNDARY_TOL", "contains")
+            if reads and id(node) not in owned:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"region rule read outside StabilityRegion: {found}"
