@@ -238,7 +238,7 @@ def _psd_sqrt(W, what=None):
     w, V = np.linalg.eigh(0.5 * (W + W.T))
     if what is None:
         w = np.clip(w, GRAMIAN_FLOOR * max(w.max(), 1.0), None)
-    elif w.size and w.min() <= DEFICIENCY_RCOND * max(w.max(), 1.0):
+    elif _svd_rank(w, W.shape, DEFICIENCY_RCOND * max(w.max(initial=0.0), 1.0)) < w.size:
         raise RankDeficiencyUnsupported(f"{what} is numerically rank deficient")
     return V @ np.diag(np.sqrt(w)) @ V.T, V @ np.diag(1.0 / np.sqrt(w)) @ V.T
 
@@ -320,7 +320,7 @@ def _standard_stable_data(sys, tol):
     the boundary, no boundary zeros.  One SVD ``D = U diag(s) V^T`` decides the column rank
     of ``D`` once: ``m`` values ``s > sqrt(DEFICIENCY_RCOND) max(s_max, 1)`` give ``w = (W,
     W^-1)``, ``W = V diag(s) V^T = (D^T D)^1/2``, else ``w`` is None.  A square ``D`` with
-    ``s_min >= FEEDTHROUGH_RCOND s_max`` gives ``r = m``, and ``eig(A + Bd C)``, ``Bd = B D^-1 =
+    ``s_min > FEEDTHROUGH_RCOND s_max`` gives ``r = m``, and ``eig(A + Bd C)``, ``Bd = B D^-1 =
     B V diag(s)^-1 U^T``, ordered into ``zd`` for :func:`_bernoulli`; else :func:`_structure` decides."""
     g = minreal(sys, tol=tol)
     region = stability_region(g.domain)
@@ -329,9 +329,9 @@ def _standard_stable_data(sys, tol):
     if not _all_stable(np.linalg.eigvals(g.A), 0, g.domain):
         raise UnstableInput("the system must be stable")
     U, sv, Vh = _svd(g.D, full=False)
-    cut = np.sqrt(DEFICIENCY_RCOND) * max(sv.max(initial=0.0), 1.0)
-    w = ((Vh.T * sv) @ Vh, (Vh.T / sv) @ Vh) if _svd_rank(sv, g.D.shape, cut) == g.m else None
-    if g.p == g.m and sv.size and sv[-1] >= FEEDTHROUGH_RCOND * sv[0] > 0.0:
+    full = _svd_rank(sv, g.D.shape, np.sqrt(DEFICIENCY_RCOND) * max(sv.max(initial=0.0), 1.0)) == g.m
+    w = ((Vh.T * sv) @ Vh, (Vh.T / sv) @ Vh) if full else None
+    if g.p == g.m and sv.size and _svd_rank(sv, g.D.shape, FEEDTHROUGH_RCOND * sv[0]) == g.m:
         Bd = ((g.B @ Vh.T) / sv) @ U.T
         zd = (*_schur_ordered(g.A + Bd @ g.C, region.inside), Bd)
         r, zs = g.m, zd[2]
@@ -417,7 +417,7 @@ def _inner_complement(q1, domain):
     P = Kt - T1 @ (T1.T @ Kt)
     U, s, _ = _svd(P, full=False)
     keep = U[:, : p - m]
-    if s.size < p - m or (p > m and s[p - m - 1] <= DEFICIENCY_RCOND * max(s[0], 1.0)):
+    if _svd_rank(s, P.shape, DEFICIENCY_RCOND * max(s.max(initial=0.0), 1.0)) < p - m:
         raise IterationFailure("inner completion basis is numerically deficient")
     BD = _diag2(Xhi, np.eye(p)) @ keep
     return _trusted_system(A, np.eye(n), BD[:n, :], C, BD[n:, :], domain)

@@ -1,21 +1,21 @@
 """Dense real linear-algebra kernels.
 
-Tolerance-based rank decisions and orthonormal nullspace bases, all from one
-SVD entry point (``_svd``: one LAPACK ``gesdd`` call), then Schur forms and
-the equations solved on them: one real Schur form and LAPACK ``dtrsyl`` for
-the block decoupling and the Lyapunov equation of a standard block (Bartels
-& Stewart, 1972), and the QZ form and ``dtgsyl`` for general pencils.
-Every QZ is one LAPACK ``dgges`` call (``_gges``) that sorts only given a
-selector and forms left Schur vectors only on request.  The Lyapunov core
-(``_lyap_quasi``) takes its caller's quasi-triangular form and eigenvalues,
-so no form is reduced twice; each caller accepts its equation by the one
-residual rule, ``_accepted``.  A square matrix or pencil is judged by one
-LU (``_lu_solve``) whose ``gecon`` reciprocal condition decides it singular:
-a solve (``_solve`` makes that a typed error), and regularity at the probe
-points that ``_clear_points`` yields.  Point ranks of rectangular matrices
-(``rank_tol``, ``null_basis``, ``_probe_rank``) are relative to
-``sigma_max``; structural cuts (staircase, deflation, QZ beta) are absolute,
-at ``stair_tol``.  One predicate, ``StabilityRegion.inside``, places eigenvalues.
+Tolerance-based rank decisions and orthonormal nullspace bases, all from one SVD
+entry point (``_svd``: one LAPACK ``gesdd`` call), then Schur forms and the
+equations solved on them: one real Schur form and LAPACK ``dtrsyl`` for the
+block decoupling and the Lyapunov equation of a standard block (Bartels &
+Stewart, 1972), and the QZ form and ``dtgsyl`` for general pencils.  Every QZ
+but ``pencil``'s bare eigenvalues (LAPACK ``ggev``) is one ``dgges`` call
+(``_gges``) that sorts only given a selector and forms left Schur vectors only
+on request.  The Lyapunov core (``_lyap_quasi``) takes its caller's
+quasi-triangular form and eigenvalues, so no form is reduced twice; each caller
+accepts its equation by the one residual rule, ``_accepted``.  A square matrix or
+pencil is judged by one LU (``_lu_solve``) whose ``gecon`` reciprocal condition
+decides it singular: a solve (``_solve`` makes that a typed error), regularity,
+and the probe points (``_clear_points``).  Point ranks of rectangular matrices
+(``rank_tol``, ``null_basis``, ``_probe_rank``) are relative to ``sigma_max``;
+structural cuts (staircase, deflation, QZ beta) are absolute, at ``stair_tol``.
+One predicate, ``StabilityRegion.inside``, places eigenvalues.
 """
 
 from __future__ import annotations
@@ -49,16 +49,14 @@ RESIDUAL_TOL = 1e-3  # a Sylvester, Lyapunov or Riccati solve is accepted at |su
 BOUNDARY_TOL = 1e-8  # lam is inside a region only past BOUNDARY_TOL * (1 + |lam|) from its boundary, else on it
 PROBE_RESIDUAL_TOL = 1e-7  # X solves G X = F where |G X - F| <= PROBE_RESIDUAL_TOL * (|G X| + |F|) at each probe point
 INFINITE_EIG_TOL = 1e-8  # alpha/beta is infinite at |beta| <= INFINITE_EIG_TOL * (|alpha| + |beta|), zero at that |alpha|
-FEEDTHROUGH_RCOND = 0.1  # a square D is well conditioned at sigma_min >= FEEDTHROUGH_RCOND * sigma_max
+FEEDTHROUGH_RCOND = 0.1  # a square D is well conditioned at sigma_min > FEEDTHROUGH_RCOND * sigma_max
 DEFICIENCY_RCOND = 1e-10  # a weight (basis) is numerically deficient at eigenvalue (sigma) <= DEFICIENCY_RCOND * max(largest, 1)
 GRAMIAN_FLOOR = 1e-14  # a Gramian's eigenvalues are clipped at GRAMIAN_FLOOR * max(largest, 1) before its square root
 SINGULAR_RCOND = 10.0 * EPS  # an order-n LU is numerically singular at reciprocal condition <= n * SINGULAR_RCOND
-PROBE_RCOND = 1e-8  # a probe point is next to a pole at LU reciprocal condition <= PROBE_RCOND against max(||A - lam E||, 1)
 SYMMETRY_TOL = 1e-8  # W is symmetric at ||W - W^T|| <= SYMMETRY_TOL * (1 + ||W||)
 REAL_TOL = 1e-10  # a computed eigenvalue v is real at |Im v| <= REAL_TOL * max(1, |v|)
 FEEDTHROUGH_ZERO_TOL = 1e-10  # D vanishes at ||D|| <= FEEDTHROUGH_ZERO_TOL * (1 + ||B|| ||C||)
 COEFF_TRIM_TOL = 1e-12  # a polynomial coefficient is zero at |c| <= COEFF_TRIM_TOL * the largest coefficient
-RING_NORM_FLOOR = 1e-12  # the probe ring's radius divides ||A|| by max(||B||, RING_NORM_FLOOR)
 SPECTRAL_RADIUS_FLOOR = 1e-6  # random_system rescales A by target / max(rho(A), SPECTRAL_RADIUS_FLOOR)
 RING_RADIUS_CAP = 1e6  # the probe ring's radius is 1 + min(||A|| / ||B||, RING_RADIUS_CAP)
 ORTH_TOL = EPS  # a Krylov staircase basis of k columns is re-orthonormalized past max |V^T V - I| = ORTH_TOL * k
@@ -181,7 +179,7 @@ def stair_tol(tol, dim, *mats) -> float:
 
 
 def _svd_rank(s, shape, tol=None) -> int:
-    """Number of singular values ``s`` (descending) above ``tol``.
+    """Number of singular values ``s`` (descending; any order given ``tol``) above ``tol``.
 
     The default tolerance is ``max(shape) * eps * s[0]`` for a matrix of the
     given shape; a given ``tol`` that is not a finite number >= 0 raises
@@ -232,18 +230,18 @@ def null_basis(M, tol=None) -> np.ndarray:
     return Vh[_svd_rank(s, M.shape, tol) :].conj().T
 
 
-def _lu_solve(M, B, rcond=None, floor=0.0):
+def _lu_solve(M, B, rcond=None):
     """``M^-1 B`` from one LU of the square ``M`` (LAPACK ``getrf`` and
     ``getrs``, real or complex); ``None`` when ``M`` is numerically singular:
     the reciprocal 1-norm condition of that same LU (``gecon``, against
-    ``max(||M||_1, floor)``) is at most ``rcond``, by default ``n * SINGULAR_RCOND``."""
+    ``||M||_1``) is at most ``rcond``, by default ``n * SINGULAR_RCOND``."""
     rcond = M.shape[0] * SINGULAR_RCOND if rcond is None else rcond
     if not M.size:
         return np.zeros(B.shape, dtype=np.result_type(M, B))
     getrf, gecon, getrs = sla.get_lapack_funcs(("getrf", "gecon", "getrs"), (M, B))
     lu, piv, info = getrf(M)
     if info == 0:
-        rc, info = gecon(lu, max(np.linalg.norm(M, 1), floor))
+        rc, info = gecon(lu, np.linalg.norm(M, 1))
     return getrs(lu, piv, B)[0] if info == 0 and rc > rcond else None
 
 
@@ -315,22 +313,22 @@ def _ring_points(A, B, count):
     """The first ``count`` points of the fixed probe sequence of the pencil
     ``A - lam*B``.
 
-    The points lie off the real axis on a circle of radius
-    ``1 + min(||A||_F / ||B||_F, RING_RADIUS_CAP)`` (radius 2 when ``B = 0``); the k-th
-    has angle ``0.15 + (pi - 0.3) * frac((k + 1) * golden)``, with the sign
+    The points lie off the real axis on a circle of radius ``1 + min(||A||_F / ||B||_F,
+    RING_RADIUS_CAP)`` (radius 2 when ``B = 0``), unchanged by a common scale of ``A`` and
+    ``B``; the k-th has angle ``0.15 + (pi - 0.3) * frac((k + 1) * golden)``, with the sign
     alternating from point to point.
     """
     nb = np.linalg.norm(B)
-    radius = 1.0 + (min(np.linalg.norm(A) / max(nb, RING_NORM_FLOOR), RING_RADIUS_CAP) if nb > 0 else 1.0)
+    radius = 1.0 + (min(np.linalg.norm(A) / nb, RING_RADIUS_CAP) if nb > 0 else 1.0)
     k = np.arange(count)
     theta = 0.15 + (np.pi - 0.3) * ((k + 1) * _GOLDEN % 1.0)
     return list(radius * np.exp(1j * np.where(k % 2, -theta, theta)))
 
 
-def _clear_points(A, B, rcond=None, floor=0.0, count=3):
-    """Lazily, those of the first ``count`` probe points of the square pencil
-    ``A - lam*B`` at which :func:`_lu_solve` of it, at ``rcond`` and ``floor``, succeeds."""
-    return (lam for lam in _ring_points(A, B, count) if _lu_solve(A - lam * B, A[:, :0], rcond, floor) is not None)
+def _clear_points(A, B, count=3):
+    """Lazily, those of the first ``count`` probe points of the square pencil ``A - lam*B`` at
+    which ``eval_tfm`` can evaluate it: its LU clears the default cut of :func:`_lu_solve`."""
+    return (lam for lam in _ring_points(A, B, count) if _lu_solve(A - lam * B, A[:, :0]) is not None)
 
 
 def _require_regular(A, B, exc, names=("A", "E"), what="pencil"):

@@ -143,16 +143,18 @@ def _particular(g, f, r, tol) -> DescriptorSystem:
     """Particular solution of ``G X = F`` for minimal ``g``, ``f`` and the
     normal rank ``r`` of ``g``.
 
-    One pivoted QR of ``G`` at the first probe point picks ``r`` columns, and
-    one of those columns' transpose picks ``r`` rows, each kept in ascending
-    order (a square invertible ``G`` is its own core); the core
-    ``G[rows, cols]`` is cut out of the realization, so ``X[cols] =
-    core^-1 F[rows]`` and ``X`` is zero elsewhere.  ``G X = F`` must hold at
-    the three probe points within ``PROBE_RESIDUAL_TOL``; otherwise, or when
-    the LU of the core at the first point has reciprocal condition at most
-    ``r * SINGULAR_RCOND``, :class:`IterationFailure` is raised.
+    The probe points are the first three of :func:`probe_points` of ``[G F]``.  One pivoted
+    QR of ``G`` at the first picks ``r`` columns, and one of those columns' transpose picks
+    ``r`` rows, each kept in ascending order (a square invertible ``G`` is its own core); the
+    core ``G[rows, cols]`` is cut out of the realization, so ``X[cols] = core^-1 F[rows]`` and
+    ``X`` is zero elsewhere.  ``G X = F`` must hold at the probe points within
+    ``PROBE_RESIDUAL_TOL``; otherwise, when no probe point clears, or when the LU of the core
+    at the first point has reciprocal condition at most ``r * SINGULAR_RCOND``,
+    :class:`IterationFailure` is raised.
     """
     probes = probe_points(concat_row(g, f), count=3)
+    if not probes:
+        raise IterationFailure("eval_tfm cannot evaluate [G F] at any probe point")
     Gvs = [eval_tfm(g, lam) for lam in probes]
     Gv = Gvs[0]
     cols = np.sort(sla.qr(Gv, mode="r", pivoting=True)[1][:r])

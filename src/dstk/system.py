@@ -26,7 +26,7 @@ from .exceptions import (
     SingularPencil,
     SingularTransform,
 )
-from .kernels import PROBE_RCOND, SPECTRAL_RADIUS_FLOOR, _clear_points, _lu_solve, _require_regular, as_matrix
+from .kernels import SPECTRAL_RADIUS_FLOOR, _clear_points, _lu_solve, _require_regular, as_matrix
 
 __all__ = [
     "TimeDomain",
@@ -168,10 +168,10 @@ def apply_similarity(sys: DescriptorSystem, U, V) -> DescriptorSystem:
 
 def probe_points(sys: DescriptorSystem, count=5):
     """The first ``count`` points of the fixed probe sequence of ``A -
-    lambda*E`` at which its LU clears ``PROBE_RCOND`` against ``max(||A -
-    lambda*E||_1, 1)``, off the real axis and clear of the poles (fewer when
-    the first 20 * ``count`` points do not yield them)."""
-    return list(islice(_clear_points(sys.A, sys.E, PROBE_RCOND, 1.0, 20 * count), count))
+    lambda*E`` at which :func:`eval_tfm` can evaluate it, off the real axis
+    (fewer, possibly none, when the first 20 * ``count`` points do not yield
+    them)."""
+    return list(islice(_clear_points(sys.A, sys.E, 20 * count), count))
 
 
 def _random_orthogonal(n, rng):

@@ -701,3 +701,17 @@ def test_compatible_solve_right_takes_no_probe_rank(probed):
     h = random_system(4, 1, 2, "continuous", stable=True, rng=np.random.default_rng(4))
     solve.solve_right(g, h)
     assert "solve_right" not in probed.callers
+
+
+def test_deficiency_cuts_count_through_svd_rank(monkeypatch):
+    # a discrete tall inner_outer decides the column rank of D, the
+    # spectral-factor weight and the completion basis each by _svd_rank
+    callers, svd_rank = set(), factor._svd_rank
+
+    def counted(*args, **kwargs):
+        callers.add(sys._getframe(1).f_code.co_name)
+        return svd_rank(*args, **kwargs)
+
+    monkeypatch.setattr(factor, "_svd_rank", counted)
+    factor.inner_outer(random_system(12, 2, 3, "discrete", stable=True, rng=np.random.default_rng(12)))
+    assert callers == {"_psd_sqrt", "_standard_stable_data", "_inner_complement"}

@@ -327,6 +327,21 @@ class TestFactorCommands:
             np.testing.assert_allclose(_dense(Xf, lam), _dense(X, lam), rtol=1e-12, atol=1e-12)
 
 
+    def test_match_text_renders_the_error_norm_exactly(self, tmp_path, capsys):
+        from dstk.solve import l2_model_match
+
+        G = random_system(8, 2, 4, "continuous", stable=True, rng=np.random.default_rng(20))
+        F = random_system(5, 1, 4, "continuous", stable=True, rng=np.random.default_rng(27))
+        F = make_system(F.A, F.E, F.B, F.C, np.zeros_like(F.D), "continuous")
+        pg, pf, px = str(tmp_path / "G.dss"), str(tmp_path / "F.dss"), str(tmp_path / "X.dss")
+        write_system(pg, G)
+        write_system(pf, F)
+        assert run(["match", pg, pf, "-o", px]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        norm = l2_model_match(G, F)[1].error_norm
+        assert f"error_norm: {norm:.17g}" in lines and float(f"{norm:.17g}") == norm
+
+
 def _write(tmp_path, g):
     p = str(tmp_path / "g_in.dss")
     write_system(p, g)

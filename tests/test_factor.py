@@ -22,6 +22,7 @@ from dstk.analysis import (
 )
 from dstk.exceptions import (
     BoundaryZeros,
+    DstkError,
     ImproperInput,
     IterationFailure,
     PoleOnBoundary,
@@ -548,3 +549,24 @@ class TestInnerOuter:
         for lam in stability_region(domain).boundary_points(6):
             q = eval_tfm(pair.first, lam)
             assert np.linalg.norm(q.conj().T @ q - np.eye(2)) <= 1e-12
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP items 22 and 25: a discrete square D below the column-rank cut still passes the "
+        "cond-10 gate, so the Bernoulli path runs on B D^-1 of norm ~1e12 and Q is silently not inner",
+    )
+    def test_tiny_square_feedthrough_is_inner_or_refused(self):
+        # Q1 R = G holds to 2e-15 here, but max |Q*Q - I| on the unit circle
+        # reads 4.1e-9, 2.4e-6, 5.1e-5 and 1.8e-2; in continuous time the
+        # same inputs are refused
+        g = random_system(8, 2, 2, "discrete", stable=True, rng=np.random.default_rng(101))
+        for e in (1e-6, 1e-8, 1e-10, 1e-12):
+            h = make_system(g.A, g.E, g.B, g.C, e * np.random.default_rng(8).normal(size=(2, 2)), "discrete")
+            try:
+                Q = inner_outer(h).first
+            except DstkError:
+                continue
+            for lam in np.exp(2j * np.pi * np.arange(64) / 64):
+                q = Q.C @ np.linalg.solve(Q.A - lam * Q.E, Q.B) + Q.D
+                assert np.abs(q.conj().T @ q - np.eye(2)).max() <= 1e-8, e

@@ -14,6 +14,7 @@ from dstk.exceptions import (
     BoundaryZeros,
     DimensionMismatch,
     DomainMismatch,
+    IterationFailure,
     RegionInvalid,
 )
 from dstk.factor import additive_decompose, co_outer_co_inner, inner_outer, rcf
@@ -102,6 +103,8 @@ CASES = [
      lambda: pencil_normal_rank(np.zeros((2, 3)), np.zeros((3, 2)))),
     ("StabilityRegion-kind", RegionInvalid, "unknown region kind",
      lambda: StabilityRegion("cone")),
+    ("inner_outer-completion-kernel", IterationFailure, "inner completion kernel has unexpected dimension",
+     lambda: inner_outer(random_system(16, 2, 3, "discrete", stable=True, rng=np.random.default_rng(4019)))),
 ]
 
 

@@ -202,6 +202,25 @@ def test_tolerance_literals_live_in_the_kernels_constant_block():
     assert not found, f"tolerance literals outside kernels' constant block: {found}"
 
 
+def test_deficiency_cuts_are_counted_by_svd_rank():
+    # outside the kernels constant block, DEFICIENCY_RCOND and
+    # FEEDTHROUGH_RCOND are read only inside the tol argument of a _svd_rank
+    # call: every such cut counts its values in one place
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "_svd_rank":
+                tols = node.args[2:] + [k.value for k in node.keywords if k.arg == "tol"]
+                inside |= {id(sub) for tol in tols for sub in ast.walk(tol)}
+        for node in ast.walk(tree):
+            name = getattr(node, "id", getattr(node, "attr", None))
+            if name in ("DEFICIENCY_RCOND", "FEEDTHROUGH_RCOND") and isinstance(node.ctx, ast.Load) and id(node) not in inside:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"deficiency cut outside a _svd_rank tol: {found}"
+
+
 def test_region_rule_lives_in_stability_region():
     # BOUNDARY_TOL is read by StabilityRegion alone, and no code outside it
     # asks the bare geometric contains(): every decision by eigenvalue

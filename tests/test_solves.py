@@ -67,9 +67,9 @@ def _singular_at(monkeypatch, site):
     when ``site`` is the function calling it."""
     lu_solve = kernels._lu_solve
 
-    def patched(M, B, rcond, floor=0.0):
+    def patched(M, B, rcond=None):
         caller = sys._getframe(1).f_code.co_name, sys._getframe(2).f_code.co_name
-        return None if caller == ("_solve", site) else lu_solve(M, B, rcond, floor)
+        return None if caller == ("_solve", site) else lu_solve(M, B, rcond)
 
     monkeypatch.setattr(kernels, "_lu_solve", patched)
 

@@ -91,6 +91,12 @@ class TestEval:
         b = eval_tfm(g, 0.3 + 0.7j)
         assert np.array_equal(a, b)
 
+    def test_call_is_eval_tfm(self):
+        g = random_system(5, 2, 3, "discrete", proper=False, rng=np.random.default_rng(5))
+        assert np.array_equal(g(0.3 + 0.7j), eval_tfm(g, 0.3 + 0.7j))
+        with pytest.raises(EvalAtPole):
+            first_order_lag()(-1.0)
+
     def test_zero_order_is_feedthrough(self, rng):
         D = rng.normal(size=(2, 3))
         g = make_system(np.zeros((0, 0)), None, np.zeros((0, 3)), np.zeros((2, 0)), D, "continuous")
