@@ -36,7 +36,7 @@ from .exceptions import (
     UnstableInput,
 )
 from .analysis import _all_stable, _reduce, _structure, _zeros, minreal
-from .kernels import DEFICIENCY_RCOND, FEEDTHROUGH_RCOND, GRAMIAN_FLOOR, INFINITE_EIG_TOL, StabilityRegion
+from .kernels import DEFICIENCY_RCOND, FEEDTHROUGH_RCOND, INFINITE_EIG_TOL, StabilityRegion
 from .kernels import (
     _accepted,
     _diag2,
@@ -233,12 +233,11 @@ def lcf(sys: DescriptorSystem, region: StabilityRegion, pole_set=None, tol=None)
 # inner-outer machinery
 
 
-def _psd_sqrt(W, what=None):
-    """``(W^1/2, W^-1/2)``; a deficient ``W`` raises, or without ``what`` is clipped at ``GRAMIAN_FLOOR``."""
+def _psd_sqrt(W, what):
+    """``(W^1/2, W^-1/2)`` of a symmetric positive definite ``W``, never clipped: an eigenvalue at
+    most ``DEFICIENCY_RCOND * max(largest, 1)`` raises :class:`RankDeficiencyUnsupported` naming ``what``."""
     w, V = np.linalg.eigh(0.5 * (W + W.T))
-    if what is None:
-        w = np.clip(w, GRAMIAN_FLOOR * max(w.max(), 1.0), None)
-    elif _svd_rank(w, W.shape, DEFICIENCY_RCOND * max(w.max(initial=0.0), 1.0)) < w.size:
+    if _svd_rank(w, W.shape, DEFICIENCY_RCOND * max(w.max(initial=0.0), 1.0)) < w.size:
         raise RankDeficiencyUnsupported(f"{what} is numerically rank deficient")
     return V @ np.diag(np.sqrt(w)) @ V.T, V @ np.diag(1.0 / np.sqrt(w)) @ V.T
 
@@ -385,7 +384,7 @@ def _inner_outer_thin(g, tol, zd, w):
 
 
 def _inner_complement(q1, domain):
-    """Square-inner completion ``[Q1 Q2]`` of a minimal inner factor Q1."""
+    """Square-inner completion ``[Q1 Q2]`` of a minimal inner factor Q1; a deficient discrete Gramian is refused."""
     A, C, D = q1.A, q1.C, q1.D
     n, p, m = q1.n, q1.p, q1.m
     if n == 0:
@@ -410,7 +409,7 @@ def _inner_complement(q1, domain):
     NK = null_basis(Kmat)
     if NK.shape[1] != p:
         raise IterationFailure("inner completion kernel has unexpected dimension")
-    Xh, Xhi = _psd_sqrt(X1)
+    Xh, Xhi = _psd_sqrt(X1, "inner completion Gramian")
     Mhalf = _diag2(Xh, np.eye(p))
     T1 = Mhalf @ np.vstack([q1.B, D])
     Kt = Mhalf @ NK

@@ -11,11 +11,11 @@ on request.  The Lyapunov core (``_lyap_quasi``) takes its caller's
 quasi-triangular form and eigenvalues, so no form is reduced twice; each caller
 accepts its equation by the one residual rule, ``_accepted``.  A square matrix or
 pencil is judged by one LU (``_lu_solve``) whose ``gecon`` reciprocal condition
-decides it singular: a solve (``_solve`` makes that a typed error), regularity,
-and the probe points (``_clear_points``).  Point ranks of rectangular matrices
-(``rank_tol``, ``null_basis``, ``_probe_rank``) are relative to ``sigma_max``;
-structural cuts (staircase, deflation, QZ beta) are absolute, at ``stair_tol``.
-One predicate, ``StabilityRegion.inside``, places eigenvalues.
+decides it singular: a solve (``_solve`` makes that a typed error), the probe points
+(``_clear_points``) and regularity (``_require_regular``, the one source of
+``SingularPencil``).  Point ranks (``rank_tol``, ``null_basis``, ``_probe_rank``) are
+relative to ``sigma_max``; structural cuts (staircase, deflation, QZ beta) are
+absolute, at ``stair_tol``.  One predicate, ``StabilityRegion.inside``, places eigenvalues.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ PROBE_RESIDUAL_TOL = 1e-7  # X solves G X = F where |G X - F| <= PROBE_RESIDUAL_
 INFINITE_EIG_TOL = 1e-8  # alpha/beta is infinite at |beta| <= INFINITE_EIG_TOL * (|alpha| + |beta|), zero at that |alpha|
 FEEDTHROUGH_RCOND = 0.1  # a square D is well conditioned at sigma_min > FEEDTHROUGH_RCOND * sigma_max
 DEFICIENCY_RCOND = 1e-10  # a weight (basis) is numerically deficient at eigenvalue (sigma) <= DEFICIENCY_RCOND * max(largest, 1)
-GRAMIAN_FLOOR = 1e-14  # a Gramian's eigenvalues are clipped at GRAMIAN_FLOOR * max(largest, 1) before its square root
 SINGULAR_RCOND = 10.0 * EPS  # an order-n LU is numerically singular at reciprocal condition <= n * SINGULAR_RCOND
 SYMMETRY_TOL = 1e-8  # W is symmetric at ||W - W^T|| <= SYMMETRY_TOL * (1 + ||W||)
 REAL_TOL = 1e-10  # a computed eigenvalue v is real at |Im v| <= REAL_TOL * max(1, |v|)

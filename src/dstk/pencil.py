@@ -22,6 +22,7 @@ from .exceptions import DimensionMismatch, IterationFailure, SingularPencil
 from .kernels import (
     _col_compress_null_first,
     _probe_rank,
+    _require_regular,
     _row_compress,
     _svd,
     _svd_rank,
@@ -165,19 +166,19 @@ def _finite_eigenvalues(M, N):
 
 
 def _regular_deflate(M, N, tol_abs):
-    """One deflation pass on a square pencil: ``(Mk, Nk, U, V, divisors)``,
-    infinite structure leading, trailing ``Nk`` invertible.  A square pencil
-    without right minimal indices has no left ones either.  One absolute
-    tolerance decides both steps: ``N`` is invertible, and the pencil comes
-    back unchanged, when all its singular values exceed ``tol_abs`` (no
-    singular vectors needed); otherwise the staircase cuts at ``tol_abs``."""
+    """One deflation pass on a regular square pencil: ``(Mk, Nk, U, V, divisors)``, infinite
+    structure leading, trailing ``Nk`` invertible.  Regularity was judged by :func:`_require_regular`
+    or by construction, and a square pencil without right minimal indices has no left ones, so a
+    right index found here is a misjudged staircase: :class:`IterationFailure`.  One absolute cut,
+    ``tol_abs``, decides both steps: ``N`` is invertible, and the pencil comes back unchanged, when
+    all its singular values exceed it (no singular vectors needed); else the staircase cuts there."""
     n = N.shape[0]
     if _svd_rank(_svd(N, vectors=False), N.shape, tol_abs) == n:
         return M.copy(), N.copy(), np.eye(n), np.eye(n), []
     Mk, Nk, U, V, mus, nus = _deflate(M, N, tol_abs)
     right, divisors = _stair_counts(mus, nus)
     if right:
-        raise SingularPencil("pencil is singular: it has minimal indices")
+        raise IterationFailure("the staircase found minimal indices in a regular pencil")
     return Mk, Nk, U, V, divisors
 
 
@@ -274,15 +275,16 @@ def klf(M, N, tol=None):
 def weierstrass_structure(A, E, tol=None) -> WeierstrassStructure:
     """Finite eigenvalues and infinite divisor degrees of a regular pencil.
 
-    One rank-deflation pass, cut at ``stair_tol(tol, n, A, E)``, gives the
-    infinite structure; the finite eigenvalues come from the deflated
-    trailing block, so no eigenvalue ever has to be classified by the size
-    of a QZ beta.
+    As in ``make_system``, an LU of ``A - lam*E`` must clear ``eval_tfm``'s cut at a probe point,
+    else :class:`SingularPencil` is raised.  One deflation pass, cut at ``stair_tol(tol, n, A, E)``,
+    gives the infinite structure; the finite eigenvalues come from the deflated trailing block, so
+    no eigenvalue ever has to be classified by the size of a QZ beta.
     """
     A = as_matrix(A, "A")
     E = as_matrix(E, "E")
     if A.shape != E.shape or A.shape[0] != A.shape[1]:
         raise DimensionMismatch("regular pencil blocks must be square and equal-sized")
+    _require_regular(A, E, SingularPencil)
     Mk, Nk, _, _, divisors = _regular_deflate(A, E, stair_tol(tol, A.shape[0], A, E))
     k = int(sum(divisors))
     return WeierstrassStructure(_finite_eigenvalues(Mk[k:, k:], Nk[k:, k:]), divisors)

@@ -28,6 +28,7 @@ from .exceptions import (
     BoundaryZeros,
     DimensionMismatch,
     DomainMismatch,
+    EvalAtPole,
     Incompatible,
     IterationFailure,
     NonstrictlyProperF,
@@ -148,9 +149,9 @@ def _particular(g, f, r, tol) -> DescriptorSystem:
     ``r`` rows, each kept in ascending order (a square invertible ``G`` is its own core); the
     core ``G[rows, cols]`` is cut out of the realization, so ``X[cols] = core^-1 F[rows]`` and
     ``X`` is zero elsewhere.  ``G X = F`` must hold at the probe points within
-    ``PROBE_RESIDUAL_TOL``; otherwise, when no probe point clears, or when the LU of the core
-    at the first point has reciprocal condition at most ``r * SINGULAR_RCOND``,
-    :class:`IterationFailure` is raised.
+    ``PROBE_RESIDUAL_TOL``; otherwise, when no probe point clears, when the LU of the core
+    at the first point has reciprocal condition at most ``r * SINGULAR_RCOND``, or when
+    ``X`` has a pole at a probe point, :class:`IterationFailure` is raised.
     """
     probes = probe_points(concat_row(g, f), count=3)
     if not probes:
@@ -166,8 +167,11 @@ def _particular(g, f, r, tol) -> DescriptorSystem:
     C, D = np.zeros((g.m, X2.n)), np.zeros((g.m, f.m))
     C[cols], D[cols] = X2.C, X2.D
     X0 = minreal(_trusted_system(X2.A, X2.E, X2.B, C, D, g.domain), tol=tol)
-    for lam, gv in zip(probes, Gvs):
-        _accepted([gv @ eval_tfm(X0, lam), -eval_tfm(f, lam)], IterationFailure, "G X = F", PROBE_RESIDUAL_TOL)
+    try:
+        for lam, gv in zip(probes, Gvs):
+            _accepted([gv @ eval_tfm(X0, lam), -eval_tfm(f, lam)], IterationFailure, "G X = F", PROBE_RESIDUAL_TOL)
+    except EvalAtPole:
+        raise IterationFailure("the particular solution cannot be evaluated at a probe point") from None
     return X0
 
 
