@@ -317,10 +317,11 @@ def _standard_stable_data(sys, tol):
     """Minimal realization, normal rank ``r``, zero dynamics ``zd`` and weight ``w``,
     validated for the inner-outer scope: proper (``minreal``'s ``E`` is ``I``), stable off
     the boundary, no boundary zeros.  One SVD ``D = U diag(s) V^T`` decides the column rank
-    of ``D`` once: ``m`` values ``s > sqrt(DEFICIENCY_RCOND) max(s_max, 1)`` give ``w = (W,
-    W^-1)``, ``W = V diag(s) V^T = (D^T D)^1/2``, else ``w`` is None.  A square ``D`` with
-    ``s_min > FEEDTHROUGH_RCOND s_max`` gives ``r = m``, and ``eig(A + Bd C)``, ``Bd = B D^-1 =
-    B V diag(s)^-1 U^T``, ordered into ``zd`` for :func:`_bernoulli`; else :func:`_structure` decides."""
+    of ``D`` once: ``m`` values ``s > sqrt(DEFICIENCY_RCOND) max(s_max, 1)`` make ``D`` full,
+    and give ``w = (W, W^-1)``, ``W = V diag(s) V^T = (D^T D)^1/2``, else ``w`` is None.  Only
+    a full square ``D`` with ``s_min > FEEDTHROUGH_RCOND s_max`` gives ``r = m``, and ``eig(A +
+    Bd C)``, ``Bd = B D^-1 = B V diag(s)^-1 U^T``, ordered into ``zd`` for :func:`_bernoulli`;
+    else :func:`_structure` decides."""
     g = minreal(sys, tol=tol)
     region = stability_region(g.domain)
     if not g.is_standard:
@@ -330,7 +331,7 @@ def _standard_stable_data(sys, tol):
     U, sv, Vh = _svd(g.D, full=False)
     full = _svd_rank(sv, g.D.shape, np.sqrt(DEFICIENCY_RCOND) * max(sv.max(initial=0.0), 1.0)) == g.m
     w = ((Vh.T * sv) @ Vh, (Vh.T / sv) @ Vh) if full else None
-    if g.p == g.m and sv.size and _svd_rank(sv, g.D.shape, FEEDTHROUGH_RCOND * sv[0]) == g.m:
+    if full and g.p == g.m and sv.size and _svd_rank(sv, g.D.shape, FEEDTHROUGH_RCOND * sv[0]) == g.m:
         Bd = ((g.B @ Vh.T) / sv) @ U.T
         zd = (*_schur_ordered(g.A + Bd @ g.C, region.inside), Bd)
         r, zs = g.m, zd[2]

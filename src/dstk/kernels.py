@@ -49,7 +49,7 @@ RESIDUAL_TOL = 1e-3  # a Sylvester, Lyapunov or Riccati solve is accepted at |su
 BOUNDARY_TOL = 1e-8  # lam is inside a region only past BOUNDARY_TOL * (1 + |lam|) from its boundary, else on it
 PROBE_RESIDUAL_TOL = 1e-7  # X solves G X = F where |G X - F| <= PROBE_RESIDUAL_TOL * (|G X| + |F|) at each probe point
 INFINITE_EIG_TOL = 1e-8  # alpha/beta is infinite at |beta| <= INFINITE_EIG_TOL * (|alpha| + |beta|), zero at that |alpha|
-FEEDTHROUGH_RCOND = 0.1  # a square D is well conditioned at sigma_min > FEEDTHROUGH_RCOND * sigma_max
+FEEDTHROUGH_RCOND = 0.1  # a square D of full column rank takes the zero-dynamics path at sigma_min > FEEDTHROUGH_RCOND * sigma_max
 DEFICIENCY_RCOND = 1e-10  # a weight (basis) is numerically deficient at eigenvalue (sigma) <= DEFICIENCY_RCOND * max(largest, 1)
 SINGULAR_RCOND = 10.0 * EPS  # an order-n LU is numerically singular at reciprocal condition <= n * SINGULAR_RCOND
 SYMMETRY_TOL = 1e-8  # W is symmetric at ||W - W^T|| <= SYMMETRY_TOL * (1 + ||W||)
@@ -253,29 +253,22 @@ def _solve(M, B, exc, msg):
     return X
 
 
-def _row_compress(M, tol_abs, rank=None):
-    """Orthogonal U with ``U.T @ M = [full-row-rank; 0]``; returns (U, rank).
-
-    A given ``rank`` prescribes the split instead of deciding it against
-    ``tol_abs``.
-    """
+def _row_compress(M, tol_abs):
+    """Orthogonal U with ``U.T @ M = [full-row-rank; 0]``; returns (U, rank),
+    the rank cut at ``tol_abs``."""
     U, s, _ = _svd(M)
-    return U, _svd_rank(s, M.shape, tol_abs) if rank is None else rank
+    return U, _svd_rank(s, M.shape, tol_abs)
 
 
-def _col_compress_null_first(M, tol_abs, nullity=None):
-    """Orthogonal V with ``M @ V = [~0 | full-column-rank]``; returns (V, nullity).
-
-    A given ``nullity`` prescribes the split instead of deciding it against
-    ``tol_abs``.
-    """
+def _col_compress_null_first(M, tol_abs):
+    """Orthogonal V with ``M @ V = [~0 | full-column-rank]``; returns (V, nullity),
+    the rank cut at ``tol_abs``."""
     m, n = M.shape
     if m == 0 or not M.any():
-        return np.eye(n), n if nullity is None else nullity
+        return np.eye(n), n
     _, s, Vh = _svd(M)
-    r = _svd_rank(s, M.shape, tol_abs) if nullity is None else n - nullity
-    V = np.hstack([Vh[r:].T, Vh[:r].T])
-    return V, n - r
+    r = _svd_rank(s, M.shape, tol_abs)
+    return np.hstack([Vh[r:].T, Vh[:r].T]), n - r
 
 
 def _diag2(X, Y):

@@ -87,7 +87,7 @@ class WeierstrassStructure:
         return int(sum(self.infinite_divisor_degrees))
 
 
-def _deflate(M, N, tol_abs, forced=None):
+def _deflate(M, N, tol_abs):
     """Peel the column-nullity staircase of ``N`` off the pencil front.
 
     Returns ``(M2, N2, L, R, mus, nus)`` with ``M2 = L @ M @ R`` and
@@ -95,12 +95,8 @@ def _deflate(M, N, tol_abs, forced=None):
     ``sum(nus):``, cols ``sum(mus):``) has an ``N`` part of full column rank.
     The peeled stairs carry the right-singular and infinite structure of the
     pencil: ``mus[k] - nus[k]`` blocks of right minimal index ``k`` and
-    ``nus[k] - mus[k+1]`` infinite divisors of degree ``k + 1``.
-
-    ``forced`` prescribes the stair sizes as ``[(mu_1, nu_1), ...]``; the
-    compressions then split at the prescribed ranks instead of re-deciding
-    them against the tolerance (used when the structure is already known, so
-    borderline rank calls cannot flip between passes).
+    ``nus[k] - mus[k+1]`` infinite divisors of degree ``k + 1``.  Every stair
+    is cut where it is compressed, at the absolute ``tol_abs``.
     """
     m, n = M.shape
     L = np.eye(m)
@@ -109,23 +105,15 @@ def _deflate(M, N, tol_abs, forced=None):
     N = N.copy()
     ro = co = 0
     mus, nus = [], []
-    step = 0
     while n - co > 0:
-        mu_f = nu_f = None
-        if forced is not None:
-            if step >= len(forced):
-                break
-            mu_f, nu_f = forced[step]
-            if mu_f > n - co or nu_f > m - ro:
-                raise IterationFailure("prescribed staircase sizes exceed the active block")
-        V1, mu = _col_compress_null_first(N[ro:, co:], tol_abs, mu_f)
+        V1, mu = _col_compress_null_first(N[ro:, co:], tol_abs)
         if mu == 0:
             break
         M[:, co:] = M[:, co:] @ V1
         N[:, co:] = N[:, co:] @ V1
         R[:, co:] = R[:, co:] @ V1
         N[ro:, co : co + mu] = 0.0
-        U1, nu = _row_compress(M[ro:, co : co + mu], tol_abs, nu_f)
+        U1, nu = _row_compress(M[ro:, co : co + mu], tol_abs)
         M[ro:, :] = U1.T @ M[ro:, :]
         N[ro:, :] = U1.T @ N[ro:, :]
         L[ro:, :] = U1.T @ L[ro:, :]
@@ -134,7 +122,6 @@ def _deflate(M, N, tol_abs, forced=None):
         nus.append(nu)
         ro += nu
         co += mu
-        step += 1
     return M, N, L, R, mus, nus
 
 
@@ -190,8 +177,9 @@ def klf(M, N, tol=None):
     leading right-singular stairs, then the regular part (infinite structure
     followed by the finite block, whose eigenvalues come from a QZ without
     Schur vectors), then trailing left-singular stairs.  ``ks`` collects the
-    structural counts.  Every rank cut of the three passes is taken at
-    ``stair_tol(tol, max(M.shape), M, N)``.
+    structural counts.  Each of the three passes cuts its own stairs at
+    ``stair_tol(tol, max(M.shape), M, N)``; a second pass that does not find
+    the first pass's right indices raises :class:`IterationFailure`.
 
     Regular pencils yield empty index lists; a square pencil without right
     indices is regular, so it skips the third pass.
@@ -210,15 +198,10 @@ def klf(M, N, tol=None):
 
     # pass 2: within the leading block, order [right stairs | infinite block]
     # by deflating the role-swapped pencil (which has no infinite structure);
-    # the stair sizes are fully determined by the pass-1 index counts
+    # it cuts its own stairs at the same tol_abs, and must find pass 1's
+    # right indices and no infinite divisor
     if ro1 and right:
-        Na, Ma = Nk[:ro1, :co1], Mk[:ro1, :co1]
-        kmax = max(right) + 1
-        forced = [
-            (sum(1 for e in right if e >= k - 1), sum(1 for e in right if e >= k))
-            for k in range(1, kmax + 1)
-        ]
-        Na2, Ma2, L2, R2, mus2, nus2 = _deflate(Na, Ma, tol_abs, forced=forced)
+        Na2, Ma2, L2, R2, mus2, nus2 = _deflate(Nk[:ro1, :co1], Mk[:ro1, :co1], tol_abs)
         right2, div2 = _stair_counts(mus2, nus2)
         if div2 or sorted(right2) != sorted(right):
             raise IterationFailure("inconsistent staircase ranks while separating the right singular part")

@@ -47,7 +47,7 @@ from .analysis import (
     stability_region,
 )
 from .factor import _additive_split, _inner_outer_thin, _riccati_schur, _standard_stable_data
-from .kernels import PROBE_RESIDUAL_TOL, _accepted, _col_compress_null_first, _lu_solve, _probe_rank
+from .kernels import PROBE_RESIDUAL_TOL, _accepted, _lu_solve, _probe_rank, _svd
 from .ops import _pencil_inverse, _static, concat_row, conjugate, inverse, parallel, series, transpose_dual
 from .system import DescriptorSystem, TimeDomain, _trusted_system, eval_tfm, probe_points
 
@@ -110,7 +110,8 @@ def right_nullspace(sys: DescriptorSystem, tol=None) -> DescriptorSystem:
 
 
 def _right_nullspace(g, structure) -> DescriptorSystem:
-    """:func:`right_nullspace` of a minimal ``g`` from its :func:`_structure`."""
+    """:func:`right_nullspace` of a minimal ``g`` from its :func:`_structure`; the kernel
+    block's ``N`` part, of full row rank ``nr`` by structure, is split at ``nr`` by one SVD."""
     Mk, Nk, V, ks, _ = structure
     nr, nu = ks.nr, len(ks.right_indices)
     if nu == 0:
@@ -118,7 +119,8 @@ def _right_nullspace(g, structure) -> DescriptorSystem:
     # the leading block has only right Kronecker structure, so its N part
     # has full row rank nr: compress it to [0 | E1] with E1 invertible
     Nr = Nk[:nr, : nr + nu]
-    W, _ = _col_compress_null_first(Nr, None, nu)
+    Vh = _svd(Nr)[2]
+    W = np.hstack([Vh[nr:].T, Vh[:nr].T])
     MW = Mk[:nr, : nr + nu] @ W
     B1, A1, E1 = MW[:, :nu], MW[:, nu:], (Nr @ W)[:, nu:]
     # kernel: (A1 - lam E1) x + B1 v = 0; the feedback v = F x + w moves its
@@ -183,11 +185,11 @@ def solve_right(G: DescriptorSystem, F: DescriptorSystem, tol=None) -> SolveResu
     ``F[rows]``, placed in the rows ``cols``; pivoted QRs of ``G`` at a probe
     point pick both index sets once.  The result is certified, ``G X = F`` at
     three probe points.  Only a failed certificate tests compatibility: when
-    the system pencil of ``[G F]`` has a larger normal rank than that of
-    ``G``, each the largest rank at three fixed probe points,
-    :class:`Incompatible` is raised, else the :class:`IterationFailure`.  The
-    returned nullspace basis parameterizes all solutions.  The result
-    depends on ``G``, ``F`` and ``tol`` alone.
+    the system pencil of ``[G F]`` has a normal rank, the largest rank at
+    three fixed probe points, above its order plus the ``r`` that
+    :func:`_structure` checked, :class:`Incompatible` is raised, else the
+    :class:`IterationFailure`.  The returned nullspace basis parameterizes
+    all solutions.  The result depends on ``G``, ``F`` and ``tol`` alone.
     """
     if G.domain is not F.domain:
         raise DomainMismatch("G and F must share a time domain")
@@ -199,10 +201,8 @@ def solve_right(G: DescriptorSystem, F: DescriptorSystem, tol=None) -> SolveResu
     try:
         X0 = _particular(g, f, structure[4], tol)
     except IterationFailure:
-        # system pencil of [G F]; its leading n + g.m columns are G's, on the shared state
-        M, N = _system_pencil(concat_row(g, f))
-        ng = g.n + f.n + g.m
-        if _probe_rank(M, N, tol) > _probe_rank(M[:, :ng], N[:, :ng], tol):
+        # the system pencil of [G F] has normal rank g.n + f.n + r when F is in G's range
+        if _probe_rank(*_system_pencil(concat_row(g, f)), tol) > g.n + f.n + structure[4]:
             raise Incompatible("[G F] has a larger normal rank than G") from None
         raise
     return SolveResult(X0, _right_nullspace(g, structure))

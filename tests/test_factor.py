@@ -550,16 +550,10 @@ class TestInnerOuter:
             q = eval_tfm(pair.first, lam)
             assert np.linalg.norm(q.conj().T @ q - np.eye(2)) <= 1e-12
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="ROADMAP items 22 and 25: a discrete square D below the column-rank cut still passes the "
-        "cond-10 gate, so the Bernoulli path runs on B D^-1 of norm ~1e12 and Q is silently not inner",
-    )
     def test_tiny_square_feedthrough_is_inner_or_refused(self):
-        # Q1 R = G holds to 2e-15 here, but max |Q*Q - I| on the unit circle
-        # reads 4.1e-9, 2.4e-6, 5.1e-5 and 1.8e-2; in continuous time the
-        # same inputs are refused
+        # a square D below the column-rank cut takes the pencil path, not the
+        # zero-dynamics one on B D^-1 of norm ~1e12, whose Q read max |Q*Q - I|
+        # of 4.1e-9, 2.4e-6, 5.1e-5 and 1.8e-2 on the unit circle
         g = random_system(8, 2, 2, "discrete", stable=True, rng=np.random.default_rng(101))
         for e in (1e-6, 1e-8, 1e-10, 1e-12):
             h = make_system(g.A, g.E, g.B, g.C, e * np.random.default_rng(8).normal(size=(2, 2)), "discrete")
@@ -570,3 +564,20 @@ class TestInnerOuter:
             for lam in np.exp(2j * np.pi * np.arange(64) / 64):
                 q = Q.C @ np.linalg.solve(Q.A - lam * Q.E, Q.B) + Q.D
                 assert np.abs(q.conj().T @ q - np.eye(2)).max() <= 1e-8, e
+
+    @pytest.mark.parametrize("n, s, e", [(8, 2, 1e-8), (16, 4, 1e-12)])
+    def test_square_feedthrough_below_the_rank_cut_is_inner(self, n, s, e):
+        # only a full-rank square D takes the zero-dynamics path: through it,
+        # (8, 2, 1e-8) gave a Q of order 8 at max |Q*Q - I| = 4.9e-7, and
+        # (16, 4, 1e-12) a Riccati residual too large to accept
+        g = random_system(n, 2, 2, "discrete", stable=True, rng=np.random.default_rng(100 * s + n))
+        h = make_system(g.A, g.E, g.B, g.C, e * np.random.default_rng(8 + s).normal(size=(2, 2)), "discrete")
+        pair = inner_outer(h)
+        for lam in oracle_points(np.random.default_rng(8), 3):
+            hv = h.C @ np.linalg.solve(h.A - lam * h.E, h.B) + h.D
+            qr = eval_tfm(pair.first, lam)[:, :2] @ eval_tfm(pair.second, lam)
+            assert np.linalg.norm(qr - hv) <= 1e-8 * np.linalg.norm(hv)
+        Q = pair.first
+        for lam in np.exp(2j * np.pi * np.arange(64) / 64):
+            q = Q.C @ np.linalg.solve(Q.A - lam * Q.E, Q.B) + Q.D
+            assert np.abs(q.conj().T @ q - np.eye(2)).max() <= 1e-12

@@ -116,10 +116,6 @@ class TestRowCompress:
         assert np.linalg.norm(UM[r:]) < 1e-13 * np.linalg.norm(M)
         assert np.linalg.matrix_rank(UM[:r]) == r
 
-    def test_prescribed_rank(self, rng):
-        U, r = _row_compress(rng.normal(size=(5, 2)), 1e-10, rank=1)
-        assert r == 1 and U.shape == (5, 5)
-
 
 class TestNullBasis:
     def test_row_vector(self):

@@ -82,7 +82,19 @@ def test_row_scaled_solve_right_tally():
     systems = [g for g in map(_row_scaled_system, range(500)) if g is not None]
     assert len(systems) == 147
     tally = Counter(_outcome(lambda: solve_right(g, g)) for g in systems)
-    assert tally == {"ok": 127, "IterationFailure": 19, "Incompatible": 1}
+    assert tally == {"ok": 127, "IterationFailure": 20}
+
+
+def test_row_scaled_486_is_not_called_incompatible(tmp_path, capsys):
+    # X = I solves G X = G; a second normal rank, probed on G's sub-pencil,
+    # once read lower than the checked one and called it Incompatible
+    g = _row_scaled_system(486)
+    with pytest.raises(IterationFailure, match="G X = F"):
+        solve_right(g, g)
+    path = str(tmp_path / "g.dss")
+    write_system(path, g)
+    assert run(["solve", path, path, "-o", str(tmp_path / "x.dss"), "--out", "json"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == IterationFailure.code
 
 
 def test_hostile_solve_right_tally():

@@ -124,6 +124,14 @@ def test_empty_blocks_are_answered_not_refused():
     assert StabilityRegion.disk(0.8).reflect(0.0) == 0.4
 
 
+@pytest.mark.parametrize("factorize", [inner_outer, co_outer_co_inner])
+@pytest.mark.parametrize("domain", ["continuous", "discrete"])
+def test_factors_of_a_static_empty_system(domain, factorize):
+    # a 0 x 0 static system: D has no singular value to gate the square path
+    pair = factorize(make_system(*[np.zeros((0, 0))] * 5, domain))
+    assert (pair.first.n, pair.first.p, pair.second.n, pair.second.m, pair.inner_columns) == (0, 0, 0, 0, 0)
+
+
 @pytest.mark.parametrize("domain", ["continuous", "discrete"])
 def test_inner_outer_of_an_empty_input_set(domain):
     # a p x 0 system is the static I_p times a 0 x 0 outer factor, by the
