@@ -1,10 +1,10 @@
 """Structural analysis of descriptor systems.
 
-Normal rank, pole/zero structure (finite values plus infinite multiplicities),
-McMillan degree, stability and minimum-phase predicates, the five-condition
-minimality report, minimal realization and the H2/L2 system norm.  The report
-and :func:`minreal` share one split, its absolute tolerance and one non-dynamic-mode
-primitive (:func:`_nondynamic`); a finite Neumann sum decouples the split, no QZ.
+Normal rank, pole/zero structure (finite values plus infinite multiplicities), McMillan degree,
+stability and minimum-phase predicates, the five-condition minimality report, minimal realization and
+the H2/L2 system norm.  The report and :func:`minreal` share one split, its absolute tolerance and one
+non-dynamic-mode primitive (:func:`_nondynamic`); a finite Neumann sum decouples the split, no QZ.  Zeros
+past one feedthrough gate (:func:`_zero_dynamics`) are ``eig(A + B D^-1 C)``, others take a staircase.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from .exceptions import (
     UnstableSystem,
 )
 from .kernels import (
+    DEFICIENCY_RCOND,
+    FEEDTHROUGH_RCOND,
     FEEDTHROUGH_ZERO_TOL,
     ORTH_TOL,
     REAL_TOL,
@@ -36,7 +38,7 @@ from .kernels import (
     stability_region,
     stair_tol,
 )
-from .pencil import _regular_deflate, klf, pencil_normal_rank
+from .pencil import KroneckerStructure, _regular_deflate, klf, pencil_normal_rank
 from .system import DescriptorSystem, TimeDomain, _trusted_system
 
 __all__ = [
@@ -286,16 +288,32 @@ def poles(sys: DescriptorSystem, tol=None) -> PoleZeroInfo:
 
 
 def zeros(sys: DescriptorSystem, tol=None) -> PoleZeroInfo:
-    """Zero structure of the TFM: finite eigenvalues of the regular part of the
-    system matrix pencil, infinite zero count, and (nr, nl) defects, read off the
-    checked staircase of :func:`_structure` (a misread one raises :class:`IterationFailure`)."""
+    """Zero structure of the TFM: finite eigenvalues of the regular part of the system matrix pencil,
+    infinite zero count and (nr, nl) defects, as :func:`_structure` decides them (``eig(A + B D^-1 C)``
+    past a gate that ignores ``tol``; a misread staircase raises :class:`IterationFailure`)."""
     return _zeros(_structure(minreal(sys, tol=tol), tol)[3])
 
 
+def _zero_dynamics(g):
+    """``Bd = B D^-1`` of the zero dynamics ``A + Bd C`` of a minimal ``g``, or None.  The one gate, blind to
+    ``tol``, takes a standard square ``g`` whose singular values ``s`` of ``D`` all exceed both the column-rank
+    cut ``sqrt(DEFICIENCY_RCOND) max(s_max, 1)`` (``full``) and ``FEEDTHROUGH_RCOND s_max``."""
+    if g.m and g.p == g.m and g.is_standard:
+        U, sv, Vh = _svd(g.D, full=False)
+        full = _svd_rank(sv, g.D.shape, np.sqrt(DEFICIENCY_RCOND) * max(sv[0], 1.0)) == g.m
+        if full and _svd_rank(sv, g.D.shape, FEEDTHROUGH_RCOND * sv[0]) == g.m:
+            return ((g.B @ Vh.T) / sv) @ U.T
+    return None
+
+
 def _structure(g, tol):
-    """The system-pencil staircase ``(Mk, Nk, V, ks, r)`` of a minimal ``g``: one
-    :func:`klf` and one probe normal rank ``r``; any count other than ``m - r``
-    right and ``p - r`` left Kronecker blocks raises :class:`IterationFailure`."""
+    """The system-pencil structure ``(Mk, Nk, V, ks, r)`` of a minimal ``g``: past :func:`_zero_dynamics`,
+    ``r = m`` and ``ks`` holds ``eig(A + Bd C)`` and ``m`` degree-one infinite divisors, with no pencil (None
+    ``Mk``, ``Nk``, ``V``); else one :func:`klf` and one probe normal rank ``r``, and counts other than
+    ``m - r`` right and ``p - r`` left Kronecker blocks raise :class:`IterationFailure`."""
+    Bd = _zero_dynamics(g)
+    if Bd is not None:
+        return None, None, None, KroneckerStructure([], [], np.linalg.eigvals(g.A + Bd @ g.C), [1] * g.m), g.m
     Mk, Nk, _, V, ks = klf(*_system_pencil(g), tol=tol)
     r = normal_rank(g)
     found, want = (len(ks.right_indices), len(ks.left_indices)), (g.m - r, g.p - r)
@@ -340,26 +358,26 @@ def is_minimum_phase(sys: DescriptorSystem, tol=None) -> bool:
 def minimality_report(sys: DescriptorSystem, tol=None) -> MinimalityReport:
     """Evaluate the five minimality conditions on the given realization.
 
-    Every rank decision uses the absolute staircase tolerance of
-    :func:`minreal`'s split.  Finite controllability holds when the
-    staircase on the finite part of that split removes no state (the
-    decoupling from the infinite part leaves ``(A, B)`` there unchanged, so
-    it is skipped); finite observability is the same test on the transposed
-    dual, so the report is dual-symmetric.  Infinite controllability and
-    observability are full rank of ``[E, B]`` and ``[E; C]``, and the
-    non-dynamic modes are those of :func:`_nondynamic`."""
+    Every rank decision uses the absolute staircase tolerance of :func:`minreal`'s split.  Finite
+    controllability holds when the staircase on the finite part of that split removes no state (the
+    decoupling from the infinite part leaves ``(A, B)`` there unchanged, so it is skipped); finite
+    observability is the same test on the transposed dual, so the report is dual-symmetric.  Infinite
+    controllability and observability are full rank of ``[E, B]`` and ``[E; C]``, and the non-dynamic
+    modes are those of :func:`_nondynamic`; all three hold (by interlacing) at rank E = n, which E's
+    singular values decide unless the split's cut, at most ``tol_abs``, found ``k`` infinite eigenvalues."""
     A, E, B, C = sys.A, sys.E, sys.B, sys.C
 
     def _finite_controllable(g):
         *_, C1, divisors, tol_abs, As, Bs = _split(g, tol)
         k = int(sum(divisors))
-        return _ctrb_reduce(As, Bs, C1[:, k:], tol_abs)[0].shape == As.shape, tol_abs
+        return _ctrb_reduce(As, Bs, C1[:, k:], tol_abs)[0].shape == As.shape, tol_abs, k
 
-    fc, tol_abs = _finite_controllable(sys)
+    fc, tol_abs, k = _finite_controllable(sys)
     fo = _finite_controllable(_trusted_system(A.T, E.T, C.T, B.T, sys.D.T, sys.domain))[0]
-    ic = rank_tol(np.hstack([E, B]), tol_abs) == sys.n
-    io = rank_tol(np.vstack([E, C]), tol_abs) == sys.n
-    nd = _nondynamic(A, E, tol_abs)[3].size == 0
+    full = not k and _svd_rank(_svd(E, vectors=False), E.shape, tol_abs) == sys.n
+    ic = full or rank_tol(np.hstack([E, B]), tol_abs) == sys.n
+    io = full or rank_tol(np.vstack([E, C]), tol_abs) == sys.n
+    nd = full or _nondynamic(A, E, tol_abs)[3].size == 0
     return MinimalityReport(fc, ic, fo, io, nd, sys.n)
 
 

@@ -4,9 +4,9 @@ Additive decomposition over a good/bad split of the complex plane, right and
 left coprime factorizations by eigenvalue dislocation with state feedback /
 output injection, and inner-outer (and co-outer--co-inner) factorizations of
 stable proper full-rank systems via an algebraic Riccati equation.  For a
-square system with a well-conditioned ``D`` it has no state weight: one
-ordered real Schur form of the zero dynamics ``A + B D^-1 C`` (``D^-1`` from
-the SVD that decided the rank of ``D``) decides the zeros, and a Lyapunov
+square system past the zero-structure gate (``analysis._zero_dynamics``) it
+has no state weight: one ordered real Schur form of the zero dynamics ``A +
+B D^-1 C`` (``D^-1`` from the gate's SVD) decides the zeros, and a Lyapunov
 (Stein) equation on the antistable block of that same form solves it.
 Otherwise one sorted LAPACK ``dgges`` with right Schur vectors only orders
 the extended pencil ``M - s N`` in continuous time, and the reversed
@@ -35,8 +35,8 @@ from .exceptions import (
     RegionInvalid,
     UnstableInput,
 )
-from .analysis import _all_stable, _reduce, _structure, _zeros, minreal
-from .kernels import DEFICIENCY_RCOND, FEEDTHROUGH_RCOND, INFINITE_EIG_TOL, StabilityRegion
+from .analysis import _all_stable, _reduce, _structure, _zero_dynamics, _zeros, minreal
+from .kernels import DEFICIENCY_RCOND, INFINITE_EIG_TOL, StabilityRegion
 from .kernels import (
     _accepted,
     _diag2,
@@ -314,30 +314,27 @@ def _riccati_gain(A, B, Qc, Sc, Rc, X, domain):
 
 
 def _standard_stable_data(sys, tol):
-    """Minimal realization, normal rank ``r``, zero dynamics ``zd`` and weight ``w``,
-    validated for the inner-outer scope: proper (``minreal``'s ``E`` is ``I``), stable off
-    the boundary, no boundary zeros.  One SVD ``D = U diag(s) V^T`` decides the column rank
-    of ``D`` once: ``m`` values ``s > sqrt(DEFICIENCY_RCOND) max(s_max, 1)`` make ``D`` full,
-    and give ``w = (W, W^-1)``, ``W = V diag(s) V^T = (D^T D)^1/2``, else ``w`` is None.  Only
-    a full square ``D`` with ``s_min > FEEDTHROUGH_RCOND s_max`` gives ``r = m``, and ``eig(A +
-    Bd C)``, ``Bd = B D^-1 = B V diag(s)^-1 U^T``, ordered into ``zd`` for :func:`_bernoulli`;
-    else :func:`_structure` decides."""
+    """Minimal realization, normal rank ``r``, zero dynamics ``zd`` and weight ``w``, validated for the
+    inner-outer scope: proper (``minreal``'s ``E`` is ``I``), stable off the boundary, no boundary zeros.
+    One SVD ``D = U diag(s) V^T`` with ``m`` values ``s > sqrt(DEFICIENCY_RCOND) max(s_max, 1)`` (a full
+    ``D``) gives ``w = (W, W^-1)``, ``W = V diag(s) V^T = (D^T D)^1/2``, else ``w`` is None.  Past the
+    gate of :func:`_structure` (:func:`_zero_dynamics`), ``r = m``, ``zd`` the Schur form of ``A + Bd C``."""
     g = minreal(sys, tol=tol)
     region = stability_region(g.domain)
     if not g.is_standard:
         raise ImproperInput("the system must be proper")
     if not _all_stable(np.linalg.eigvals(g.A), 0, g.domain):
         raise UnstableInput("the system must be stable")
-    U, sv, Vh = _svd(g.D, full=False)
+    _, sv, Vh = _svd(g.D, full=False)
     full = _svd_rank(sv, g.D.shape, np.sqrt(DEFICIENCY_RCOND) * max(sv.max(initial=0.0), 1.0)) == g.m
     w = ((Vh.T * sv) @ Vh, (Vh.T / sv) @ Vh) if full else None
-    if full and g.p == g.m and sv.size and _svd_rank(sv, g.D.shape, FEEDTHROUGH_RCOND * sv[0]) == g.m:
-        Bd = ((g.B @ Vh.T) / sv) @ U.T
-        zd = (*_schur_ordered(g.A + Bd @ g.C, region.inside), Bd)
-        r, zs = g.m, zd[2]
-    else:
+    Bd = _zero_dynamics(g)
+    if Bd is None:
         *_, ks, r = _structure(g, tol)
         zs, zd = _zeros(ks).finite, None
+    else:
+        zd = (*_schur_ordered(g.A + Bd @ g.C, region.inside), Bd)
+        r, zs = g.m, zd[2]
     for z in zs:
         if region.on_boundary(z):
             raise BoundaryZeros(f"zero {z} lies on the stability boundary")

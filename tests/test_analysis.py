@@ -41,7 +41,7 @@ from dstk.ops import (
     series,
     transpose_dual,
 )
-from dstk.pencil import weierstrass_structure
+from dstk.pencil import klf, weierstrass_structure
 from dstk.solve import right_nullspace, solve_right
 from dstk.system import eval_tfm, make_system, random_system
 
@@ -243,6 +243,25 @@ class TestZeros:
         info = zeros(self._product(0))
         assert info.kronecker_ranks == (10, 10)
         assert info.total == 0
+
+    @pytest.mark.parametrize("domain", ["continuous", "discrete"])
+    @pytest.mark.parametrize("n", [8, 24, 48])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_zero_dynamics_match_the_staircase(self, m, n, domain):
+        # a square D of condition 2 passes the gate: the structure read from
+        # eig(A + B D^-1 C) is the one klf finds on the system pencil
+        for s in range(3):
+            r = np.random.default_rng(1000 * s + n)
+            g = random_system(n, m, m, domain, rng=r)
+            D = np.linalg.qr(r.normal(size=(m, m)))[0] * np.linspace(1.0, 0.5, m)
+            g = minreal(make_system(g.A, g.E, g.B, g.C, D, domain))
+            Mk, _, _, ks, rank = analysis._structure(g, None)
+            want = klf(*analysis._system_pencil(g))[4]
+            assert Mk is None
+            assert rank == want.normal_rank - g.n
+            for field in ("right_indices", "left_indices", "infinite_divisor_degrees"):
+                assert getattr(ks, field) == getattr(want, field)
+            _match_values(ks.finite_eigenvalues, want.finite_eigenvalues, 1e-8)
 
 
 class TestDegreeAndPredicates:

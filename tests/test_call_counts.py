@@ -228,6 +228,65 @@ def test_square_factor_reads_zero_dynamics(calls, probed, query, domain, cond, p
 
 @pytest.mark.parametrize(
     "query",
+    [
+        lambda G, F, path: analysis.zeros(G),
+        lambda G, F, path: analysis.is_minimum_phase(G),
+        lambda G, F, path: _info(path),
+        lambda G, F, path: solve.solve_right(G, F),
+        lambda G, F, path: solve.right_nullspace(G),
+    ],
+    ids=["zeros", "is_minimum_phase", "cli_info", "solve_right", "right_nullspace"],
+)
+@pytest.mark.parametrize("domain", ["continuous", "discrete"])
+@pytest.mark.parametrize(
+    "shape, cond, pencils",
+    [("square", 1.0, 0), ("square", 8.0, 0), ("square", 1e3, 1), ("tall", None, 1), ("improper", 1.0, 1)],
+    ids=["cond1", "cond8", "cond1e3", "tall", "improper"],
+)
+def test_square_structure_reads_zero_dynamics(calls, probed, query, domain, shape, cond, pencils, tmp_path, capsys):
+    # the structural queries share the factorizations' gate: a square proper
+    # G whose D is within cond 10 has its zeros in A + B D^-1 C, with no
+    # staircase and no probe rank of the system pencil; an ill-conditioned
+    # D, a tall G and an improper G keep one of each
+    G = random_system(12, 2, 3 if shape == "tall" else 2, domain, proper=shape != "improper", rng=np.random.default_rng(12))
+    if cond:
+        U = np.linalg.qr(np.random.default_rng(12).normal(size=(2, 2)))[0]
+        G = make_system(G.A, G.E, G.B, G.C, U @ np.diag([1.0, 1.0 / cond]) @ U.T, domain)
+    # every F is in the range of a square G of full normal rank; a tall G takes G X
+    F = random_system(3, 1, 2, domain, rng=np.random.default_rng(3))
+    F = series(G, F) if shape == "tall" else F
+    path = str(tmp_path / "g.dss")
+    write_system(path, G)
+    M = analysis._system_pencil(analysis.minreal(cli.read_system(path)))[0]
+    calls.clear()
+    probed.clear()
+    query(G, F, path)
+    capsys.readouterr()
+    assert calls["klf"] == pencils
+    assert sum(P.shape == M.shape and np.array_equal(P, M) for P in probed) == pencils
+
+
+def test_invertible_E_report_takes_no_square_singular_vectors(monkeypatch, proper24):
+    # the report decides the rank of an invertible E from its singular values
+    # alone: infinite controllability, observability and the non-dynamic
+    # modes follow from it, with no SVD of [E B], [E; C] or a square E
+    shapes, svd = [], kernels._svd
+
+    def counted(M, vectors=True, full=True):
+        shapes.append((M.shape, vectors))
+        return svd(M, vectors, full)
+
+    for mod in (kernels, pencil, analysis):
+        monkeypatch.setattr(mod, "_svd", counted)
+    report = analysis.minimality_report(proper24)
+    n = proper24.n
+    assert report.minimal
+    assert ((n, n), True) not in shapes
+    assert not any(shape in ((n, n + proper24.m), (n + proper24.p, n)) for shape, _ in shapes)
+
+
+@pytest.mark.parametrize(
+    "query",
     [analysis.minreal, analysis.poles, lambda g: weierstrass_structure(g.A, g.E)],
     ids=["minreal", "poles", "weierstrass_structure"],
 )

@@ -5,7 +5,7 @@ The staircase primitives take their matrices and one absolute tolerance and
 nothing that could prescribe a split, so ``klf``'s second pass cuts its own
 stairs and must agree with the first.  ``solve_right`` probes one normal
 rank, that of ``[G F]``, against ``G``'s checked one.  The square
-zero-dynamics path of ``_standard_stable_data`` is taken only by a ``D`` that
+zero-dynamics path (``analysis._zero_dynamics``) is taken only by a ``D`` that
 its column-rank cut calls full.
 """
 
@@ -70,9 +70,10 @@ def test_solve_right_probes_one_normal_rank():
 
 
 def test_square_feedthrough_path_needs_a_full_column_rank():
-    # the if that gates the zero-dynamics path on FEEDTHROUGH_RCOND has
+    # the if that gates the zero-dynamics path on FEEDTHROUGH_RCOND, in the
+    # one helper that _structure and _standard_stable_data share, has
     # ``full`` as one of its conjuncts
-    (_, fn), = _functions("_standard_stable_data")
+    (_, fn), = _functions("_zero_dynamics")
     gates = [n for n in ast.walk(fn) if isinstance(n, ast.If) and "FEEDTHROUGH_RCOND" in ast.unparse(n.test)]
     assert len(gates) == 1
     test = gates[0].test
