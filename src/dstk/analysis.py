@@ -3,8 +3,8 @@
 Normal rank, pole/zero structure (finite values plus infinite multiplicities), McMillan degree,
 stability and minimum-phase predicates, the five-condition minimality report, minimal realization and
 the H2/L2 system norm.  The report and :func:`minreal` share one split, its absolute tolerance and one
-non-dynamic-mode primitive (:func:`_nondynamic`); a finite Neumann sum decouples the split, no QZ.  Zeros
-past one feedthrough gate (:func:`_zero_dynamics`) are ``eig(A + B D^-1 C)``, others take a staircase.
+non-dynamic-mode primitive (:func:`_nondynamic`); a finite Neumann sum decouples the split, no QZ.  The one
+SVD of ``D`` (:func:`_zero_dynamics`) gates zeros ``eig(A + B D^-1 C)``; others take a staircase.
 """
 
 from __future__ import annotations
@@ -295,23 +295,24 @@ def zeros(sys: DescriptorSystem, tol=None) -> PoleZeroInfo:
 
 
 def _zero_dynamics(g):
-    """``Bd = B D^-1`` of the zero dynamics ``A + Bd C`` of a minimal ``g``, or None.  The one gate, blind to
-    ``tol``, takes a standard square ``g`` whose singular values ``s`` of ``D`` all exceed both the column-rank
-    cut ``sqrt(DEFICIENCY_RCOND) max(s_max, 1)`` (``full``) and ``FEEDTHROUGH_RCOND s_max``."""
-    if g.m and g.p == g.m and g.is_standard:
-        U, sv, Vh = _svd(g.D, full=False)
-        full = _svd_rank(sv, g.D.shape, np.sqrt(DEFICIENCY_RCOND) * max(sv[0], 1.0)) == g.m
-        if full and _svd_rank(sv, g.D.shape, FEEDTHROUGH_RCOND * sv[0]) == g.m:
-            return ((g.B @ Vh.T) / sv) @ U.T
-    return None
+    """The one decision on the feedthrough of a minimal ``g``, from one thin SVD ``D = U diag(s) V^T``: ``(full,
+    s, V^T, Bd)``.  ``full`` when ``m`` values exceed the column-rank cut ``sqrt(DEFICIENCY_RCOND) max(s_max,
+    1)``; ``Bd = B D^-1`` of the zero dynamics ``A + Bd C`` past the gate, blind to ``tol``: a standard square
+    ``g`` whose ``D`` is ``full`` with every ``s > FEEDTHROUGH_RCOND s_max``; else None."""
+    U, sv, Vh = _svd(g.D, full=False)
+    full = _svd_rank(sv, g.D.shape, np.sqrt(DEFICIENCY_RCOND) * max(sv.max(initial=0.0), 1.0)) == g.m
+    if g.m and g.p == g.m and full and g.is_standard and _svd_rank(sv, g.D.shape, FEEDTHROUGH_RCOND * sv[0]) == g.m:
+        return full, sv, Vh, ((g.B @ Vh.T) / sv) @ U.T
+    return full, sv, Vh, None
 
 
-def _structure(g, tol):
-    """The system-pencil structure ``(Mk, Nk, V, ks, r)`` of a minimal ``g``: past :func:`_zero_dynamics`,
-    ``r = m`` and ``ks`` holds ``eig(A + Bd C)`` and ``m`` degree-one infinite divisors, with no pencil (None
-    ``Mk``, ``Nk``, ``V``); else one :func:`klf` and one probe normal rank ``r``, and counts other than
-    ``m - r`` right and ``p - r`` left Kronecker blocks raise :class:`IterationFailure`."""
-    Bd = _zero_dynamics(g)
+def _structure(g, tol, gate=True):
+    """The system-pencil structure ``(Mk, Nk, V, ks, r)`` of a minimal ``g``.  A square ``g`` asks
+    :func:`_zero_dynamics` unless ``gate`` is False (its caller's answer was None); past it, ``r = m`` and
+    ``ks`` holds ``eig(A + Bd C)`` and ``m`` degree-one infinite divisors, with no pencil (None ``Mk``, ``Nk``,
+    ``V``).  Else one :func:`klf` and one probe normal rank ``r``, and counts other than ``m - r`` right and
+    ``p - r`` left Kronecker blocks raise :class:`IterationFailure`."""
+    Bd = _zero_dynamics(g)[3] if gate and g.p == g.m else None
     if Bd is not None:
         return None, None, None, KroneckerStructure([], [], np.linalg.eigvals(g.A + Bd @ g.C), [1] * g.m), g.m
     Mk, Nk, _, V, ks = klf(*_system_pencil(g), tol=tol)

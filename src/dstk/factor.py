@@ -3,11 +3,11 @@
 Additive decomposition over a good/bad split of the complex plane, right and
 left coprime factorizations by eigenvalue dislocation with state feedback /
 output injection, and inner-outer (and co-outer--co-inner) factorizations of
-stable proper full-rank systems via an algebraic Riccati equation.  For a
-square system past the zero-structure gate (``analysis._zero_dynamics``) it
-has no state weight: one ordered real Schur form of the zero dynamics ``A +
-B D^-1 C`` (``D^-1`` from the gate's SVD) decides the zeros, and a Lyapunov
-(Stein) equation on the antistable block of that same form solves it.
+stable proper full-rank systems via an algebraic Riccati equation.  One SVD
+of ``D`` (``analysis._zero_dynamics``) gives its column rank, the weight
+``(D^T D)^1/2`` and the gate past which a square system's Riccati has no
+state weight: one ordered real Schur form of ``A + B D^-1 C`` decides the
+zeros, and a Lyapunov (Stein) equation on its antistable block solves it.
 Otherwise one sorted LAPACK ``dgges`` with right Schur vectors only orders
 the extended pencil ``M - s N`` in continuous time, and the reversed
 ``N - mu M`` (``mu = 1/z``) in discrete time, whose QZ already leaves the
@@ -316,21 +316,19 @@ def _riccati_gain(A, B, Qc, Sc, Rc, X, domain):
 def _standard_stable_data(sys, tol):
     """Minimal realization, normal rank ``r``, zero dynamics ``zd`` and weight ``w``, validated for the
     inner-outer scope: proper (``minreal``'s ``E`` is ``I``), stable off the boundary, no boundary zeros.
-    One SVD ``D = U diag(s) V^T`` with ``m`` values ``s > sqrt(DEFICIENCY_RCOND) max(s_max, 1)`` (a full
-    ``D``) gives ``w = (W, W^-1)``, ``W = V diag(s) V^T = (D^T D)^1/2``, else ``w`` is None.  Past the
-    gate of :func:`_structure` (:func:`_zero_dynamics`), ``r = m``, ``zd`` the Schur form of ``A + Bd C``."""
+    :func:`_zero_dynamics` takes the one SVD ``D = U diag(s) V^T``: a ``full`` ``D`` gives ``w = (W, W^-1)``,
+    ``W = V diag(s) V^T = (D^T D)^1/2``, else ``w`` is None.  Past its gate, ``r = m`` and ``zd`` is the Schur
+    form of ``A + Bd C``; else :func:`_structure`, told the gate's answer, reads ``r`` and the zeros."""
     g = minreal(sys, tol=tol)
     region = stability_region(g.domain)
     if not g.is_standard:
         raise ImproperInput("the system must be proper")
     if not _all_stable(np.linalg.eigvals(g.A), 0, g.domain):
         raise UnstableInput("the system must be stable")
-    _, sv, Vh = _svd(g.D, full=False)
-    full = _svd_rank(sv, g.D.shape, np.sqrt(DEFICIENCY_RCOND) * max(sv.max(initial=0.0), 1.0)) == g.m
+    full, sv, Vh, Bd = _zero_dynamics(g)
     w = ((Vh.T * sv) @ Vh, (Vh.T / sv) @ Vh) if full else None
-    Bd = _zero_dynamics(g)
     if Bd is None:
-        *_, ks, r = _structure(g, tol)
+        *_, ks, r = _structure(g, tol, gate=False)
         zs, zd = _zeros(ks).finite, None
     else:
         zd = (*_schur_ordered(g.A + Bd @ g.C, region.inside), Bd)

@@ -113,9 +113,9 @@ class StabilityRegion:
     def boundary_distance(self, z) -> float:
         return abs(self._depth(complex(z)))
 
-    def on_boundary(self, z, tol=None) -> bool:
-        z, tol = complex(z), BOUNDARY_TOL if tol is None else tol
-        return abs(self._depth(z)) <= tol * (1.0 + abs(z))
+    def on_boundary(self, z) -> bool:
+        z = complex(z)
+        return abs(self._depth(z)) <= BOUNDARY_TOL * (1.0 + abs(z))
 
     def real_point(self) -> float:
         return self.alpha - 1.0 if self.kind == "half-plane" else 0.0

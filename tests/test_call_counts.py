@@ -266,6 +266,56 @@ def test_square_structure_reads_zero_dynamics(calls, probed, query, domain, shap
     assert sum(P.shape == M.shape and np.array_equal(P, M) for P in probed) == pencils
 
 
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    """Shapes of the matrices that ``analysis`` and ``factor`` decompose by ``_svd``."""
+    shapes, svd = [], kernels._svd
+
+    def recorded(M, *args, **kwargs):
+        shapes.append(M.shape)
+        return svd(M, *args, **kwargs)
+
+    for mod in (analysis, factor):
+        monkeypatch.setattr(mod, "_svd", recorded)
+    return shapes
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda G, F: factor.inner_outer(G),
+        lambda G, F: factor.co_outer_co_inner(transpose_dual(G)),
+        solve.l2_model_match,
+    ],
+    ids=["inner_outer", "co_outer_co_inner", "l2_model_match"],
+)
+@pytest.mark.parametrize("domain", ["continuous", "discrete"])
+@pytest.mark.parametrize("cond", [1.0, 8.0, 1e3, None], ids=["cond1", "cond8", "cond1e3", "tall"])
+def test_factorization_takes_one_svd_of_D(svd_shapes, query, domain, cond):
+    # one SVD of D decides its column rank, the continuous weight and the
+    # zero-dynamics gate, whether or not a square D passes the gate; at
+    # n = 12 no other matrix decomposed has D's shape
+    G = random_system(12, 2, 2 if cond else 3, domain, stable=True, rng=np.random.default_rng(12))
+    if cond:
+        U = np.linalg.qr(np.random.default_rng(12).normal(size=(2, 2)))[0]
+        G = make_system(G.A, G.E, G.B, G.C, U @ np.diag([1.0, 1.0 / cond]) @ U.T, domain)
+    F = random_system(8, 1, G.p, domain, stable=True, rng=np.random.default_rng(27))
+    F = make_system(F.A, F.E, F.B, F.C, np.zeros_like(F.D), domain)
+    svd_shapes.clear()
+    query(G, F)
+    assert svd_shapes.count(G.D.shape) == 1
+
+
+@pytest.mark.parametrize("domain", ["continuous", "discrete"])
+@pytest.mark.parametrize("m, p", [(2, 3), (3, 2)], ids=["tall", "wide"])
+def test_rectangular_zeros_take_no_svd_of_D(svd_shapes, domain, m, p):
+    # only a square D can pass the gate, so a rectangular one is not decomposed
+    G = random_system(12, m, p, domain, rng=np.random.default_rng(12))
+    svd_shapes.clear()
+    analysis.zeros(G)
+    assert svd_shapes.count(G.D.shape) == 0
+
+
 def test_invertible_E_report_takes_no_square_singular_vectors(monkeypatch, proper24):
     # the report decides the rank of an invertible E from its singular values
     # alone: infinite controllability, observability and the non-dynamic
@@ -763,14 +813,17 @@ def test_compatible_solve_right_takes_no_probe_rank(probed):
 
 
 def test_deficiency_cuts_count_through_svd_rank(monkeypatch):
-    # a discrete tall inner_outer decides the column rank of D, the
-    # spectral-factor weight and the completion basis each by _svd_rank
-    callers, svd_rank = set(), factor._svd_rank
+    # a discrete tall inner_outer decides the column rank of D (in
+    # analysis's feedthrough helper), the spectral-factor weight and the
+    # completion basis each by _svd_rank; the minreal staircases are its
+    # only other callers
+    callers, svd_rank = set(), kernels._svd_rank
 
     def counted(*args, **kwargs):
         callers.add(sys._getframe(1).f_code.co_name)
         return svd_rank(*args, **kwargs)
 
-    monkeypatch.setattr(factor, "_svd_rank", counted)
+    for mod in (analysis, factor):
+        monkeypatch.setattr(mod, "_svd_rank", counted)
     factor.inner_outer(random_system(12, 2, 3, "discrete", stable=True, rng=np.random.default_rng(12)))
-    assert callers == {"_psd_sqrt", "_standard_stable_data", "_inner_complement"}
+    assert callers == {"_ctrb_reduce", "_psd_sqrt", "_zero_dynamics", "_inner_complement"}

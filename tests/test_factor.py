@@ -59,7 +59,7 @@ def stable_clean_system(rng, domain, n, m, p):
         if domain == "continuous" and np.linalg.matrix_rank(g.D.T @ g.D) < m:
             continue
         zz = zeros(g)
-        if any(region.on_boundary(z, 1e-6) for z in zz.finite):
+        if any(region.boundary_distance(z) <= 1e-6 * (1.0 + abs(z)) for z in zz.finite):
             continue
         return g
 

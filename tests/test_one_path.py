@@ -6,7 +6,7 @@ nothing that could prescribe a split, so ``klf``'s second pass cuts its own
 stairs and must agree with the first.  ``solve_right`` probes one normal
 rank, that of ``[G F]``, against ``G``'s checked one.  The square
 zero-dynamics path (``analysis._zero_dynamics``) is taken only by a ``D`` that
-its column-rank cut calls full.
+its column-rank cut calls full, and that cut of ``D`` is written once.
 """
 
 import ast
@@ -79,6 +79,20 @@ def test_square_feedthrough_path_needs_a_full_column_rank():
     test = gates[0].test
     conjuncts = test.values if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And) else [test]
     assert any(isinstance(c, ast.Name) and c.id == "full" for c in conjuncts)
+
+
+def test_feedthrough_rank_is_cut_in_one_function():
+    # sqrt(DEFICIENCY_RCOND) max(sigma_max, 1) cuts the column rank of D in
+    # analysis._zero_dynamics alone; factor reads that helper's verdict
+    owner = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in [tree] + [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]:
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and ast.unparse(node).endswith("sqrt(DEFICIENCY_RCOND)"):
+                    # ast.walk reaches a nested function after its parent: the innermost owner wins
+                    owner[node] = f"{path.name}:{getattr(fn, 'name', '<module>')}"
+    assert sorted(owner.values()) == ["analysis.py:_zero_dynamics"]
 
 
 def test_second_pass_that_disagrees_is_refused_by_its_own_cut():

@@ -19,7 +19,7 @@ import pytest
 from test_probe_rule import _hostile
 from test_regularity import _common_kernel, _row_scaled
 
-from dstk import factor
+from dstk import analysis, factor
 from dstk.analysis import minreal, poles, zeros
 from dstk.cli import run, write_system
 from dstk.exceptions import DstkError, IterationFailure, RankDeficiencyUnsupported, SingularPencil
@@ -173,3 +173,22 @@ def test_source_has_one_verdict_per_failure():
             if isinstance(node, ast.FunctionDef) and node.name == "_psd_sqrt" and node.args.defaults:
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"second verdicts: {found}"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 25: no certificate checks the inner factor, so a small well-conditioned continuous D "
+    "past the zero-dynamics gate returns a Q that is silently not inner",
+)
+def test_gated_continuous_factor_is_inner_or_refused():
+    # max |Q*Q - I| reads 1.76e-8 here
+    g = random_system(8, 2, 2, "continuous", stable=True, rng=rng(308))
+    g = make_system(g.A, g.E, g.B, g.C, 1e-4 * rng(11).normal(size=(2, 2)), "continuous")
+    if analysis._zero_dynamics(minreal(g))[3] is None:
+        pytest.fail("the input no longer passes the zero-dynamics gate")
+    try:
+        Q = inner_outer(g).first
+    except DstkError:
+        return
+    assert _max_inner_error(Q, "continuous") <= 1e-8

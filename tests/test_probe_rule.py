@@ -109,7 +109,7 @@ def test_gated_hostile_inputs():
     for s in range(300):
         h = _hostile(s)[1] if s % 4 < 2 else None
         g = None if h is None else analysis.minreal(h)
-        if g is not None and g.n == 6 and analysis._zero_dynamics(g) is not None:
+        if g is not None and g.n == 6 and analysis._zero_dynamics(g)[3] is not None:
             gated.append(s)
     assert gated == GATED
 
@@ -120,8 +120,27 @@ def test_balanced_zeros(s):
     # staircase of the scaled system pencil misreads s = 16, 124, 148, 232
     # and 245 and refuses s = 25 and 188, so these read A + B D^-1 C
     g, h = _hostile(s)
-    want = list(scipy.linalg.eigvals(g.A + g.B @ np.linalg.solve(g.D, g.C), g.E))
-    got = analysis.zeros(h).finite
+    _assert_same_zeros(analysis.zeros(h).finite, scipy.linalg.eigvals(g.A + g.B @ np.linalg.solve(g.D, g.C), g.E))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP items 5 and 27: the staircase of a row-scaled system pencil that misses the gate "
+    "finds 5 finite zeros where the unscaled twin has 6",
+)
+@pytest.mark.parametrize("s", [1, 24, 36, 129, 133, 168, 181, 208])
+def test_ungated_hostile_zeros(s):
+    g, h = _hostile(s)
+    m = analysis.minreal(h)
+    if m.n != 6 or analysis._zero_dynamics(m)[3] is not None:
+        pytest.fail("the input no longer keeps order 6 and misses the zero-dynamics gate")
+    _assert_same_zeros(analysis.zeros(h).finite, analysis.zeros(g).finite)
+
+
+def _assert_same_zeros(got, want):
+    """``got`` matches ``want`` one to one within 1e-6 of the largest wanted zero."""
+    want = list(want)
     assert len(got) == len(want)
     scale = max(abs(w) for w in want)
     for z in got:
