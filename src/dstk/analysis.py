@@ -199,11 +199,14 @@ def _split(sys: DescriptorSystem, tol):
     """One deflation pass: the pencil ``Mk - lam Nk`` with its ``k`` infinite
     eigenvalues leading, ``B`` and ``C`` in its coordinates, the infinite
     divisor degrees, the absolute staircase tolerance and the standardized
-    finite pair ``(As, Bs)``, the trailing ``(Mk, B)`` divided by ``Nk``."""
-    Mk, Nk, U, V, divisors = _regular_deflate(sys.A, sys.E, stair_tol(tol, sys.n, sys.A, sys.E))
+    finite pair ``(As, Bs)``, the trailing ``(Mk, B)`` divided by ``Nk``.  A
+    standard ``sys`` is its own split: ``(A, I, B, C, [], tol_abs, A, B)``."""
     # the staircases run on standardized data, whose scale the raw norms miss
     scale = max(np.linalg.norm(X) for X in (sys.A, sys.E, sys.B, sys.C)) + 1.0
     tol_abs = tol if tol is not None else default_tol(max(sys.n, sys.m, sys.p), scale)
+    if sys.is_standard:
+        return sys.A, sys.E, sys.B, sys.C, [], tol_abs, sys.A, sys.B
+    Mk, Nk, U, V, divisors = _regular_deflate(sys.A, sys.E, stair_tol(tol, sys.n, sys.A, sys.E))
     B1, k = U @ sys.B, int(sum(divisors))
     As, Bs = np.linalg.solve(Nk[k:, k:], Mk[k:, k:]), np.linalg.solve(Nk[k:, k:], B1[k:, :])
     return Mk, Nk, B1, sys.C @ V, divisors, tol_abs, As, Bs
@@ -297,22 +300,22 @@ def zeros(sys: DescriptorSystem, tol=None) -> PoleZeroInfo:
 def _zero_dynamics(g):
     """The one decision on the feedthrough of a minimal ``g``, from one thin SVD ``D = U diag(s) V^T``: ``(full,
     s, V^T, Bd)``.  ``full`` when ``m`` values exceed the column-rank cut ``sqrt(DEFICIENCY_RCOND) max(s_max,
-    1)``; ``Bd = B D^-1`` of the zero dynamics ``A + Bd C`` past the gate, blind to ``tol``: a standard square
-    ``g`` whose ``D`` is ``full`` with every ``s > FEEDTHROUGH_RCOND s_max``; else None."""
+    1)``; ``Bd = B D^-1`` of the zero dynamics ``A + Bd C`` past the gate, blind to ``tol``: a square (by its
+    callers, standard) ``g`` whose ``D`` is ``full`` with every ``s > FEEDTHROUGH_RCOND s_max``; else None."""
     U, sv, Vh = _svd(g.D, full=False)
     full = _svd_rank(sv, g.D.shape, np.sqrt(DEFICIENCY_RCOND) * max(sv.max(initial=0.0), 1.0)) == g.m
-    if g.m and g.p == g.m and full and g.is_standard and _svd_rank(sv, g.D.shape, FEEDTHROUGH_RCOND * sv[0]) == g.m:
+    if g.m and g.p == g.m and full and _svd_rank(sv, g.D.shape, FEEDTHROUGH_RCOND * sv[0]) == g.m:
         return full, sv, Vh, ((g.B @ Vh.T) / sv) @ U.T
     return full, sv, Vh, None
 
 
 def _structure(g, tol, gate=True):
-    """The system-pencil structure ``(Mk, Nk, V, ks, r)`` of a minimal ``g``.  A square ``g`` asks
+    """The system-pencil structure ``(Mk, Nk, V, ks, r)`` of a minimal ``g``.  A standard square ``g`` asks
     :func:`_zero_dynamics` unless ``gate`` is False (its caller's answer was None); past it, ``r = m`` and
     ``ks`` holds ``eig(A + Bd C)`` and ``m`` degree-one infinite divisors, with no pencil (None ``Mk``, ``Nk``,
     ``V``).  Else one :func:`klf` and one probe normal rank ``r``, and counts other than ``m - r`` right and
     ``p - r`` left Kronecker blocks raise :class:`IterationFailure`."""
-    Bd = _zero_dynamics(g)[3] if gate and g.p == g.m else None
+    Bd = _zero_dynamics(g)[3] if gate and g.p == g.m and g.is_standard else None
     if Bd is not None:
         return None, None, None, KroneckerStructure([], [], np.linalg.eigvals(g.A + Bd @ g.C), [1] * g.m), g.m
     Mk, Nk, _, V, ks = klf(*_system_pencil(g), tol=tol)
@@ -364,8 +367,8 @@ def minimality_report(sys: DescriptorSystem, tol=None) -> MinimalityReport:
     decoupling from the infinite part leaves ``(A, B)`` there unchanged, so it is skipped); finite
     observability is the same test on the transposed dual, so the report is dual-symmetric.  Infinite
     controllability and observability are full rank of ``[E, B]`` and ``[E; C]``, and the non-dynamic
-    modes are those of :func:`_nondynamic`; all three hold (by interlacing) at rank E = n, which E's
-    singular values decide unless the split's cut, at most ``tol_abs``, found ``k`` infinite eigenvalues."""
+    modes are those of :func:`_nondynamic`; all three hold (by interlacing) at rank E = n: at ``E = I``, else
+    when E's singular values say so and the split's cut, at most ``tol_abs``, found no infinite eigenvalue."""
     A, E, B, C = sys.A, sys.E, sys.B, sys.C
 
     def _finite_controllable(g):
@@ -375,7 +378,7 @@ def minimality_report(sys: DescriptorSystem, tol=None) -> MinimalityReport:
 
     fc, tol_abs, k = _finite_controllable(sys)
     fo = _finite_controllable(_trusted_system(A.T, E.T, C.T, B.T, sys.D.T, sys.domain))[0]
-    full = not k and _svd_rank(_svd(E, vectors=False), E.shape, tol_abs) == sys.n
+    full = not k and (sys.is_standard or _svd_rank(_svd(E, vectors=False), E.shape, tol_abs) == sys.n)
     ic = full or rank_tol(np.hstack([E, B]), tol_abs) == sys.n
     io = full or rank_tol(np.vstack([E, C]), tol_abs) == sys.n
     nd = full or _nondynamic(A, E, tol_abs)[3].size == 0

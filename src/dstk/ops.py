@@ -9,7 +9,9 @@ polynomial division (improper entries get a shift pencil with singular
 frequency-response oracle in the test suite.  The general inverse is the
 system pencil of :func:`~dstk.analysis._system_pencil`, bordered by the
 identity; parallel coupling, both concatenations and diagonal stacking share
-one block-diagonal assembler, and series adds its off-diagonal block.
+one block-diagonal assembler, and series adds its off-diagonal block.  The
+discrete conjugate of a system with invertible ``A`` is standard at the
+original order, whatever its ``E``.
 
 None of the constructors reduce their results; callers run ``minreal`` when
 a minimal realization is wanted.
@@ -155,24 +157,21 @@ def conjugate(sys: DescriptorSystem) -> DescriptorSystem:
     """Conjugate (adjoint) system.
 
     Continuous time realizes ``G~(s) = G(-s)^T`` at the original order.  In
-    discrete time ``G~(z) = G(1/z)^T`` uses a pencil of order ``n + m``; when
-    the system is standard with invertible ``A`` (one LU of ``A^T``, whose
-    reciprocal condition exceeds ``n * SINGULAR_RCOND``, gives ``A^-T``) an
-    order-``n`` alternative realization is used instead.
+    discrete time ``G~(z) = G(1/z)^T``: with invertible ``A`` (one LU of
+    ``A^T``, whose reciprocal condition exceeds ``n * SINGULAR_RCOND``, gives
+    ``Ait = A^-T``) and ``K = Ait E^T`` (``Ait`` itself when ``E = I``), it is
+    ``D^T + B^T Ait C^T - B^T K (K - z I)^-1 Ait C^T``, the standard order-``n``
+    realization ``(K, I, -Ait C^T, B^T K, D^T + B^T Ait C^T)``, proper even
+    when ``G`` is not (its infinite poles move to ``z = 0``); a singular ``A``
+    takes a pencil of order ``n + m``.
     """
     n, m, p = sys.n, sys.m, sys.p
     if sys.domain is TimeDomain.CONTINUOUS:
         return _trusted_system(-sys.A.T, sys.E.T, -sys.C.T, sys.B.T, sys.D.T, sys.domain)
-    Ait = _lu_solve(sys.A.T, np.eye(n)) if sys.is_standard else None
+    Ait = _lu_solve(sys.A.T, np.eye(n))
     if Ait is not None:
-        return _trusted_system(
-            Ait,
-            np.eye(n),
-            -Ait @ sys.C.T,
-            sys.B.T @ Ait,
-            sys.D.T + sys.B.T @ Ait @ sys.C.T,
-            sys.domain,
-        )
+        K = Ait if sys.is_standard else Ait @ sys.E.T
+        return _trusted_system(K, np.eye(n), -Ait @ sys.C.T, sys.B.T @ K, sys.D.T + sys.B.T @ Ait @ sys.C.T, sys.domain)
     A = _diag2(sys.E.T, np.eye(m))
     E = np.zeros((n + m, n + m))
     E[:n, :n] = sys.A.T

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -78,10 +79,11 @@ class DescriptorSystem:
     def p(self) -> int:
         return self.C.shape[0]
 
-    @property
+    @cached_property
     def is_standard(self) -> bool:
-        """True when E is exactly the identity.  A :func:`~dstk.minreal`
-        output has ``E == I`` exactly when its transfer matrix is proper."""
+        """True when E is exactly the identity, decided once per (immutable)
+        system.  A :func:`~dstk.minreal` output has ``E == I`` exactly when
+        its transfer matrix is proper."""
         return bool(np.array_equal(self.E, np.eye(self.n)))
 
     def __call__(self, lam) -> np.ndarray:

@@ -449,6 +449,15 @@ class TestMinreal:
         gm = minreal(g)
         assert gm.n == 1 == mcmillan_degree(gm)
 
+    def test_standard_system_at_a_cut_above_one(self):
+        # E = I is its own split, invertible at any tol: a cut of 2 reduces
+        # the staircases instead of calling the identity singular
+        h = random_system(8, 2, 2, "continuous", rng=np.random.default_rng(8))
+        g = make_system(h.A, None, h.B, h.C, h.D, "continuous")
+        gm = minreal(g, tol=2.0)
+        assert gm.is_standard and gm.n <= g.n
+        assert minimality_report(g, tol=2.0).order == g.n
+
     @pytest.mark.parametrize("query", [minreal, minimality_report, poles, zeros])
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
     @pytest.mark.parametrize("proper", [True, False])

@@ -29,15 +29,6 @@ def calls(monkeypatch):
     wrapper ``kernels._gges``), of the real Schur form, of ``klf``, of
     ``weierstrass_structure`` and of the reduction ``analysis._reduce``
     (which ``minreal`` runs), counted wherever a dstk module binds them."""
-    counts = Counter()
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
     targets = [(scipy.linalg, "qz", "qz"), (scipy.linalg, "ordqz", "qz"), (scipy.linalg, "schur", "schur")]
     for attr, name in [
         ("_gges", "qz"),
@@ -46,8 +37,19 @@ def calls(monkeypatch):
         ("_reduce", "reduce"),
     ]:
         targets += [(mod, attr, name) for mod in (kernels, pencil, analysis, factor, solve, cli) if hasattr(mod, attr)]
+    return _counted(monkeypatch, targets)
+
+
+def _counted(monkeypatch, targets):
+    """Calls of each ``(module, attribute, name)`` target, counted by name."""
+    counts = Counter()
     for mod, attr, name in targets:
-        monkeypatch.setattr(mod, attr, counted(name, getattr(mod, attr)))
+
+        def wrapper(*args, _fn=getattr(mod, attr), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(mod, attr, wrapper)
     return counts
 
 
@@ -314,6 +316,37 @@ def test_rectangular_zeros_take_no_svd_of_D(svd_shapes, domain, m, p):
     svd_shapes.clear()
     analysis.zeros(G)
     assert svd_shapes.count(G.D.shape) == 0
+
+
+@pytest.mark.parametrize("query", [analysis.zeros, solve.right_nullspace], ids=["zeros", "right_nullspace"])
+def test_improper_square_structure_takes_no_svd_of_D(svd_shapes, query):
+    # only a standard g can pass the zero-dynamics gate, so an improper
+    # square one is not asked for its D; at n = 12 no other matrix
+    # decomposed has D's shape
+    G = random_system(12, 2, 2, "continuous", proper=False, rng=np.random.default_rng(12))
+    svd_shapes.clear()
+    query(G)
+    assert svd_shapes.count(G.D.shape) == 0
+
+
+@pytest.mark.parametrize("query", [analysis.minreal, analysis.minimality_report], ids=["minreal", "minimality_report"])
+def test_standard_system_is_its_own_split(monkeypatch, query):
+    # E = I needs no deflation pass, and dividing by it changes nothing
+    h = random_system(24, 2, 2, "continuous", rng=np.random.default_rng(24))
+    g = make_system(h.A, None, h.B, h.C, h.D, "continuous")
+    counts = _counted(monkeypatch, [(analysis, "_regular_deflate", "deflate"), (np.linalg, "solve", "solve")])
+    query(g)
+    assert counts == Counter()
+
+
+@pytest.mark.parametrize("singular", [False, True], ids=["invertible_E", "singular_E"])
+def test_discrete_conjugate_is_standard_for_invertible_A(monkeypatch, singular):
+    # the conjugate of a descriptor system with invertible A already has
+    # E = I, so its reduction deflates no spurious infinite eigenvalues
+    g = random_system(12, 2, 2, "discrete", proper=not singular, rng=np.random.default_rng(12))
+    counts = _counted(monkeypatch, [(pencil, "_deflate", "deflate")])
+    analysis.minreal(ops.conjugate(g))
+    assert counts["deflate"] == 0
 
 
 def test_invertible_E_report_takes_no_square_singular_vectors(monkeypatch, proper24):

@@ -255,6 +255,25 @@ class TestConjugate:
         A[:, 0] = 0.0
         assert conjugate(make_system(A, None, B, C, D, "discrete")).n == n + m
 
+    @pytest.mark.parametrize("singular", [False, True], ids=["invertible_E", "singular_E"])
+    def test_discrete_descriptor_order_n_for_invertible_A(self, rng, singular):
+        # with invertible A, any E gives the standard order-n realization
+        # built on K = A^-T E^T; a singular E (an improper G) leaves its
+        # infinite poles at z = 0 of the conjugate
+        n, m, p = 12, 2, 3
+        E = rng.normal(size=(n, n))
+        if singular:
+            E[:, :4] = E[:, 4:8] @ rng.normal(size=(4, 4))
+        A, B, C, D = rng.normal(size=(n, n)), rng.normal(size=(n, m)), rng.normal(size=(p, n)), rng.normal(size=(p, m))
+        cj = conjugate(make_system(A, E, B, C, D, "discrete"))
+        assert cj.n == n and cj.is_standard
+        for lam in oracle_points(rng, 4):
+            w = 1.0 / lam
+            want = (C @ np.linalg.solve(A - w * E, B) + D).T
+            assert np.linalg.norm(eval_tfm(cj, lam) - want) <= 1e-10 * (1 + np.linalg.norm(want))
+        A[:, 0] = 0.0
+        assert conjugate(make_system(A, E, B, C, D, "discrete")).n == n + m
+
     @pytest.mark.parametrize("domain", ["continuous", "discrete"])
     def test_involution_oracle(self, rng, domain):
         g = random_system(3, 2, 2, domain, rng=rng)

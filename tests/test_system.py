@@ -55,6 +55,23 @@ class TestMakeSystem:
         g = make_system([[-1.0]], None, [[1.0]], [[-1.0]], [[0.0]], "continuous")
         assert g.is_standard
 
+    @pytest.mark.parametrize(
+        "E, standard", [(None, True), (np.eye(2), True), (np.diag([1.0, 2.0]), False)], ids=["None", "identity", "diag"]
+    )
+    def test_is_standard_is_decided_once(self, monkeypatch, E, standard):
+        # the system is immutable, so its E = I verdict is one comparison,
+        # however often a pipeline asks
+        g = make_system(-np.eye(2), E, np.ones((2, 1)), np.ones((1, 2)), [[0.0]], "continuous")
+        compared, array_equal = [], np.array_equal
+
+        def counted(*args, **kwargs):
+            compared.append(args)
+            return array_equal(*args, **kwargs)
+
+        monkeypatch.setattr(np, "array_equal", counted)
+        assert [g.is_standard for _ in range(3)] == [standard] * 3
+        assert len(compared) == 1
+
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             make_system([[np.nan]], [[1.0]], [[1.0]], [[1.0]], [[0.0]], "continuous")
