@@ -3,9 +3,8 @@ L2-optimal model-matching solver.
 
 Nullspace bases come from the staircase form of the system matrix pencil:
 its leading right-singular block, compressed to ``[B1 | A1 - lam E1]`` with
-``E1`` invertible, is a descriptor realization of the kernel once a
-stabilizing LQR feedback on ``(A1, E1, B1)`` fixes its poles; the
-accumulated orthogonal transforms map it back to the input coordinates.
+``E1`` invertible, realizes the kernel in the input coordinates: a proper
+basis, which only :func:`right_nullspace` stabilizes by an LQR feedback.
 No polynomial arithmetic is involved.  A particular solution of
 ``G X = F`` is built from the library's own realization arithmetic: the
 inverse of the invertible core ``G[rows, cols]``, whose indices pivoted
@@ -64,9 +63,8 @@ __all__ = [
 
 @dataclass
 class SolveResult:
-    """Particular solution plus a nullspace basis; the general solution is
-    ``particular + null_basis * Y`` (``Y * null_basis`` for the left variant)
-    with ``Y`` an arbitrary rational matrix."""
+    """Particular solution plus a proper, not stabilized, nullspace basis; the general solution
+    is ``particular + null_basis * Y`` (``Y * null_basis`` for the left variant), ``Y`` rational."""
 
     particular: DescriptorSystem
     null_basis: DescriptorSystem
@@ -96,41 +94,43 @@ class LdpParts:
 def right_nullspace(sys: DescriptorSystem, tol=None) -> DescriptorSystem:
     """Proper stable rational basis of the right nullspace of the TFM.
 
-    The result has shape ``m x (m - r)`` (``r`` the normal rank), full column
-    normal rank, and order equal to the sum of the right minimal indices.
-    It is read off the leading right-singular block of the staircase form
-    of the system pencil; its poles are placed by a stabilizing LQR gain.
-    Full-column-rank inputs yield an empty ``m x 0`` basis.  The staircase
-    is the checked one of :func:`_structure`: Kronecker block counts other
-    than ``m - r`` right and ``p - r`` left raise :class:`IterationFailure`
-    instead of returning a basis of the wrong width.
+    The result has shape ``m x (m - r)`` (``r`` the normal rank), full column normal rank,
+    and order equal to the sum of the right minimal indices.  It is :func:`solve_right`'s
+    basis with its poles placed by a stabilizing LQR gain, whose failed Riccati solve is a
+    "nullspace stabilization" refusal.  Full-column-rank inputs yield an empty ``m x 0``
+    basis.  The staircase is the checked one of :func:`_structure`: Kronecker block counts
+    other than ``m - r`` right and ``p - r`` left raise :class:`IterationFailure` instead of
+    returning a basis of the wrong width.
     """
     g = minreal(sys, tol=tol)
     return _right_nullspace(g, _structure(g, tol))
 
 
-def _right_nullspace(g, structure) -> DescriptorSystem:
-    """:func:`right_nullspace` of a minimal ``g`` from its :func:`_structure`; the kernel
-    block's ``N`` part, of full row rank ``nr`` by structure, is split at ``nr`` by one SVD."""
+def _kernel_block(g, structure) -> DescriptorSystem:
+    """Proper right nullspace basis of a minimal ``g`` from its :func:`_structure`: one SVD of the
+    leading block's ``N`` part, of full row rank ``nr``, compresses it to ``[B1 | A1 - lam E1]``."""
     Mk, Nk, V, ks, _ = structure
     nr, nu = ks.nr, len(ks.right_indices)
     if nu == 0:
         return _static(np.zeros((g.m, 0)), g.domain)
-    # the leading block has only right Kronecker structure, so its N part
-    # has full row rank nr: compress it to [0 | E1] with E1 invertible
     Nr = Nk[:nr, : nr + nu]
     Vh = _svd(Nr)[2]
     W = np.hstack([Vh[nr:].T, Vh[:nr].T])
-    MW = Mk[:nr, : nr + nu] @ W
-    B1, A1, E1 = MW[:, :nu], MW[:, nu:], (Nr @ W)[:, nu:]
-    # kernel: (A1 - lam E1) x + B1 v = 0; the feedback v = F x + w moves its
-    # poles into the stability region
-    F = np.zeros((nu, nr))
-    if nr:
-        As, Bs = np.linalg.solve(E1, A1), np.linalg.solve(E1, B1)
-        F = _riccati_schur(As, Bs, np.eye(nr), np.zeros((nr, nu)), np.eye(nu), g.domain)[1]
-    Vu = V[g.n :, : nr + nu] @ W
-    return _trusted_system(A1 + B1 @ F, E1, -B1, Vu[:, nu:] + Vu[:, :nu] @ F, Vu[:, :nu], g.domain)
+    MW, Vu = Mk[:nr, : nr + nu] @ W, V[g.n :, : nr + nu] @ W
+    return _trusted_system(MW[:, nu:], (Nr @ W)[:, nu:], -MW[:, :nu], Vu[:, nu:], Vu[:, :nu], g.domain)
+
+
+def _right_nullspace(g, structure) -> DescriptorSystem:
+    """:func:`right_nullspace` of a minimal ``g``: :func:`_kernel_block` under the feedback ``v = F x + w``."""
+    N = _kernel_block(g, structure)
+    if not N.n:
+        return N
+    As, Bs = np.linalg.solve(N.E, N.A), np.linalg.solve(N.E, -N.B)
+    try:
+        F = _riccati_schur(As, Bs, np.eye(N.n), np.zeros((N.n, N.m)), np.eye(N.m), g.domain)[1]
+    except IterationFailure as exc:
+        raise IterationFailure(f"nullspace stabilization: {exc}") from None
+    return _trusted_system(N.A - N.B @ F, N.E, N.B, N.C + N.D @ F, N.D, g.domain)
 
 
 def left_nullspace(sys: DescriptorSystem, tol=None) -> DescriptorSystem:
@@ -188,8 +188,8 @@ def solve_right(G: DescriptorSystem, F: DescriptorSystem, tol=None) -> SolveResu
     the system pencil of ``[G F]`` has a normal rank, the largest rank at
     three fixed probe points, above its order plus the ``r`` that
     :func:`_structure` checked, :class:`Incompatible` is raised, else the
-    :class:`IterationFailure`.  The returned nullspace basis parameterizes
-    all solutions.  The result depends on ``G``, ``F`` and ``tol`` alone.
+    :class:`IterationFailure`.  The returned basis, proper but not stabilized,
+    parameterizes all solutions.  The result depends on ``G``, ``F`` and ``tol`` alone.
     """
     if G.domain is not F.domain:
         raise DomainMismatch("G and F must share a time domain")
@@ -205,12 +205,12 @@ def solve_right(G: DescriptorSystem, F: DescriptorSystem, tol=None) -> SolveResu
         if _probe_rank(*_system_pencil(concat_row(g, f)), tol) > g.n + f.n + structure[4]:
             raise Incompatible("[G F] has a larger normal rank than G") from None
         raise
-    return SolveResult(X0, _right_nullspace(g, structure))
+    return SolveResult(X0, _kernel_block(g, structure))
 
 
 def solve_left(G: DescriptorSystem, F: DescriptorSystem, tol=None) -> SolveResult:
     """Solve ``X G = F`` (transpose-dual of :func:`solve_right`); the basis
-    field holds a left nullspace basis of ``G``."""
+    field holds a proper, not stabilized, left nullspace basis of ``G``."""
     res = solve_right(transpose_dual(G), transpose_dual(F), tol=tol)
     return SolveResult(transpose_dual(res.particular), transpose_dual(res.null_basis))
 

@@ -108,6 +108,35 @@ def test_solve_right_reduces_g_once(calls):
     assert calls["reduce"] == 3
 
 
+def _solve_cli(G, F, tmp_path):
+    pg, pf = str(tmp_path / "g.dss"), str(tmp_path / "f.dss")
+    write_system(pg, G)
+    write_system(pf, F)
+    assert cli.run(["solve", pg, pf, "-o", str(tmp_path / "x.dss")]) == 0
+
+
+@pytest.mark.parametrize(
+    "query, qz",
+    [
+        (lambda G, F, tmp_path: solve.solve_right(G, F), 0),
+        (lambda G, F, tmp_path: solve.solve_left(transpose_dual(G), transpose_dual(F)), 0),
+        (_solve_cli, 0),
+        (lambda G, F, tmp_path: solve.right_nullspace(G), 1),
+    ],
+    ids=["solve_right", "solve_left", "cli_solve", "right_nullspace"],
+)
+@pytest.mark.parametrize("domain", ["continuous", "discrete"])
+def test_only_right_nullspace_stabilizes(calls, tmp_path, capsys, query, qz, domain):
+    # solve_right returns the kernel block as the staircase leaves it; only
+    # right_nullspace moves its poles, by the Riccati's extended-pencil QZ
+    r = np.random.default_rng(16)
+    G = random_system(16, 3, 2, domain, rng=r)
+    F = series(G, random_system(4, 1, 3, domain, rng=r))
+    query(G, F, tmp_path)
+    capsys.readouterr()
+    assert calls["qz"] == qz
+
+
 def test_improper_minimality_report_runs_no_qz(calls):
     # the report reads only the finite (A, B) of the split, which the
     # Sylvester decoupling from the infinite part leaves unchanged

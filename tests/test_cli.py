@@ -12,6 +12,7 @@ from dstk.cli import (
     _build_parser, _parse_region, _read_matrix, format_system, parse_system, read_system, run, write_system,
 )
 from dstk.exceptions import ParseError
+from dstk.ops import series
 from dstk.system import TimeDomain, eval_tfm, make_system, random_system
 
 
@@ -265,6 +266,21 @@ _POINTS = [0.4 + 1.3j, -0.7 + 0.5j, 1.6 - 2.2j]
 def _run_json(argv, capsys):
     assert run(argv + ["--out", "json"]) == 0
     return json.loads(capsys.readouterr().out)["results"]
+
+
+def test_solve_with_an_unstabilizable_basis(tmp_path, capsys):
+    # the kernel block of this G has one input and about 24 unstable poles;
+    # solve writes the particular solution and needs no stable basis
+    r = np.random.default_rng(48)
+    G = random_system(48, 3, 2, "continuous", rng=r)
+    F = series(G, random_system(4, 1, 3, "continuous", rng=r))
+    pf, px = str(tmp_path / "f.dss"), str(tmp_path / "x.dss")
+    write_system(pf, F)
+    assert _run_json(["solve", _write(tmp_path, G), pf, "-o", px], capsys)["null_basis_cols"] == 1
+    X = read_system(px)
+    for lam in _POINTS:
+        gv, xv, fv = _dense(G, lam), _dense(X, lam), _dense(F, lam)
+        assert np.linalg.norm(gv @ xv - fv) <= 1e-8 * (np.linalg.norm(gv) * np.linalg.norm(xv) + np.linalg.norm(fv))
 
 
 class TestFactorCommands:

@@ -117,9 +117,9 @@ class TestNullspaces:
 
 
     @staticmethod
-    def assert_basis(N, G, n, rng, left=False):
+    def assert_basis(N, G, n, rng, left=False, stable=True):
         """Order at most n, annihilates G at oracle probes, full rank there,
-        proper and stable."""
+        proper and, when ``stable``, stable."""
         assert N.n <= n
         for lam in oracle_points(rng, 4):
             lam, nv = safe_eval(N, lam, rng)
@@ -130,7 +130,7 @@ class TestNullspaces:
             sv = np.linalg.svd(nv, compute_uv=False)
             assert sv[-1] > 1e-8 * sv[0]
         assert poles(N).infinite_count == 0
-        assert is_stable(N)
+        assert not stable or is_stable(N)
 
     @pytest.mark.parametrize(
         "domain,n",
@@ -166,7 +166,9 @@ class TestNullspaces:
         F = series(G, random_system(2, 1, 4, "continuous", rng=rng))
         basis = solve_right(G, F).null_basis
         assert (basis.p, basis.m) == (4, 2)
-        self.assert_basis(basis, G, G.n, rng)
+        # solve_right's basis is proper but not stabilized; right_nullspace stabilizes it
+        self.assert_basis(basis, G, G.n, rng, stable=False)
+        self.assert_basis(right_nullspace(G), G, G.n, rng)
 
 
 class TestSolve:
@@ -240,6 +242,74 @@ class TestSolve:
             gv = eval_tfm(G, lam)
             fv = eval_tfm(F, lam)
             assert np.linalg.norm(xv @ gv - fv) <= 1e-8 * (1 + np.linalg.norm(fv))
+
+
+def _dense(g, lam):
+    """``C (A - lam E)^-1 B + D`` by one dense complex solve."""
+    return g.C @ np.linalg.solve(g.A - lam * g.E, g.B) + g.D
+
+
+_POINTS = [0.4 + 1.3j, -0.7 + 0.5j, 1.6 - 2.2j, -1.1 - 0.6j]
+
+
+def _wide(n, s):
+    """Continuous 2 x 3 ``G`` of order ``n`` from ``default_rng(1000 s + n)``, and ``F = G X``
+    with ``X`` drawn from the same generator."""
+    r = np.random.default_rng(1000 * s + n)
+    G = random_system(n, 3, 2, "continuous", rng=r)
+    return G, series(G, random_system(4, 1, 3, "continuous", rng=r))
+
+
+def assert_solves(G, X, F, left=False):
+    """``G X = F`` (``X G = F`` when ``left``) normwise to 1e-8 at four points, by dense solves."""
+    for lam in _POINTS:
+        gv, xv, fv = _dense(G, lam), _dense(X, lam), _dense(F, lam)
+        res = (xv @ gv if left else gv @ xv) - fv
+        assert np.linalg.norm(res) <= 1e-8 * (np.linalg.norm(gv) * np.linalg.norm(xv) + np.linalg.norm(fv))
+
+
+class TestWideSolve:
+    # the kernel block of a wide G of order n >= 40 has one input and about
+    # n/2 unstable poles, which right_nullspace's Riccati refuses to move;
+    # solve_right needs no stable basis, so that refusal cannot reach it
+
+    @pytest.mark.parametrize("s", [0, 1, 2])
+    @pytest.mark.parametrize("n", [40, 48])
+    def test_solve_right(self, n, s):
+        G, F = _wide(n, s)
+        res = solve_right(G, F)
+        assert_solves(G, res.particular, F)
+        N = res.null_basis
+        assert (N.p, N.m) == (3, 1)
+        for lam in _POINTS:
+            gv, nv = _dense(G, lam), _dense(N, lam)
+            assert np.linalg.norm(gv @ nv) <= 1e-12 * np.linalg.norm(gv) * np.linalg.norm(nv)
+            sv = np.linalg.svd(nv, compute_uv=False)
+            assert sv[-1] > 1e-8 * sv[0]
+        assert poles(N).infinite_count == 0
+
+    def test_solve_left(self):
+        G, F = _wide(48, 0)
+        Gt, Ft = transpose_dual(G), transpose_dual(F)
+        assert_solves(Gt, solve_left(Gt, Ft).particular, Ft, left=True)
+
+    @pytest.mark.parametrize("n", [40, 48])
+    def test_refused_stabilization_names_its_step(self, n):
+        g = random_system(n, 3, 2, "continuous", rng=np.random.default_rng(n))
+        with pytest.raises(IterationFailure, match="^nullspace stabilization: Riccati"):
+            right_nullspace(g)
+
+    @pytest.mark.parametrize("s", [18, 90, 150, 230, 248])
+    def test_refused_nullspace_corpus_solves(self, s):
+        # systems of the nullspace corpus of ROADMAP item 18 whose basis
+        # right_nullspace refuses to stabilize
+        r = np.random.default_rng(10000 + s)
+        n, m = int(r.integers(2, 41)), int(r.integers(2, 5))
+        g = random_system(n, m, int(r.integers(1, m)), "continuous", proper=(s // 2) % 2 != 0, rng=r)
+        F = series(g, random_system(3, 1, m, "continuous", rng=np.random.default_rng(s)))
+        with pytest.raises(IterationFailure, match="^nullspace stabilization"):
+            right_nullspace(g)
+        assert_solves(g, solve_right(g, F).particular, F)
 
 
 class TestModelMatch:
