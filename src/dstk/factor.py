@@ -3,20 +3,17 @@
 Additive decomposition over a good/bad split of the complex plane, right and
 left coprime factorizations by eigenvalue dislocation with state feedback /
 output injection, and inner-outer (and co-outer--co-inner) factorizations of
-stable proper full-rank systems via an algebraic Riccati equation.  One SVD
-of ``D`` (``analysis._zero_dynamics``) gives its column rank, the weight
-``(D^T D)^1/2`` and the gate past which a square system's Riccati has no
-state weight: one ordered real Schur form of ``A + B D^-1 C`` decides the
-zeros, and a Lyapunov (Stein) equation on its antistable block solves it.
-Otherwise one sorted LAPACK ``dgges`` with right Schur vectors only orders
-the extended pencil ``M - s N`` in continuous time, and the reversed
-``N - mu M`` (``mu = 1/z``) in discrete time, whose QZ already leaves the
-stable set in front.  The same pencil solver gives the dislocating
-feedback: with zero state weight its gain mirrors every bad eigenvalue into
-the region, so no random placement is involved.  Both read
-:func:`minreal`'s split: no rank of ``E`` is decided again, and no QZ orders
-the poles.  Every other square solve but the Riccati graph is one LU
-(``kernels._solve``), which raises a typed error on a singular matrix.
+stable proper full-rank systems via an algebraic Riccati equation.  A Riccati
+with no state weight is a Bernoulli equation: one Lyapunov (Stein) equation on
+the antistable block of an ordered real Schur form solves it.  That form is the
+one ordering the poles for the default dislocating gain, which mirrors every
+bad eigenvalue into the region, and that of ``A + B D^-1 C``, which also gives
+the zeros, for a square system past the gate of the one SVD of ``D``
+(``analysis._zero_dynamics``).  A weighted Riccati takes one sorted LAPACK
+``dgges`` of its extended pencil.  Both factorizations read :func:`minreal`'s
+split: no rank of ``E`` is decided again, and no QZ orders the poles.  Every
+other square solve but the Riccati graph is one LU (``kernels._solve``), which
+raises a typed error on a singular matrix.
 """
 
 from __future__ import annotations
@@ -160,19 +157,18 @@ def _dislocating_feedback(g, nf, ninf, region, pole_set, tol):
         d = np.diag(g.E)[:re, None]
         As, Bs = (Ap[:re, :re] - P[:, :re]) / d, (g.B[:re] - P[:, re:]) / d
 
-    T, Z, _, k = _schur_ordered(As, region.inside)
+    T, Z, eigs, k = _schur_ordered(As, region.inside)
     if k < re:
         nb = re - k
         Abs, Bbs = T[k:, k:], (Z.T @ Bs)[k:]
         if pole_set is None:
-            # the zero-state-weight LQR gain mirrors every bad pole: about
-            # Re z = alpha - 1/2, or about |z| = rho/sqrt(2) after scaling
-            if region.is_half_plane:
-                Am, Bm, kind = Abs - (region.alpha - 0.5) * np.eye(nb), Bbs, TimeDomain.CONTINUOUS
-            else:
-                r = region.rho / np.sqrt(2.0)
-                Am, Bm, kind = Abs / r, Bbs / r, TimeDomain.DISCRETE
-            Fb = _riccati_schur(Am, Bm, np.zeros((nb, nb)), np.zeros((nb, m)), np.eye(m), kind)[1]
+            # the zero-state-weight LQR gain, one Bernoulli equation on the bad block, mirrors every
+            # bad pole: about Re z = alpha - 1/2, or about |z| = rho/sqrt(2) after scaling
+            c, r = (region.alpha - 0.5, 1.0) if region.is_half_plane else (0.0, region.rho / np.sqrt(2.0))
+            kind = TimeDomain.CONTINUOUS if region.is_half_plane else TimeDomain.DISCRETE
+            Am, Bm, zb = (Abs - c * np.eye(nb)) / r, Bbs / r, [(z - c) / r for z in eigs[k:]]
+            X = _bernoulli((Am, np.eye(nb), zb, 0, Bm), kind)
+            Fb = _riccati_gain(Am, Bm, np.zeros((nb, nb)), np.zeros((nb, m)), np.eye(m), X, kind)[1]
         else:
             targets = [complex(z) for z in pole_set]
             for z in targets:
@@ -199,13 +195,15 @@ def rcf(sys: DescriptorSystem, region: StabilityRegion, pole_set=None, tol=None)
     finite eigenvalue (not :meth:`StabilityRegion.inside`, so one in the
     boundary band too) into the region and reduces the infinite structure so
     that all infinite eigenvalues of the factor pencil are simple.  ``M`` is
-    square ``m x m`` with ``M(inf) = I``.  The rank of ``E`` is read from
+    square ``m x m``, with ``M(inf) = I`` for a proper ``G``; for an improper
+    one ``N`` is proper and ``M(inf)`` singular.  The rank of ``E`` is read from
     :func:`minreal`'s split, and ``tol`` acts there and in the index reduction.
 
     By default the feedback is the zero-state-weight LQR gain of the bad
-    block, which puts each bad eigenvalue ``z`` at its mirror image
-    ``region.reflect(z)``: about ``Re z = alpha - 1/2`` for a half-plane,
-    about ``|z| = rho/sqrt(2)`` (at ``rho**2 / (2 conj(z))``) for a disk.
+    Schur block, a Bernoulli equation (no QZ), which puts each bad eigenvalue
+    ``z`` at its mirror image ``region.reflect(z)``: about ``Re z = alpha -
+    1/2`` for a half-plane, about ``|z| = rho/sqrt(2)`` (at ``rho**2 / (2
+    conj(z))``) for a disk.
     An explicit ``pole_set`` (one target per bad eigenvalue, inside the region,
     closed under conjugation, none repeated more than ``rank(B)`` times) is
     placed by ``scipy.signal.place_poles``; other target sets raise
@@ -251,7 +249,8 @@ def _riccati_schur(A, B, Qc, Sc, Rc, domain):
     pencil ``N - mu M`` (``mu = 1/z``, the same subspaces), whose QZ leaves
     the stable set ``|mu| > 1`` (``z = 0`` at ``mu = inf``) in front, where
     that of ``M - z N`` leaves it last.  An eigenvalue in the boundary band
-    leaves fewer than ``n`` selected and raises ``IterationFailure``."""
+    leaves fewer than ``n`` selected and raises ``IterationFailure``.  A
+    Riccati with no state weight takes :func:`_bernoulli` instead."""
     n, m = B.shape
     Zn = np.zeros((n, n))
     Znm = np.zeros((n, m))
@@ -278,14 +277,15 @@ def _riccati_schur(A, B, Qc, Sc, Rc, domain):
 
 
 def _bernoulli(zd, domain):
-    """Stabilizing Riccati solution of :func:`_inner_outer_thin` for a square
-    ``G``: with zero dynamics ``A + Bd C = Z T Z^T``, ``Bd = B D^-1`` (``zd =
-    (T, Z, zeros, k, Bd)``, the first four from :func:`_schur_ordered`,
-    stable block first) it is ``X = Z2 Y^-1 Z2^T``, ``T22 Y + Y T22^T = W``
-    (continuous) or ``T22 Y T22^T - Y = W`` (discrete), ``W = Bt Bt^T``,
-    ``Bt = Z2^T Bd``, solved by :func:`_lyap_quasi` on ``-T22`` or
-    ``T22^-1`` and their eigenvalues, read off ``zeros``: no second Schur
-    form, and no solve with ``D``."""
+    """Stabilizing solution ``X`` of the Riccati with zero state weight and
+    unit input weight (a Bernoulli equation) of ``(A, Bd)``, ``A = Z T Z^T``
+    and ``zd = (T, Z, eigenvalues, k, Bd)``, the first four from
+    :func:`_schur_ordered`, stable block first: ``X = Z2 Y^-1 Z2^T``, ``T22 Y
+    + Y T22^T = W`` (continuous) or ``T22 Y T22^T - Y = W`` (discrete), ``W =
+    Bt Bt^T``, ``Bt = Z2^T Bd``, solved by :func:`_lyap_quasi` on ``-T22`` or
+    ``T22^-1`` and their eigenvalues, read off ``zd``: no second Schur form.
+    The square :func:`_inner_outer_thin` passes the zero dynamics ``A + Bd C``,
+    ``Bd = B D^-1``; the dislocating gain its shifted bad block (``Z = I, k = 0``)."""
     T, Z, zs, k, Bd = zd
     Z2, Bt = Z[:, k:], Z[:, k:].T @ Bd
     if domain is TimeDomain.CONTINUOUS:

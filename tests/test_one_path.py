@@ -6,7 +6,9 @@ nothing that could prescribe a split, so ``klf``'s second pass cuts its own
 stairs and must agree with the first.  ``solve_right`` probes one normal
 rank, that of ``[G F]``, against ``G``'s checked one.  The square
 zero-dynamics path (``analysis._zero_dynamics``) is taken only by a ``D`` that
-its column-rank cut calls full, and that cut of ``D`` is written once.
+its column-rank cut calls full, and that cut of ``D`` is written once.  A
+zero-weight Riccati is one Bernoulli equation (``factor._bernoulli``), and
+only a weighted one takes the extended pencil (``factor._riccati_schur``).
 """
 
 import ast
@@ -93,6 +95,24 @@ def test_feedthrough_rank_is_cut_in_one_function():
                     # ast.walk reaches a nested function after its parent: the innermost owner wins
                     owner[node] = f"{path.name}:{getattr(fn, 'name', '<module>')}"
     assert sorted(owner.values()) == ["analysis.py:_zero_dynamics"]
+
+
+def _callers(name):
+    """``file:function`` of the innermost definition around every call of ``name`` in the package."""
+    owner = {}
+    for path in sorted(SRC.glob("*.py")):
+        for fn in [n for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.FunctionDef)]:
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == name:
+                    owner[node] = f"{path.name}:{fn.name}"
+    return sorted(owner.values())
+
+
+def test_one_solver_per_riccati_weight():
+    # a zero-weight Riccati is a Bernoulli equation on a Schur block; only a
+    # weighted one takes the extended pencil's QZ
+    assert _callers("_riccati_schur") == ["factor.py:_inner_outer_thin", "solve.py:_right_nullspace"]
+    assert "factor.py:_dislocating_feedback" in _callers("_bernoulli")
 
 
 def test_second_pass_that_disagrees_is_refused_by_its_own_cut():

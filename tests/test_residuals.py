@@ -128,15 +128,21 @@ class TestMutations:
 
     @pytest.mark.parametrize("domain", ["continuous", "discrete"])
     def test_bernoulli_solution_is_judged_as_a_riccati(self, domain, monkeypatch):
-        # the zero-dynamics Lyapunov solve is not checked itself: a wrong
-        # solution surfaces as a wrong Riccati solution
+        # the Lyapunov solve on the zero dynamics (inner_outer) or on the bad
+        # block (rcf) is not checked itself: a wrong solution surfaces as a
+        # wrong Riccati solution
         g = random_system(8, 2, 2, domain, stable=True, rng=np.random.default_rng(2008))
         g = make_system(g.A, g.E, g.B, g.C, np.eye(2), domain)  # square, well-conditioned D: the zero-dynamics path
+        h = random_system(8, 2, 2, domain, rng=np.random.default_rng(8))
+        region = stability_region(domain)
+        assert not all(map(region.inside, analysis.poles(h).finite))  # rcf has poles to dislocate
         inner_outer(g)
+        rcf(h, region)
         quasi = factor._lyap_quasi
         monkeypatch.setattr(factor, "_lyap_quasi", lambda *a: 1.5 * quasi(*a))
-        with pytest.raises(IterationFailure, match="^Riccati residual too large"):
-            inner_outer(g)
+        for call in (lambda: inner_outer(g), lambda: rcf(h, region)):
+            with pytest.raises(IterationFailure, match="^Riccati residual too large"):
+                call()
 
     def test_certificate(self, monkeypatch):
         r = np.random.default_rng(5)
@@ -171,9 +177,17 @@ class TestRegressions:
             assert np.linalg.norm(gv @ nv, 2) <= 1e-8 * np.linalg.norm(gv, 2) * np.linalg.norm(nv, 2)
             assert np.linalg.norm(nv) > 0.0
 
-    @pytest.mark.parametrize("fn, seed", [(rcf, 1), (lcf, 0)])
-    def test_coprime_order_60(self, fn, seed):
-        G = random_system(60, 2, 2, "continuous", rng=np.random.default_rng(1000 * seed + 60))
+    # high orders, where the mirror gain reaches about 1e6 and its Riccati
+    # solution is accepted only when solved accurately (the last five were
+    # refused when the extended pencil solved it)
+    @pytest.mark.parametrize(
+        "fn, n, seed, proper",
+        [(rcf, 60, 1, True), (lcf, 60, 0, True), (rcf, 48, 7, False), (lcf, 60, 1, True),
+         (lcf, 60, 3, False), (rcf, 60, 4, False), (lcf, 60, 5, False)],
+        ids=["rcf-1", "lcf-0", "rcf-48-7-improper", "lcf-1", "lcf-3-improper", "rcf-4-improper", "lcf-5-improper"],
+    )
+    def test_coprime_order_60(self, fn, n, seed, proper):
+        G = random_system(n, 2, 2, "continuous", proper=proper, rng=np.random.default_rng(1000 * seed + n))
         pair = fn(G, stability_region("continuous"))
         assert _stable(pair.first) and _stable(pair.second)
         for theta in (0.4, 1.7, 2.9):
