@@ -48,7 +48,7 @@ from .kernels import (
     null_basis,
     stability_region,
 )
-from .ops import _static, concat_row, transpose_dual
+from .ops import transpose_dual
 from .system import DescriptorSystem, TimeDomain, _trusted_system
 
 __all__ = [
@@ -343,19 +343,22 @@ def inner_outer(sys: DescriptorSystem, tol=None) -> FactorPair:
     """Inner--outer factorization ``G = Q1 R`` of a stable proper system of
     full column normal rank.
 
-    ``Q = [Q1 Q2]`` is returned square inner; ``R`` is square, stable,
+    ``Q = [Q1 Q2]`` is returned square inner on the states of the minimal
+    thin factor ``Q1`` alone: for p > m, the completion ``Q2`` shares its
+    ``(A, C)``, so ``Q`` has ``Q1``'s order.  ``R`` is square, stable,
     minimum phase and invertible.  Rank-deficient cases (including a
     continuous-time feedthrough without full column rank, i.e. zeros at
     infinity) fall outside the restricted scope and raise
     :class:`RankDeficiencyUnsupported`.
     """
     g, r, zd, w = _standard_stable_data(sys, tol)
-    p, m = g.p, g.m
-    if r < m or (w is None and g.domain is TimeDomain.CONTINUOUS):  # zeros at infinity are out of scope
+    if r < g.m or (w is None and g.domain is TimeDomain.CONTINUOUS):  # zeros at infinity are out of scope
         raise RankDeficiencyUnsupported("TFM must have full column normal rank, and a continuous D full column rank")
-    q1, R = _inner_outer_thin(g, tol, zd, w)
-    Q = concat_row(q1, _inner_complement(q1, g.domain)) if p > m else q1
-    return FactorPair(Q, R, "inner-outer", inner_columns=m)
+    Q, R = _inner_outer_thin(g, tol, zd, w)
+    if g.p > g.m:
+        B2, D2 = _inner_complement(Q, g.domain)
+        Q = _trusted_system(Q.A, Q.E, np.hstack([Q.B, B2]), Q.C, np.hstack([Q.D, D2]), g.domain)
+    return FactorPair(Q, R, "inner-outer", inner_columns=g.m)
 
 
 def _inner_outer_thin(g, tol, zd, w):
@@ -380,11 +383,10 @@ def _inner_outer_thin(g, tol, zd, w):
 
 
 def _inner_complement(q1, domain):
-    """Square-inner completion ``[Q1 Q2]`` of a minimal inner factor Q1; a deficient discrete Gramian is refused."""
+    """The columns ``(B2, D2)`` that complete a minimal inner factor Q1 to the square inner ``[Q1 Q2]``
+    on Q1's own states, ``Q2 = (A, I, B2, C, D2)``; a deficient discrete Gramian is refused."""
     A, C, D = q1.A, q1.C, q1.D
     n, p, m = q1.n, q1.p, q1.m
-    if n == 0:
-        return _static(null_basis(D.T), domain)
     # observability Gramian X1 of Q1 by an O(n^6) Kronecker solve: X1 is as
     # ill-conditioned as Q1's Hankel singular values decay, and the X1^-1
     # below keeps its digits with this solve but not with glyap's
@@ -397,8 +399,7 @@ def _inner_complement(q1, domain):
     X1 = 0.5 * (X1 + X1.T)
     if domain is TimeDomain.CONTINUOUS:
         Dp = null_basis(D.T)
-        B2 = _solve(X1, C.T @ Dp, IterationFailure, "inner completion Gramian is singular")
-        return _trusted_system(A, np.eye(n), B2, C, Dp, domain)
+        return _solve(X1, C.T @ Dp, IterationFailure, "inner completion Gramian is singular"), Dp
     # discrete: complete [B; D] to an M-orthonormal basis of the constraint
     # kernel, M = diag(X1, I)
     Kmat = np.hstack([A.T @ X1, -C.T])
@@ -415,17 +416,13 @@ def _inner_complement(q1, domain):
     if _svd_rank(s, P.shape, DEFICIENCY_RCOND * max(s.max(initial=0.0), 1.0)) < p - m:
         raise IterationFailure("inner completion basis is numerically deficient")
     BD = _diag2(Xhi, np.eye(p)) @ keep
-    return _trusted_system(A, np.eye(n), BD[:n, :], C, BD[n:, :], domain)
+    return BD[:n], BD[n:]
 
 
 def co_outer_co_inner(sys: DescriptorSystem, tol=None) -> FactorPair:
     """Co-outer--co-inner factorization ``G = R Q1`` with ``Q1`` the leading
     ``inner_columns`` rows of the returned square inner ``Q`` (dual of
-    :func:`inner_outer`)."""
+    :func:`inner_outer`), which has the order of the minimal thin ``Q1``."""
     pair = inner_outer(transpose_dual(sys), tol=tol)
-    return FactorPair(
-        transpose_dual(pair.second),
-        transpose_dual(pair.first),
-        "co-outer-co-inner",
-        inner_columns=pair.inner_columns,
-    )
+    Q, R = transpose_dual(pair.first), transpose_dual(pair.second)
+    return FactorPair(R, Q, "co-outer-co-inner", inner_columns=pair.inner_columns)

@@ -76,6 +76,8 @@ class StabilityRegion:
     def __post_init__(self):
         if self.kind not in ("half-plane", "disk"):
             raise RegionInvalid(f"unknown region kind {self.kind!r}")
+        if not (np.isfinite(self.alpha) and np.isfinite(self.rho)):
+            raise RegionInvalid("region alpha and rho must be finite")
         if self.kind == "disk" and not self.rho > 0.0:
             raise RegionInvalid("disk radius must be positive")
 

@@ -5,8 +5,10 @@ are reproducible.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -408,8 +410,9 @@ def test_criterion_8_cli(tmp_path, capsys):
         "--out",
         "json",
     ]
-    out1 = subprocess.run(cmd, capture_output=True, check=True).stdout
-    out2 = subprocess.run(cmd, capture_output=True, check=True).stdout
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out1 = subprocess.run(cmd, capture_output=True, check=True, env=env).stdout
+    out2 = subprocess.run(cmd, capture_output=True, check=True, env=env).stdout
     assert out1 == out2 and out1, "seeded runs must be byte-identical"
 
     for name, g in GOLDEN_FILES.items():

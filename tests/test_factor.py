@@ -379,6 +379,7 @@ class TestInnerOuter:
         g = random_system(16, 2, 3, "continuous", stable=True, rng=np.random.default_rng(1000 * seed + 16))
         Q = inner_outer(g).first
         assert Q.p == Q.m == 3
+        assert Q.n <= 16  # [Q1 Q2] on the thin factor's own states
         for z in LHP.boundary_points(5):
             q = eval_tfm(Q, z)
             assert np.abs(q.conj().T @ q - np.eye(3)).max() <= 1e-4
@@ -387,6 +388,7 @@ class TestInnerOuter:
         g = transpose_dual(stable_clean_system(rng, "continuous", 3, 1, 2))
         pair = co_outer_co_inner(g)
         r = pair.inner_columns
+        assert pair.second.n <= g.n
         for lam in oracle_points(rng, 3):
             lam, qv = safe_eval(pair.second, lam, rng)
             rv = eval_tfm(pair.first, lam)

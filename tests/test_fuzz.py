@@ -5,6 +5,7 @@ results depend on the inputs alone.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
@@ -70,6 +71,20 @@ def test_tiny_scale_leaves_decisions(n, m, domain, proper, seed):
     assert len(klf(h.A, h.E)[4].finite_eigenvalues) == len(klf(g.A, g.E)[4].finite_eigenvalues)
     M, N = _system_pencil(g)
     assert pencil_normal_rank(c * M, c * N) == pencil_normal_rank(M, N)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("domain", ["continuous", "discrete"])
+def test_small_scale_keeps_minimal_order(domain, n, seed):
+    # (c A, c E, c B, c C, D) scales the finite/infinite split's data by c; the
+    # split cuts its staircases at default_tol(., ||A, E, B, C||_F + 1), and
+    # without the + 1 floor 8 of these 20 inputs lose a state (every
+    # continuous n = 8 one at c = 1e-4)
+    g = random_system(n, 2, 2, domain, proper=False, rng=np.random.default_rng(1000 * seed + n))
+    order = minreal(g).n
+    for c in (1e-4, 1e-6, 1e-8, 1e-10):
+        assert minreal(make_system(c * g.A, c * g.E, c * g.B, c * g.C, g.D, domain)).n == order
 
 
 @settings(derandomize=True, deadline=None, max_examples=30, database=None)

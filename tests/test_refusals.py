@@ -103,6 +103,14 @@ CASES = [
      lambda: pencil_normal_rank(np.zeros((2, 3)), np.zeros((3, 2)))),
     ("StabilityRegion-kind", RegionInvalid, "unknown region kind",
      lambda: StabilityRegion("cone")),
+    ("StabilityRegion-nan-alpha", RegionInvalid, "must be finite",
+     lambda: StabilityRegion.half_plane(float("nan"))),
+    ("StabilityRegion-inf-alpha", RegionInvalid, "must be finite",
+     lambda: StabilityRegion.half_plane(float("inf"))),
+    ("StabilityRegion-nan-rho", RegionInvalid, "must be finite",
+     lambda: StabilityRegion.disk(float("nan"))),
+    ("StabilityRegion-inf-rho", RegionInvalid, "must be finite",
+     lambda: StabilityRegion.disk(float("inf"))),
     ("inner_outer-completion-kernel", IterationFailure, "inner completion kernel has unexpected dimension",
      lambda: inner_outer(random_system(16, 2, 3, "discrete", stable=True, rng=np.random.default_rng(4019)))),
 ]
