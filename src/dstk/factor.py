@@ -383,13 +383,14 @@ def _inner_outer_thin(g, tol, zd, w):
 
 
 def _inner_complement(q1, domain):
-    """The columns ``(B2, D2)`` that complete a minimal inner factor Q1 to the square inner ``[Q1 Q2]``
-    on Q1's own states, ``Q2 = (A, I, B2, C, D2)``; a deficient discrete Gramian is refused."""
+    """The columns ``(B2, D2)`` that complete a minimal inner factor Q1 to the square inner ``[Q1 Q2]`` on
+    Q1's own states, ``Q2 = (A, I, B2, C, D2)``.  In discrete time, with ``X1 = Xh^2``, ``[-Xh B2; D2]`` is
+    the orthogonal complement of the isometry ``T = [[Xh A Xh^-1, -Xh B1], [C Xh^-1, D1]]``, from one SVD."""
     A, C, D = q1.A, q1.C, q1.D
-    n, p, m = q1.n, q1.p, q1.m
-    # observability Gramian X1 of Q1 by an O(n^6) Kronecker solve: X1 is as
-    # ill-conditioned as Q1's Hankel singular values decay, and the X1^-1
-    # below keeps its digits with this solve but not with glyap's
+    n, m = q1.n, q1.m
+    # observability Gramian X1 of Q1 by an O(n^6) Kronecker solve in both domains: X1 is as
+    # ill-conditioned as Q1's Hankel singular values decay, and X1^-1 (Xh^-1) keeps its digits
+    # with this solve but not with glyap's or a Stein solve on a Schur form of A^T
     At, I = A.T, np.eye(n)
     if domain is TimeDomain.CONTINUOUS:
         K = np.kron(At, I) + np.kron(I, At)
@@ -400,23 +401,14 @@ def _inner_complement(q1, domain):
     if domain is TimeDomain.CONTINUOUS:
         Dp = null_basis(D.T)
         return _solve(X1, C.T @ Dp, IterationFailure, "inner completion Gramian is singular"), Dp
-    # discrete: complete [B; D] to an M-orthonormal basis of the constraint
-    # kernel, M = diag(X1, I)
-    Kmat = np.hstack([A.T @ X1, -C.T])
-    NK = null_basis(Kmat)
-    if NK.shape[1] != p:
-        raise IterationFailure("inner completion kernel has unexpected dimension")
+    # discrete: T^T T = I is Q1's inner equations (B's sign is that of G = C (A - lam E)^-1 B + D),
+    # and a T of lower rank than n + m is no isometry to complete
     Xh, Xhi = _psd_sqrt(X1, "inner completion Gramian")
-    Mhalf = _diag2(Xh, np.eye(p))
-    T1 = Mhalf @ np.vstack([q1.B, D])
-    Kt = Mhalf @ NK
-    P = Kt - T1 @ (T1.T @ Kt)
-    U, s, _ = _svd(P, full=False)
-    keep = U[:, : p - m]
-    if _svd_rank(s, P.shape, DEFICIENCY_RCOND * max(s.max(initial=0.0), 1.0)) < p - m:
+    T = np.block([[Xh @ (A @ Xhi), -Xh @ q1.B], [C @ Xhi, D]])
+    U, s, _ = _svd(T)
+    if _svd_rank(s, T.shape, DEFICIENCY_RCOND * max(s.max(initial=0.0), 1.0)) < n + m:
         raise IterationFailure("inner completion basis is numerically deficient")
-    BD = _diag2(Xhi, np.eye(p)) @ keep
-    return BD[:n], BD[n:]
+    return -Xhi @ U[:n, n + m :], U[n:, n + m :]
 
 
 def co_outer_co_inner(sys: DescriptorSystem, tol=None) -> FactorPair:

@@ -20,6 +20,7 @@ absolute, at ``stair_tol``.  One predicate, ``StabilityRegion.inside``, places e
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -76,7 +77,11 @@ class StabilityRegion:
     def __post_init__(self):
         if self.kind not in ("half-plane", "disk"):
             raise RegionInvalid(f"unknown region kind {self.kind!r}")
-        if not (np.isfinite(self.alpha) and np.isfinite(self.rho)):
+        try:
+            finite = math.isfinite(self.alpha) and math.isfinite(self.rho)
+        except TypeError:  # not a real number
+            finite = False
+        if not finite:
             raise RegionInvalid("region alpha and rho must be finite")
         if self.kind == "disk" and not self.rho > 0.0:
             raise RegionInvalid("disk radius must be positive")
@@ -155,8 +160,11 @@ def stability_region(domain) -> StabilityRegion:
 
 
 def as_matrix(M, name="matrix") -> np.ndarray:
-    """Coerce to a finite 2-d float array."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
+    """Coerce to a finite 2-d float array; complex entries are refused, not dropped."""
+    M = np.asarray(M)
+    if np.iscomplexobj(M):
+        raise ValueError(f"{name} has complex entries")
+    M = np.atleast_2d(M.astype(float, copy=False))
     if M.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-dimensional, got shape {M.shape}")
     if M.size and not np.all(np.isfinite(M)):

@@ -122,9 +122,18 @@ def test_weierstrass_structure_refuses_common_kernel_pencils(n, k):
         weierstrass_structure(A, E)
 
 
-# tall discrete inputs whose inner completion Gramian is deficient; with the
-# Gramian clipped, Q1 R = G holds to 1e-14 but max |Q*Q - I| reads 0.98 and 9.0e-5
+# tall discrete inputs whose inner completion Gramian is deficient
 DEFICIENT_GRAMIAN = [(24, 2344), (16, 336)]
+# deficient ones whose Q, completed without the deficiency cut, reads max |Q*Q - I| of 5.6e-3 and 0.52
+UNCUT_NOT_INNER = [(24, 3344), (32, 2352)]
+
+
+@pytest.mark.parametrize("n, p, seed", [(12, 3, 3332), (12, 3, 4332), (16, 4, 5436)])
+def test_tall_discrete_factor_is_inner(n, p, seed):
+    # the completion is the orthogonal complement of one isometry; an X1-weighted
+    # projection onto the kernel of [A^T X1, -C^T] left these at 1.1e-8 to 3.8e-8
+    g = random_system(n, 2, p, "discrete", stable=True, rng=rng(seed))
+    assert _max_inner_error(inner_outer(g).first, "discrete") <= 1e-10
 
 
 @pytest.mark.parametrize("n, seed", DEFICIENT_GRAMIAN)
@@ -134,7 +143,7 @@ def test_deficient_completion_gramian_is_refused(n, seed):
         inner_outer(g)
 
 
-@pytest.mark.parametrize("n, seed", DEFICIENT_GRAMIAN)
+@pytest.mark.parametrize("n, seed", UNCUT_NOT_INNER)
 def test_deficiency_cut_is_what_refuses(n, seed, monkeypatch):
     # mutation: without the deficiency cut the call returns again, and its Q
     # is not inner

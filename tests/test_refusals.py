@@ -14,7 +14,7 @@ from dstk.exceptions import (
     BoundaryZeros,
     DimensionMismatch,
     DomainMismatch,
-    IterationFailure,
+    RankDeficiencyUnsupported,
     RegionInvalid,
 )
 from dstk.factor import additive_decompose, co_outer_co_inner, inner_outer, rcf
@@ -111,7 +111,15 @@ CASES = [
      lambda: StabilityRegion.disk(float("nan"))),
     ("StabilityRegion-inf-rho", RegionInvalid, "must be finite",
      lambda: StabilityRegion.disk(float("inf"))),
-    ("inner_outer-completion-kernel", IterationFailure, "inner completion kernel has unexpected dimension",
+    ("StabilityRegion-str-alpha", RegionInvalid, "must be finite",
+     lambda: StabilityRegion("half-plane", alpha="x")),
+    ("StabilityRegion-none-rho", RegionInvalid, "must be finite",
+     lambda: StabilityRegion("disk", rho=None)),
+    ("make_system-complex-A", ValueError, "A has complex entries",
+     lambda: make_system(np.array([[1 + 2j]]), None, [[1.0]], [[1.0]], [[0.0]], "continuous")),
+    ("klf-complex", ValueError, "M has complex entries",
+     lambda: klf([[1j]], [[1.0]])),
+    ("inner_outer-completion-gramian", RankDeficiencyUnsupported, "inner completion Gramian",
      lambda: inner_outer(random_system(16, 2, 3, "discrete", stable=True, rng=np.random.default_rng(4019)))),
 ]
 
